@@ -5,8 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import nodal_interpolate, ref_basis, ref_basis_grad
-from .multimesh import CutTopology, point_locate
+from .geom2d import triangle_rule
+from .mesh import nodal_interpolate, ref_basis
+from .multimesh import CutTopology, QuadBatch, point_locate
 
 __all__ = [
     "MultimeshFunction",
@@ -40,34 +41,40 @@ class MultimeshFunction:
         return np.concatenate(self.coeffs)
 
 
-def eval_function(u: MultimeshFunction, topology: CutTopology, x) -> float:
-    """Value of the composite function: the topmost visible mesh wins."""
+def eval_function(u: MultimeshFunction, topology: CutTopology, x,
+                  outside: float | None = None) -> float:
+    """Value of the composite function: the topmost visible mesh wins.
+
+    Outside the composite domain (or inside a void) this raises, or returns
+    `outside` when one is given.
+    """
     loc = point_locate(topology, x)
     if loc is None:
-        raise ValueError(f"point {x} lies outside the composite domain")
+        if outside is None:
+            raise ValueError(f"point {x} lies outside the composite domain")
+        return outside
     i, cell = loc
     space = topology.parts[i].space
     return float(space.eval_in_cell(u.coeffs[i], cell, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def eval_or_nan(u: MultimeshFunction, topology: CutTopology, x) -> float:
-    loc = point_locate(topology, x)
-    if loc is None:
-        return float("nan")
-    i, cell = loc
-    space = topology.parts[i].space
-    return float(space.eval_in_cell(u.coeffs[i], cell, np.asarray(x, dtype=float)[None, :])[0])
+    """Like eval_function, but NaN outside the composite domain."""
+    return eval_function(u, topology, x, outside=float("nan"))
 
 
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
 
-def _ref_rule(order: int):
-    from .geom2d import triangle_rule
-
-    bary, w = triangle_rule(order)
-    return bary, bary[:, 1:], w
+def _values(u: MultimeshFunction, topology: CutTopology, batch: QuadBatch, m: int):
+    """u and its gradient at every point of a batch, taken in its m-th mesh."""
+    i = batch.meshes[m]
+    space = topology.parts[i].space
+    cells = batch.per_point(batch.cells[:, m])
+    phi, grad = space.tabulate(cells, batch.points)
+    c = u.coeffs[i][space.cell_dofs[cells]]                          # (n, nd)
+    return (phi * c).sum(axis=1), np.einsum("nak,na->nk", grad, c)
 
 
 def error_norms(
@@ -83,39 +90,13 @@ def error_norms(
         order = 2 * max(p.space.degree for p in topology.parts) + 2
     l2 = 0.0
     h1 = 0.0
-    bary, ref_pts, w = _ref_rule(order)
-    for i, part in enumerate(topology.parts):
-        space = part.space
-        deg = space.degree
-        ci = u_h.coeffs[i]
-        cells = topology.uncut_active(i)
-        if len(cells):
-            phi = ref_basis(deg, ref_pts)
-            gref = ref_basis_grad(deg, ref_pts)
-            verts = part.mesh.nodes[part.mesh.cells[cells]]
-            pts = np.einsum("qv,cvk->cqk", bary, verts)
-            _, _, invJ, _ = part.mesh.geometry()
-            areas = part.mesh.cell_areas()[cells]
-            cf = ci[space.cell_dofs[cells]]                        # (nc, nd)
-            uh = np.einsum("qa,ca->cq", phi, cf)
-            guh = np.einsum("qak,ckl,ca->cql", gref, invJ[cells], cf)
-            x = pts[..., 0].ravel()
-            y = pts[..., 1].ravel()
-            ue = np.broadcast_to(np.asarray(u_exact(x, y), dtype=float), x.shape).reshape(uh.shape)
-            ge = np.asarray(grad_exact(x, y), dtype=float).reshape(guh.shape)
-            l2 += float(np.einsum("q,cq,c->", w, (uh - ue) ** 2, areas))
-            h1 += float(np.einsum("q,cql,c->", w, (guh - ge) ** 2, areas))
-        for cell, cc in topology.cut_cells[i].items():
-            quad = topology.visible_quadrature(i, cell, order)
-            if not len(quad.points):
-                continue
-            pts, wq = quad.points, quad.weights
-            uh = space.eval_in_cell(ci, cell, pts)
-            guh = space.grad_in_cell(ci, cell, pts)
-            ue = np.broadcast_to(np.asarray(u_exact(pts[:, 0], pts[:, 1]), dtype=float), uh.shape)
-            ge = np.asarray(grad_exact(pts[:, 0], pts[:, 1]), dtype=float).reshape(guh.shape)
-            l2 += float(np.dot(wq, (uh - ue) ** 2))
-            h1 += float(np.dot(wq, ((guh - ge) ** 2).sum(axis=1)))
+    for batch in topology.cell_batches(order):
+        uh, guh = _values(u_h, topology, batch, 0)
+        x, y = batch.points.T
+        ue = np.broadcast_to(np.asarray(u_exact(x, y), dtype=float), uh.shape)
+        ge = np.asarray(grad_exact(x, y), dtype=float).reshape(guh.shape)
+        l2 += float(np.dot(batch.weights, (uh - ue) ** 2))
+        h1 += float(np.dot(batch.weights, ((guh - ge) ** 2).sum(axis=1)))
     return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
@@ -143,37 +124,23 @@ def energy_norm(u: MultimeshFunction, topology: CutTopology) -> EnergyBreakdown:
     """Energy norm breakdown; all terms are beta-independent."""
     h = topology.mesh_sizes()
     term_I = 0.0
-    for i, part in enumerate(topology.parts):
-        space = part.space
-        ci = u.coeffs[i]
-        for cell in topology.active[i]:
-            quad = topology.visible_quadrature(i, int(cell))
-            if not len(quad.points):
-                continue
-            g = space.grad_in_cell(ci, int(cell), quad.points)
-            term_I += float(np.dot(quad.weights, (g ** 2).sum(axis=1)))
+    for batch in topology.cell_batches():
+        _, g = _values(u, topology, batch, 0)
+        term_I += float(np.dot(batch.weights, (g ** 2).sum(axis=1)))
 
     term_II = 0.0
-    for o in topology.overlaps:
-        gl = topology.parts[o.lower_mesh].space.grad_in_cell(
-            u.coeffs[o.lower_mesh], o.lower_cell, o.quad.points
-        )
-        gu = topology.parts[o.upper_mesh].space.grad_in_cell(
-            u.coeffs[o.upper_mesh], o.upper_cell, o.quad.points
-        )
-        term_II += float(np.dot(o.quad.weights, ((gl - gu) ** 2).sum(axis=1)))
+    for batch in topology.overlap_batches():
+        _, gl = _values(u, topology, batch, 0)
+        _, gu = _values(u, topology, batch, 1)
+        term_II += float(np.dot(batch.weights, ((gl - gu) ** 2).sum(axis=1)))
 
     term_III = 0.0
     term_IV = 0.0
-    for f in topology.facets:
-        i, j = f.upper_mesh, f.lower_mesh
-        su = topology.parts[i].space
-        sl = topology.parts[j].space
-        gu = su.grad_in_cell(u.coeffs[i], f.upper_cell, f.quad.points)
-        gl = sl.grad_in_cell(u.coeffs[j], f.lower_cell, f.quad.points)
-        vu = su.eval_in_cell(u.coeffs[i], f.upper_cell, f.quad.points)
-        vl = sl.eval_in_cell(u.coeffs[j], f.lower_cell, f.quad.points)
-        wq = f.quad.weights
+    for batch in topology.facet_batches():
+        j, i = batch.meshes
+        vl, gl = _values(u, topology, batch, 0)
+        vu, gu = _values(u, topology, batch, 1)
+        wq = batch.weights
         term_III += float(
             h[i] * np.dot(wq, (gu ** 2).sum(axis=1)) + h[j] * np.dot(wq, (gl ** 2).sum(axis=1))
         )
@@ -186,11 +153,11 @@ def h_norm(u: MultimeshFunction, topology: CutTopology) -> float:
     total = 0.0
     for i, part in enumerate(topology.parts):
         space = part.space
-        bary, ref_pts, w = _ref_rule(2 * space.degree)
+        bary, w = triangle_rule(2 * space.degree)
         cells = topology.active[i]
         if not len(cells):
             continue
-        phi = ref_basis(space.degree, ref_pts)
+        phi = ref_basis(space.degree, bary[:, 1:])
         cf = u.coeffs[i][space.cell_dofs[cells]]
         vals = np.einsum("qa,ca->cq", phi, cf)
         areas = part.mesh.cell_areas()[cells]

@@ -3,8 +3,9 @@
 Volume terms integrate over each cell's visible region only; interface
 facets contribute the symmetric Nitsche consistency terms plus a penalty
 weighted by beta0 / (h_i + h_j); overlap pieces contribute the jump
-stabilization in one of two variants. Uncut cells take a vectorized fast
-path, cut cells integrate over their clipped quadrature.
+stabilization in one of two variants. Every integral runs on the flat
+quadrature batches of the cut topology: all points of a batch are mapped
+and tabulated at once, and local matrices are reduced per entity.
 """
 from __future__ import annotations
 
@@ -13,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import io as scipy_io
 
-from .mesh import ref_basis, ref_basis_grad
-from .multimesh import CutTopology
+from .multimesh import CutTopology, QuadBatch
 from .solver import CsrMatrix
 
 __all__ = [
@@ -123,59 +123,44 @@ class SystemMatrix:
         return self.matrix.max_abs()
 
 
-def _ref_rule(order: int):
-    from .geom2d import triangle_rule
+def _tabulate(topology: CutTopology, batch: QuadBatch, m: int, offsets: np.ndarray):
+    """Basis values and gradients at every point of a batch in its m-th
+    mesh, with the global dofs of each entity's cell there."""
+    i = batch.meshes[m]
+    space = topology.parts[i].space
+    phi, grad = space.tabulate(batch.per_point(batch.cells[:, m]), batch.points)
+    return phi, grad, offsets[i] + space.cell_dofs[batch.cells[:, m]]
 
-    bary, w = triangle_rule(order)
-    return bary, bary[:, 1:], w  # barycentric, reference (xi, eta), unit weights
+
+def _entity_blocks(batch: QuadBatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Local matrices sum_q w_q sum_k a[q, :, k] b[q, :, k]^T per entity.
+
+    a is (n, na, k) and b is (n, nb, k) over the batch points; the result is
+    (ne, na, nb). Entities with the same point count form one batched
+    matmul, so no per-point na x nb array is ever made.
+    """
+    counts = np.diff(batch.starts)
+    wa = a * batch.weights[:, None, None]
+    out = np.empty((len(counts), a.shape[1], b.shape[1]))
+    for c in np.unique(counts):
+        ents = np.flatnonzero(counts == c)
+        idx = batch.starts[ents, None] + np.arange(c)        # (ne_c, c)
+        A = wa[idx].transpose(0, 2, 1, 3).reshape(len(ents), a.shape[1], -1)
+        B = b[idx].transpose(0, 2, 1, 3).reshape(len(ents), b.shape[1], -1)
+        out[ents] = A @ B.transpose(0, 2, 1)
+    return out
 
 
 def assemble_volume(topology: CutTopology, params: FormParams) -> _Triplets:
     """Stiffness (plus optional reaction mass) over every visible region."""
     trip = _Triplets()
     offsets = topology.block_offsets()
-    eps2 = 0.0 if params.reaction_eps is None else params.reaction_eps ** -2
-    bary, ref_pts, w = _ref_rule(params.quad_order)
-    for i, part in enumerate(topology.parts):
-        space = part.space
-        p = space.degree
-        gref = ref_basis_grad(p, ref_pts)          # (nq, nd, 2)
-        phi = ref_basis(p, ref_pts)                # (nq, nd)
-        mass_ref = np.einsum("q,qa,qb->ab", w, phi, phi)
-        cells = topology.uncut_active(i)
-        if len(cells):
-            _, _, invJ, _ = part.mesh.geometry()
-            areas = part.mesh.cell_areas()[cells]
-            gp = np.einsum("qak,ckl->cqal", gref, invJ[cells])
-            K = np.einsum("q,cqal,cqbl->cab", w, gp, gp)
-            if eps2:
-                K = K + eps2 * mass_ref[None, :, :]
-            K *= areas[:, None, None]
-            dofs = offsets[i] + space.cell_dofs[cells]
-            trip.add_dense(dofs, dofs, K)
-        for cell, cc in topology.cut_cells[i].items():
-            if cc.visible_quad.total <= 0.0:
-                continue
-            pts = cc.visible_quad.points
-            wq = cc.visible_quad.weights
-            ref = part.mesh.ref_coords(cell, pts)
-            g = ref_basis_grad(p, ref) @ part.mesh.geometry()[2][cell]
-            K = np.einsum("q,qal,qbl->ab", wq, g, g)
-            if eps2:
-                ph = ref_basis(p, ref)
-                K = K + eps2 * np.einsum("q,qa,qb->ab", wq, ph, ph)
-            dofs = offsets[i] + space.cell_dofs[cell]
-            trip.add_dense(dofs[None, :], dofs[None, :], K[None, :, :])
+    for batch in topology.cell_batches(params.quad_order):
+        phi, grad, dofs = _tabulate(topology, batch, 0, offsets)
+        if params.reaction_eps is not None:
+            grad = np.concatenate([grad, phi[:, :, None] / params.reaction_eps], axis=2)
+        trip.add_dense(dofs, dofs, _entity_blocks(batch, grad, grad))
     return trip
-
-
-def _facet_trace(space, cell: int, pts: np.ndarray, offsets, i):
-    mesh = space.mesh
-    ref = mesh.ref_coords(cell, pts)
-    phi = ref_basis(space.degree, ref)
-    grad = ref_basis_grad(space.degree, ref) @ mesh.geometry()[2][cell]
-    dofs = offsets[i] + space.cell_dofs[cell]
-    return phi, grad, dofs
 
 
 def assemble_interface(topology: CutTopology, params: FormParams) -> _Triplets:
@@ -188,23 +173,22 @@ def assemble_interface(topology: CutTopology, params: FormParams) -> _Triplets:
     trip = _Triplets()
     offsets = topology.block_offsets()
     h = topology.mesh_sizes()
-    for f in topology.facets:
-        i, j = f.upper_mesh, f.lower_mesh
+    for batch in topology.facet_batches():
+        j, i = batch.meshes
         ki, kj = kappa_weights(h[i], h[j])
         pen = params.beta0 / (h[i] + h[j])
-        pts = f.quad.points
-        wq = f.quad.weights
-        phi_u, grad_u, dofs_u = _facet_trace(topology.parts[i].space, f.upper_cell, pts, offsets, i)
-        phi_l, grad_l, dofs_l = _facet_trace(topology.parts[j].space, f.lower_cell, pts, offsets, j)
-        gn_u = grad_u @ f.normal
-        gn_l = grad_l @ f.normal
-        jump = np.concatenate([phi_u, -phi_l], axis=1)       # (nq, nd)
-        avg = np.concatenate([ki * gn_u, kj * gn_l], axis=1)
-        AJ = np.einsum("q,qa,qb->ab", wq, avg, jump)
-        JJ = np.einsum("q,qa,qb->ab", wq, jump, jump)
-        local = -(AJ + AJ.T) + pen * JJ
-        dofs = np.concatenate([dofs_u, dofs_l])
-        trip.add_dense(dofs[None, :], dofs[None, :], local[None, :, :])
+        phi_l, grad_l, dofs_l = _tabulate(topology, batch, 0, offsets)
+        phi_u, grad_u, dofs_u = _tabulate(topology, batch, 1, offsets)
+        normal = batch.per_point(batch.normals)[:, None, :]
+        jump = np.concatenate([phi_u, -phi_l], axis=1)                # (n, nd)
+        avg = np.concatenate([ki * (grad_u * normal).sum(axis=2),
+                              kj * (grad_l * normal).sum(axis=2)], axis=1)
+        # -(avg jump^T + jump avg^T) + pen jump jump^T as one two-channel form
+        local = _entity_blocks(
+            batch, np.stack([jump, avg], axis=2), np.stack([pen * jump - avg, -jump], axis=2)
+        )
+        dofs = np.concatenate([dofs_u, dofs_l], axis=1)
+        trip.add_dense(dofs, dofs, local)
     return trip
 
 
@@ -213,24 +197,18 @@ def assemble_stabilization(topology: CutTopology, params: FormParams) -> _Triple
     trip = _Triplets()
     offsets = topology.block_offsets()
     h = topology.mesh_sizes()
-    gradient = params.stab_variant == STAB_GRADIENT
-    for o in topology.overlaps:
-        i, j = o.lower_mesh, o.upper_mesh
-        pts = o.quad.points
-        wq = o.quad.weights
-        if wq.sum() <= 0.0:
-            continue
-        phi_l, grad_l, dofs_l = _facet_trace(topology.parts[i].space, o.lower_cell, pts, offsets, i)
-        phi_u, grad_u, dofs_u = _facet_trace(topology.parts[j].space, o.upper_cell, pts, offsets, j)
-        if gradient:
-            D = np.concatenate([grad_l, -grad_u], axis=1)    # (nq, nd, 2)
-            local = params.beta1 * np.einsum("q,qak,qbk->ab", wq, D, D)
+    for batch in topology.overlap_batches():
+        i, j = batch.meshes
+        phi_l, grad_l, dofs_l = _tabulate(topology, batch, 0, offsets)
+        phi_u, grad_u, dofs_u = _tabulate(topology, batch, 1, offsets)
+        if params.stab_variant == STAB_GRADIENT:
+            D = np.concatenate([grad_l, -grad_u], axis=1)             # (n, nd, 2)
+            scale = params.beta1
         else:
-            Jv = np.concatenate([phi_l, -phi_u], axis=1)
+            D = np.concatenate([phi_l, -phi_u], axis=1)[:, :, None]
             scale = params.beta1 / (h[i] + h[j]) ** 2
-            local = scale * np.einsum("q,qa,qb->ab", wq, Jv, Jv)
-        dofs = np.concatenate([dofs_l, dofs_u])
-        trip.add_dense(dofs[None, :], dofs[None, :], local[None, :, :])
+        dofs = np.concatenate([dofs_l, dofs_u], axis=1)
+        trip.add_dense(dofs, dofs, scale * _entity_blocks(batch, D, D))
     return trip
 
 
@@ -238,29 +216,14 @@ def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
     """Load vector: f integrated against each basis over visible regions only."""
     offsets = topology.block_offsets()
     b = np.zeros(topology.total_dim)
-    bary, ref_pts, w = _ref_rule(params.quad_order)
-    for i, part in enumerate(topology.parts):
-        space = part.space
-        p = space.degree
-        phi = ref_basis(p, ref_pts)
-        cells = topology.uncut_active(i)
-        if len(cells):
-            verts = part.mesh.nodes[part.mesh.cells[cells]]  # (nc, 3, 2)
-            pts = np.einsum("qv,cvk->cqk", bary, verts)
-            fv = np.asarray(f(pts[..., 0].ravel(), pts[..., 1].ravel()), dtype=float)
-            fv = np.broadcast_to(fv, pts[..., 0].size).reshape(pts.shape[:2])
-            areas = part.mesh.cell_areas()[cells]
-            loc = np.einsum("q,cq,qa->ca", w, fv, phi) * areas[:, None]
-            np.add.at(b, offsets[i] + space.cell_dofs[cells], loc)
-        for cell, cc in topology.cut_cells[i].items():
-            pts = cc.visible_quad.points
-            if not len(pts):
-                continue
-            wq = cc.visible_quad.weights
-            fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-            fv = np.broadcast_to(fv, len(pts))
-            ph = ref_basis(p, part.mesh.ref_coords(cell, pts))
-            np.add.at(b, offsets[i] + space.cell_dofs[cell], np.einsum("q,q,qa->a", wq, fv, ph))
+    for batch in topology.cell_batches(params.quad_order):
+        phi, _, dofs = _tabulate(topology, batch, 0, offsets)
+        x, y = batch.points.T
+        fw = batch.weights * np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
+        b += np.bincount(
+            batch.per_point(dofs).ravel(), weights=(fw[:, None] * phi).ravel(),
+            minlength=len(b),
+        )
     return b
 
 

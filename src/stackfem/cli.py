@@ -385,8 +385,11 @@ class ExperimentConfig:
         }
 
 
-def _load_experiment(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+def _load_experiment(args, k_range: tuple[int, int] = (3, 6),
+                     full_range: tuple[int, int] | None = (3, 10)) -> ExperimentConfig:
+    """Defaults, then the JSON config file, then flags. k_range is the
+    subcommand's default k range; --full replaces it by full_range."""
+    cfg = ExperimentConfig(k_min=k_range[0], k_max=k_range[1])
     if args.config_file:
         data = json.loads(Path(args.config_file).read_text())
         for key in ("problem", "config", "k_min", "k_max", "degree", "beta0",
@@ -401,7 +404,8 @@ def _load_experiment(args) -> ExperimentConfig:
             setattr(cfg, key, val)
     if getattr(args, "full", False):
         cfg.full = True
-        cfg.k_min, cfg.k_max = 3, 10
+        if full_range is not None:
+            cfg.k_min, cfg.k_max = full_range
     return cfg
 
 
@@ -467,9 +471,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_condition(args) -> int:
-    cfg = _load_experiment(args)
-    if args.k_min is None and not args.full:
-        cfg.k_min, cfg.k_max = 2, 5
+    cfg = _load_experiment(args, k_range=(2, 5))
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, slope = run_condition_study(
@@ -488,9 +490,7 @@ def _cmd_condition(args) -> int:
 
 
 def _cmd_boundary_layer(args) -> int:
-    cfg = _load_experiment(args)
-    if args.k_min is None:
-        cfg.k_min, cfg.k_max = 0, 2
+    cfg = _load_experiment(args, k_range=(0, 2), full_range=None)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []

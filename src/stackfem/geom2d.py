@@ -21,8 +21,11 @@ __all__ = [
     "convex_difference",
     "clip_segment",
     "polyset_quadrature",
+    "polyset_quadratures",
     "segment_quadrature",
     "triangle_quadrature",
+    "triangles_quadrature",
+    "fan_triangles",
     "rotate_rect",
     "rect_polygon",
     "regular_polygon",
@@ -430,15 +433,44 @@ def triangle_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _TRI_RULES[order]
 
 
+def fan_triangles(polygons) -> tuple[np.ndarray, np.ndarray]:
+    """Fan triangulation of many convex polygons at once, each from its
+    first vertex: triangles (nt, 3, 2) in polygon order and the index of the
+    polygon each came from. Triangles of zero area are dropped."""
+    sizes = np.array([len(p.vertices) for p in polygons], dtype=np.int64)
+    tris = [np.zeros((0, 3, 2))]
+    owner = [np.zeros(0, dtype=np.int64)]
+    for m in np.unique(sizes):
+        idx = np.flatnonzero(sizes == m)
+        v = np.stack([polygons[k].vertices for k in idx])          # (np, m, 2)
+        apex = np.broadcast_to(v[:, :1], (len(idx), m - 2, 2))
+        tris.append(np.stack([apex, v[:, 1:-1], v[:, 2:]], axis=2).reshape(-1, 3, 2))
+        owner.append(np.repeat(idx, m - 2))
+    order = np.argsort(np.concatenate(owner), kind="stable")
+    tris = np.concatenate(tris)[order]
+    owner = np.concatenate(owner)[order]
+    keep = _triangle_areas(tris) > 0.0
+    return tris[keep], owner[keep]
+
+
+def _triangle_areas(tris: np.ndarray) -> np.ndarray:
+    """Unsigned areas of triangles given as (..., 3, 2) arrays."""
+    e1 = tris[..., 1, :] - tris[..., 0, :]
+    e2 = tris[..., 2, :] - tris[..., 0, :]
+    return 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+
+
+def triangles_quadrature(tris: np.ndarray, order: int) -> QuadRule:
+    """One reference rule mapped onto every triangle of (nt, 3, 2); the
+    points of triangle t are rows t*nq .. (t+1)*nq - 1."""
+    bary, w = triangle_rule(order)
+    pts = np.einsum("qv,tvk->tqk", bary, tris)
+    return QuadRule(pts, np.outer(_triangle_areas(tris), w))
+
+
 def triangle_quadrature(tri_verts: np.ndarray, order: int) -> QuadRule:
     """Mapped rule on a single physical triangle given as a (3, 2) array."""
-    bary, w = triangle_rule(order)
-    pts = bary @ tri_verts
-    area = 0.5 * abs(
-        (tri_verts[1, 0] - tri_verts[0, 0]) * (tri_verts[2, 1] - tri_verts[0, 1])
-        - (tri_verts[1, 1] - tri_verts[0, 1]) * (tri_verts[2, 0] - tri_verts[0, 0])
-    )
-    return QuadRule(pts, w * area)
+    return triangles_quadrature(np.asarray(tri_verts, dtype=float)[None], order)
 
 
 def polyset_quadrature(S: PolySet, order: int) -> QuadRule:
@@ -447,24 +479,22 @@ def polyset_quadrature(S: PolySet, order: int) -> QuadRule:
     Each convex piece is fan-triangulated from its first vertex and a mapped
     reference rule is laid on every triangle.
     """
-    bary, w = triangle_rule(order)
-    pts_list = []
-    wts_list = []
-    for piece in S.pieces:
-        v = piece.vertices
-        for k in range(1, len(v) - 1):
-            tri = np.array([v[0], v[k], v[k + 1]])
-            area = 0.5 * abs(
-                (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-                - (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0])
-            )
-            if area <= 0.0:
-                continue
-            pts_list.append(bary @ tri)
-            wts_list.append(w * area)
-    if not pts_list:
-        return QuadRule(np.zeros((0, 2)), np.zeros(0))
-    return QuadRule(np.concatenate(pts_list), np.concatenate(wts_list))
+    return polyset_quadratures([S], order)[0]
+
+
+def polyset_quadratures(sets: list[PolySet], order: int) -> list[QuadRule]:
+    """polyset_quadrature of every PolySet, computed in one pass."""
+    if not sets:
+        return []
+    set_of = np.repeat(np.arange(len(sets)), [len(S.pieces) for S in sets])
+    tris, owner = fan_triangles([p for S in sets for p in S.pieces])
+    quad = triangles_quadrature(tris, order)
+    nq = len(triangle_rule(order)[1])
+    cuts = np.searchsorted(set_of[owner], np.arange(1, len(sets))) * nq
+    return [
+        QuadRule(p, w)
+        for p, w in zip(np.split(quad.points, cuts), np.split(quad.weights, cuts))
+    ]
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

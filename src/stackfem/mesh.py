@@ -229,6 +229,14 @@ class FeSpace:
     def ndof_local(self) -> int:
         return 3 if self.degree == 1 else 6
 
+    def tabulate(self, cells: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Basis values (n, nd) and physical gradients (n, nd, 2) at points
+        (n, 2), point k taken in cell cells[k]."""
+        v0, _, invJ, _ = self.mesh.geometry()
+        Jinv = invJ[cells]
+        ref = np.einsum("nkl,nl->nk", Jinv, pts - v0[cells])
+        return ref_basis(self.degree, ref), ref_basis_grad(self.degree, ref) @ Jinv
+
     def eval_in_cell(self, coeffs: np.ndarray, cell: int, pts: np.ndarray) -> np.ndarray:
         ref = self.mesh.ref_coords(cell, pts)
         phi = ref_basis(self.degree, ref)

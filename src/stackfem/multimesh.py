@@ -23,9 +23,11 @@ from .geom2d import (
     clip_segment,
     convex_difference,
     convex_intersect,
-    polyset_quadrature,
+    fan_triangles,
+    polyset_quadratures,
     segment_quadrature,
-    triangle_quadrature,
+    triangle_rule,
+    triangles_quadrature,
 )
 from .mesh import MARKER_OUTER, FeSpace, TriMesh
 
@@ -35,6 +37,7 @@ __all__ = [
     "CutCell",
     "InterfaceFacet",
     "OverlapPiece",
+    "QuadBatch",
     "CutTopology",
     "build_cut_topology",
     "compute_delta_NO",
@@ -116,6 +119,48 @@ class OverlapPiece:
     quad: QuadRule
 
 
+@dataclass
+class QuadBatch:
+    """Flat quadrature over a group of entities (visible regions of cells,
+    interface facets or overlap pieces) that share their meshes.
+
+    Entity e owns the points starts[e]:starts[e + 1]; its cell in mesh
+    meshes[m] is cells[e, m]. Facet batches carry one unit normal per
+    entity, outward from the upper predomain.
+    """
+
+    meshes: tuple[int, ...]
+    cells: np.ndarray        # (ne, len(meshes))
+    starts: np.ndarray       # (ne + 1,)
+    points: np.ndarray       # (n, 2)
+    weights: np.ndarray      # (n,)
+    normals: np.ndarray | None = None  # (ne, 2)
+
+    def per_point(self, values: np.ndarray) -> np.ndarray:
+        """Repeat per-entity values once for each of the entity's points."""
+        return np.repeat(values, np.diff(self.starts), axis=0)
+
+
+def _pair_batches(entities, with_normals: bool = False) -> list[QuadBatch]:
+    """One batch per (lower, upper) mesh pair of facets or overlap pieces."""
+    groups: dict[tuple[int, int], list] = {}
+    for e in entities:
+        if e.quad.total > 0.0:
+            groups.setdefault((e.lower_mesh, e.upper_mesh), []).append(e)
+    out = []
+    for meshes, ents in sorted(groups.items()):
+        counts = [len(e.quad.weights) for e in ents]
+        out.append(QuadBatch(
+            meshes,
+            np.array([(e.lower_cell, e.upper_cell) for e in ents], dtype=np.int64),
+            np.concatenate([[0], np.cumsum(counts)]),
+            np.concatenate([e.quad.points for e in ents]),
+            np.concatenate([e.quad.weights for e in ents]),
+            np.array([e.normal for e in ents]) if with_normals else None,
+        ))
+    return out
+
+
 class _CellGrid:
     """Uniform spatial bins over a mesh; cells register in every bin their
     bounding box touches, so a query never misses a candidate."""
@@ -186,6 +231,12 @@ class CutTopology:
     N_Oi: np.ndarray
     gamma_len: np.ndarray
     grids: list[_CellGrid] = field(repr=False, default=None)
+    _cache: dict = field(repr=False, compare=False, default_factory=dict)
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @property
     def nparts(self) -> int:
@@ -207,14 +258,12 @@ class CutTopology:
         return int(sum(p.space.dim for p in self.parts))
 
     def is_active(self, i: int) -> np.ndarray:
-        if not hasattr(self, "_mask_cache"):
-            self._mask_cache = {}
-        mask = self._mask_cache.get(i)
-        if mask is None:
+        def build():
             mask = np.zeros(len(self.parts[i].mesh.cells), dtype=bool)
             mask[self.active[i]] = True
-            self._mask_cache[i] = mask
-        return mask
+            return mask
+
+        return self._cached(("active", i), build)
 
     def uncut_active(self, i: int) -> np.ndarray:
         cut = self.cut_cells[i]
@@ -229,16 +278,6 @@ class CutTopology:
         tri = ConvexPolygon(self.parts[i].mesh.cell_vertices(cell), validate=False)
         return PolySet([tri])
 
-    def visible_quadrature(self, i: int, cell: int, order: int | None = None) -> QuadRule:
-        if order is None:
-            order = self.quad_order
-        cc = self.cut_cells[i].get(cell)
-        if cc is not None:
-            if order == self.quad_order:
-                return cc.visible_quad
-            return polyset_quadrature(cc.visible, order)
-        return triangle_quadrature(self.parts[i].mesh.cell_vertices(cell), order)
-
     def visible_area(self, i: int) -> float:
         mesh = self.parts[i].mesh
         areas = mesh.cell_areas()
@@ -251,6 +290,43 @@ class CutTopology:
         if len(self.active[i]) == 0:
             return np.zeros(0, dtype=np.int64)
         return np.unique(space.cell_dofs[self.active[i]].ravel())
+
+    def cell_batches(self, order: int | None = None) -> list[QuadBatch]:
+        """Quadrature over the visible region of every active cell, one batch
+        per mesh: the mapped rule of the given order on each uncut cell and
+        on each fan triangle of a cut cell's visible pieces."""
+        order = self.quad_order if order is None else order
+        return self._cached(
+            ("cells", order), lambda: [self._cell_batch(i, order) for i in range(self.nparts)]
+        )
+
+    def _cell_batch(self, i: int, order: int) -> QuadBatch:
+        def cut_fan():
+            pieces = [(c, p) for c, cc in self.cut_cells[i].items() for p in cc.visible]
+            tris, owner = fan_triangles([p for _, p in pieces])
+            return tris, np.array([c for c, _ in pieces], dtype=np.int64)[owner]
+
+        mesh = self.parts[i].mesh
+        uncut = self.uncut_active(i)
+        cut_tris, cut_owner = self._cached(("fan", i), cut_fan)
+        tri_cell = np.concatenate([uncut, cut_owner])
+        quad = triangles_quadrature(
+            np.concatenate([mesh.nodes[mesh.cells[uncut]], cut_tris]), order
+        )
+        first = np.flatnonzero(np.diff(tri_cell, prepend=-1) != 0)
+        nq = len(triangle_rule(order)[1])
+        return QuadBatch(
+            (i,), tri_cell[first, None], np.append(first, len(tri_cell)) * nq,
+            quad.points, quad.weights,
+        )
+
+    def facet_batches(self) -> list[QuadBatch]:
+        """Interface facet quadrature, one batch per (lower, upper) mesh pair."""
+        return self._cached("facets", lambda: _pair_batches(self.facets, with_normals=True))
+
+    def overlap_batches(self) -> list[QuadBatch]:
+        """Overlap piece quadrature, one batch per (lower, upper) mesh pair."""
+        return self._cached("overlaps", lambda: _pair_batches(self.overlaps))
 
     def grid(self, i: int) -> _CellGrid:
         if self.grids is None:
@@ -321,7 +397,7 @@ def _visible_regions(config: MultiMeshConfig, quad_order: int):
                     covered[c] = True
                     pieces.pop(c, None)
         act = []
-        cuts: dict[int, CutCell] = {}
+        visible: dict[int, PolySet] = {}
         for c in range(len(mesh.cells)):
             if covered[c]:
                 continue
@@ -333,9 +409,12 @@ def _visible_regions(config: MultiMeshConfig, quad_order: int):
             if vis.area <= 1e-14 * areas[c]:
                 continue
             act.append(c)
-            cuts[c] = CutCell(i, c, vis, polyset_quadrature(vis, quad_order))
+            visible[c] = vis
+        quads = polyset_quadratures(list(visible.values()), quad_order)
         active.append(np.array(act, dtype=np.int64))
-        cut_cells.append(cuts)
+        cut_cells.append({
+            c: CutCell(i, c, vis, q) for (c, vis), q in zip(visible.items(), quads)
+        })
     return active, cut_cells
 
 
@@ -510,7 +589,7 @@ def _clip_outside(seg: Segment, poly: ConvexPolygon) -> list[Segment]:
 
 def _build_overlaps(config: MultiMeshConfig, active, grids, quad_order: int):
     nparts = config.nparts
-    overlaps: list[OverlapPiece] = []
+    found: list[tuple] = []
     for i in range(nparts - 1):
         lmesh = config.parts[i].mesh
         lverts = lmesh.nodes[lmesh.cells]
@@ -552,17 +631,9 @@ def _build_overlaps(config: MultiMeshConfig, active, grids, quad_order: int):
                         ]
                         if not pieces:
                             break
-                    for p in pieces:
-                        overlaps.append(
-                            OverlapPiece(
-                                p,
-                                i,
-                                int(c),
-                                j,
-                                int(cu),
-                                polyset_quadrature(PolySet([p]), quad_order),
-                            )
-                        )
+                    found.extend((p, i, int(c), j, int(cu)) for p in pieces)
+    quads = polyset_quadratures([PolySet([f[0]]) for f in found], quad_order)
+    overlaps = [OverlapPiece(*f, q) for f, q in zip(found, quads)]
     overlaps.sort(
         key=lambda o: (
             o.lower_mesh,

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import loop_reference
 from conftest import (
     build_stack_config,
     classical_p1_system,
@@ -261,13 +262,22 @@ def test_criterion_10_stabilization_energy_identity():
     S = CsrMatrix.from_triplets(rows, cols, vals, topo.total_dim)
     rng = np.random.default_rng(99)
     worst = 0.0
+    worst_oracle = 0.0
     for _ in range(100):
         v = rng.standard_normal(topo.total_dim)
         qf = float(v @ S.matvec(v))
-        term = params.beta1 * energy_norm(MultimeshFunction.from_global(topo, v), topo).term_II
+        u = MultimeshFunction.from_global(topo, v)
+        term_II = energy_norm(u, topo).term_II
+        term = params.beta1 * term_II
         worst = max(worst, abs(qf - term) / max(abs(qf), 1e-300))
+        # the assembled form and the energy term share the batched kernel, so
+        # the identity alone could not catch a fault in it: the per-piece
+        # loop evaluator is the independent oracle for term II
+        oracle = loop_reference.energy_terms(u, topo)[1]
+        worst_oracle = max(worst_oracle, abs(term_II - oracle) / max(abs(oracle), 1e-300))
     ok = worst <= 1e-12
     _report(10, "beta1 * energy term II equals the assembled form", ok, f"(worst rel {worst:.1e})")
+    assert worst_oracle <= 1e-12, f"criterion 10: term II vs loop oracle, rel {worst_oracle:.1e}"
 
 
 def test_criterion_11_boundary_layer():

@@ -178,6 +178,26 @@ class TestConditionCommand:
         assert -2.3 <= float(rows[-1][1]) <= -1.7
 
 
+    def test_k_max_alone_keeps_default_k_min(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["condition", "--mm-config", "single", "--k-max", "3",
+                     "--out", str(out)]) == 0
+        rows = list(csv.reader(open(out / "results.csv")))
+        assert [float(r[0]) for r in rows[1:-1]] == pytest.approx([2 ** -2 * 2 ** 0.5,
+                                                                   2 ** -3 * 2 ** 0.5])
+        meta = json.loads((out / "meta.json").read_text())
+        assert (meta["k_min"], meta["k_max"]) == (2, 3)
+
+    def test_json_k_range_is_kept(self, tmp_path):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"config": "single", "k_min": 3, "k_max": 4}))
+        out = tmp_path / "c"
+        assert main(["condition", "--config", str(cfg_path), "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert (meta["k_min"], meta["k_max"]) == (3, 4)
+        assert len(list(csv.reader(open(out / "results.csv")))) == 4  # header, 2 levels, slope
+
+
 class TestBoundaryLayer:
     def test_stack_geometry(self):
         config, eps = boundary_layer_stack(0)
