@@ -10,6 +10,7 @@ import argparse
 import csv
 import itertools
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +32,8 @@ from .geom2d import ConvexPolygon, offset_polygon, rect_polygon, regular_polygon
 from .mesh import FeSpace, build_band_mesh, build_structured_mesh
 from .multimesh import CutTopology, MultiMeshConfig, MultiMeshPart, build_cut_topology
 from .solver import DEFAULT_SEED, SolveReport, cg_solve, condition_number
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "ExperimentConfig",
@@ -217,6 +220,17 @@ def run_permutation_study(
     return reports
 
 
+def _reduced_matrix(predomains, k: int, degree: int, params: FormParams, f):
+    """Mesh size and Dirichlet-reduced matrix at level k. Only these outlive
+    the call, so the assembly data is freed before the eigensolver runs."""
+    config = build_stack(predomains, [k] * len(predomains), degree)
+    topology = build_cut_topology(config, params.quad_order)
+    system = assemble_system(topology, params)
+    load = assemble_load(topology, f, params)
+    bc = build_dirichlet(topology, lambda x, y: np.zeros_like(x))
+    return float(max(topology.mesh_sizes())), apply_dirichlet(system, load, bc, topology).matrix
+
+
 def run_condition_study(
     name: str, k_values, degree: int = 1, params: FormParams | None = None,
     seed: int = DEFAULT_SEED,
@@ -231,18 +245,13 @@ def run_condition_study(
     rows = []
     for k in k_values:
         p = params if params is not None else FormParams.defaults(degree)
-        config = build_stack(predomains, [k] * len(predomains), degree)
-        topology = build_cut_topology(config, p.quad_order)
-        system = assemble_system(topology, p)
-        load = assemble_load(topology, f, p)
-        bc = build_dirichlet(topology, lambda x, y: np.zeros_like(x))
-        reduced = apply_dirichlet(system, load, bc, topology)
+        h, matrix = _reduced_matrix(predomains, k, degree, p, f)
         try:
-            kappa = condition_number(reduced.matrix, seed=seed)
+            kappa = condition_number(matrix, seed=seed)
         except (EigenEstimationError, NotSPDError) as exc:
-            print(f"condition estimation failed at k={k}: {exc}")
+            logger.warning("condition estimation failed at k=%d: %s", k, exc)
             kappa = float("nan")
-        rows.append((float(max(topology.mesh_sizes())), kappa))
+        rows.append((h, kappa))
     good = [(h, kappa) for h, kappa in rows if np.isfinite(kappa)]
     if len(good) >= 2:
         slope = float(np.polyfit(np.log([r[0] for r in good]),

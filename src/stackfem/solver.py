@@ -18,14 +18,19 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
+# An SPD matrix has pivot_j >= lambda_min and A_jj <= lambda_max, so every
+# pivot_j / A_jj >= 1 / kappa. A smaller ratio is the rounding residue of a
+# singular matrix; the assembled systems stay far below kappa = 1e10.
+PIVOT_RTOL = 1e-10
 
 
 class NotSPDError(RuntimeError):
-    """Raised when CG meets a direction of nonpositive curvature."""
+    """Raised when a matrix that must be SPD is not: CG meets a direction of
+    nonpositive curvature, or symmetric LU a pivot <= PIVOT_RTOL * A_jj."""
 
 
 class EigenEstimationError(RuntimeError):
-    """Raised when an eigenvalue iteration repeatedly breaks down."""
+    """Raised when the eigenvalue iteration does not converge."""
 
 
 @dataclass
@@ -49,18 +54,6 @@ class CsrMatrix:
     def dim(self) -> int:
         return self.csr.shape[0]
 
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.csr.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self.csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.csr.data
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.csr @ x
 
@@ -74,9 +67,6 @@ class CsrMatrix:
 
     def max_abs(self) -> float:
         return float(np.abs(self.csr.data).max()) if self.csr.nnz else 0.0
-
-    def submatrix(self, idx: np.ndarray) -> "CsrMatrix":
-        return CsrMatrix(self.csr[np.ix_(idx, idx)].tocsr())
 
     def todense(self) -> np.ndarray:
         return self.csr.toarray()
@@ -155,105 +145,61 @@ def cg_solve(
     return x, SolveReport(k, true_res, true_res <= tol, np.array(history))
 
 
-def _lanczos_lambda_max(A: CsrMatrix, rng: np.random.Generator, rtol: float, maxit: int) -> float:
-    """Largest eigenvalue via the Lanczos iteration with full reorthogonalization."""
-    n = A.dim
-    if n == 1:
-        return float(A.diagonal()[0])
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    Q = [q]
-    alphas: list[float] = []
-    betas: list[float] = []
-    est_prev = None
-    for j in range(min(maxit, n)):
-        w = A.matvec(Q[-1])
-        alpha = float(np.dot(Q[-1], w))
-        alphas.append(alpha)
-        w -= alpha * Q[-1]
-        if len(Q) > 1:
-            w -= betas[-1] * Q[-2]
-        # full reorthogonalization keeps the Ritz values honest
-        for v in Q:
-            w -= np.dot(v, w) * v
-        beta = float(np.linalg.norm(w))
-        T = np.diag(alphas)
-        if betas:
-            off = np.array(betas)
-            T += np.diag(off, 1) + np.diag(off, -1)
-        evals, evecs = np.linalg.eigh(T)
-        est = float(evals[-1])
-        resid = beta * abs(evecs[-1, -1])
-        if est_prev is not None and (
-            resid <= rtol * abs(est) or abs(est - est_prev) <= rtol * abs(est)
-        ):
-            return est
-        est_prev = est
-        if beta <= 1e-14 * abs(est):
-            return est  # invariant subspace found: estimate is exact
-        betas.append(beta)
-        Q.append(w / beta)
-    return est_prev
+def _first_bad_pivot(lu, diag: np.ndarray) -> int | None:
+    """Dof at the first pivot off the diagonal or <= PIVOT_RTOL * A_jj, if any."""
+    order = np.argsort(lu.perm_c)  # order[j] is the dof eliminated at step j
+    small = lu.U.diagonal() <= PIVOT_RTOL * np.abs(diag[order])
+    bad = (np.argsort(lu.perm_r) != order) | small
+    return int(order[np.argmax(bad)]) if bad.any() else None
 
 
-def _inverse_iteration_lambda_min(
-    A: CsrMatrix, rng: np.random.Generator, rtol: float, maxit: int
-) -> float:
-    """Smallest eigenvalue via inverse iteration, inner solves done with CG.
+def _spd_factor(A: CsrMatrix):
+    """LU factor of A, or NotSPDError naming the dof at the first bad pivot.
+    Symmetric elimination meets only positive pivots exactly when A is SPD; at
+    a zero pivot threshold SuperLU swaps rows only at an exactly zero pivot."""
+    from scipy.sparse.linalg import splu
 
-    Stops on the eigen-residual ||Av - lam v|| <= rtol * lam, which for a
-    symmetric matrix puts the Rayleigh quotient within rtol * lam of a true
-    eigenvalue (the bottom one, which the iteration converges to).
+    def factor(csr):
+        return splu(csr.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+
+    try:
+        lu = factor(A.csr)
+    except RuntimeError:  # SuperLU stops at an exactly zero pivot
+        # a slight negative shift turns that pivot negative, which locates it
+        shifted = A.csr - 1e-12 * (A.max_abs() or 1.0) * sparse.identity(A.dim, format="csr")
+        dof = _first_bad_pivot(factor(shifted), shifted.diagonal())
+        raise NotSPDError(f"singular matrix: zero pivot at dof {dof}") from None
+    dof = _first_bad_pivot(lu, A.diagonal())
+    if dof is not None:
+        raise NotSPDError(f"not positive definite: pivot at dof {dof} is <= "
+                          f"{PIVOT_RTOL:g} times its diagonal entry")
+    return lu
+
+
+def extreme_eigs(A: CsrMatrix, seed: int = DEFAULT_SEED) -> tuple[float, float]:
+    """(lambda_max, lambda_min) of an SPD matrix; NotSPDError otherwise.
+
+    Both come from ARPACK, lambda_min in shift-invert mode at sigma = 0 on the
+    factor that proved A SPD. The seed sets both start vectors.
     """
+    # imported here so that runs without eigenvalues skip its ~10 MB and 0.15 s
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    lu = _spd_factor(A)
     n = A.dim
-    if n == 1:
-        return float(A.diagonal()[0])
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = None
-    x = None
-    for _ in range(maxit):
-        x, _ = cg_solve(A, v, tol=1e-10, maxit=20 * n, x0=x)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            raise EigenEstimationError("inverse iteration produced a zero vector")
-        v = x / nx
-        Av = A.matvec(v)
-        lam = float(np.dot(v, Av))
-        if np.linalg.norm(Av - lam * v) <= rtol * abs(lam):
-            return lam
-    return lam
-
-
-def extreme_eigs(
-    A: CsrMatrix,
-    seed: int = DEFAULT_SEED,
-    rtol_max: float = 1e-6,
-    rtol_min: float = 1e-4,
-) -> tuple[float, float]:
-    """(lambda_max, lambda_min) of an SPD matrix.
-
-    lambda_max comes from Lanczos, lambda_min from inverse iteration with CG
-    solves. On breakdown, each estimator retries once from a fresh seeded
-    start before giving up.
-    """
+    if n == 1:  # ARPACK needs k < n
+        return float(A.csr[0, 0]), float(A.csr[0, 0])
     rng = np.random.default_rng(seed)
-    lam_max = lam_min = None
-    for attempt in range(2):
-        try:
-            lam_max = _lanczos_lambda_max(A, rng, rtol_max, maxit=500)
-            break
-        except (FloatingPointError, np.linalg.LinAlgError):
-            if attempt == 1:
-                raise EigenEstimationError("Lanczos broke down twice")
-    for attempt in range(2):
-        try:
-            lam_min = _inverse_iteration_lambda_min(A, rng, rtol_min, maxit=200)
-            break
-        except (NotSPDError, EigenEstimationError):
-            if attempt == 1:
-                raise
-    return lam_max, lam_min
+    inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    try:
+        lam_max = eigsh(A.csr, k=1, which="LA", v0=rng.standard_normal(n),
+                        return_eigenvectors=False)[0]
+        lam_min = eigsh(A.csr, k=1, sigma=0.0, which="LM", OPinv=inverse,
+                        v0=rng.standard_normal(n), return_eigenvectors=False)[0]
+    except ArpackNoConvergence as exc:
+        raise EigenEstimationError(f"ARPACK did not converge: {exc}") from exc
+    return float(lam_max), float(lam_min)
 
 
 def condition_number(A: CsrMatrix, seed: int = DEFAULT_SEED) -> float:

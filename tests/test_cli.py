@@ -177,6 +177,29 @@ class TestConditionCommand:
         assert rows[-1][0] == "slope"
         assert -2.3 <= float(rows[-1][1]) <= -1.7
 
+    def test_estimation_failure_logged_and_left_out_of_fit(self, monkeypatch, caplog):
+        from stackfem import cli
+        from stackfem.solver import EigenEstimationError
+
+        real = cli.condition_number
+        calls = []
+
+        def fail_second(A, seed):
+            calls.append(A.dim)
+            if len(calls) == 2:
+                raise EigenEstimationError("no convergence")
+            return real(A, seed=seed)
+
+        monkeypatch.setattr(cli, "condition_number", fail_second)
+        with caplog.at_level("WARNING", logger="stackfem.cli"):
+            rows, slope = cli.run_condition_study("single", range(2, 5), 1)
+        assert len(calls) == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "condition estimation failed at k=3: no convergence"
+        ]
+        assert np.isnan(rows[1][1]) and np.isfinite([rows[0][1], rows[2][1]]).all()
+        h, kappa = zip(rows[0], rows[2])
+        assert slope == pytest.approx(np.polyfit(np.log(h), np.log(kappa), 1)[0], rel=1e-12)
 
     def test_k_max_alone_keeps_default_k_min(self, tmp_path):
         out = tmp_path / "c"

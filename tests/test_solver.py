@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import single_config
+from conftest import config_I, single_config
 from stackfem.assembly import (
     FormParams,
     apply_dirichlet,
@@ -27,6 +29,28 @@ def _csr(dense) -> CsrMatrix:
 def _random_spd(rng, n) -> CsrMatrix:
     B = rng.standard_normal((n, n))
     return _csr(B @ B.T + n * np.eye(n))
+
+
+def _reduced_poisson(config) -> CsrMatrix:
+    """Dirichlet-reduced P1 matrix, built the way the condition study does."""
+    params = FormParams.defaults(1)
+    topo = build_cut_topology(config, params.quad_order)
+    system = assemble_system(topo, params)
+    load = assemble_load(topo, lambda x, y: np.ones_like(x), params)
+    bc = build_dirichlet(topo, lambda x, y: np.zeros_like(x))
+    return apply_dirichlet(system, load, bc, topo).matrix
+
+
+# (matrix, dof the first bad pivot may be reported at)
+NOT_SPD = {
+    # eigenvalues 0.1, -1, 11: the eigenvalue nearest 0 is positive
+    "indefinite-positive-diagonal": ([[0.1, 0.0, 0.0], [0.0, 5.0, 6.0], [0.0, 6.0, 5.0]], {1, 2}),
+    "diag(1,-1)": (np.diag([1.0, -1.0]), {1}),
+    "diag(-5,0.1,3,10)": (np.diag([-5.0, 0.1, 3.0, 10.0]), {0}),
+    # path graph Laplacian: PSD with the constants as null space
+    "singular-psd": ([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]], {0, 1, 2}),
+    "1x1-zero": ([[0.0]], {0}),
+}
 
 
 class TestCG:
@@ -102,6 +126,33 @@ class TestExtremeEigs:
         assert lam_max == pytest.approx(w[-1], rel=1e-5)
         assert lam_min == pytest.approx(w[0], rel=1e-4)
 
+    def test_one_by_one(self):
+        assert extreme_eigs(_csr([[3.0]])) == (3.0, 3.0)
+
+    @pytest.mark.parametrize("estimate", [extreme_eigs, condition_number])
+    @pytest.mark.parametrize("name", sorted(NOT_SPD))
+    def test_not_spd_raises_naming_dof(self, name, estimate):
+        dense, dofs = NOT_SPD[name]
+        with pytest.raises(NotSPDError) as info:
+            estimate(_csr(dense))
+        dof = re.search(r"at dof (\d+)", str(info.value))
+        assert dof and int(dof.group(1)) in dofs
+
+    def test_rank_deficient_gram_raises(self, rng):
+        # singular in exact arithmetic; rounding may leave tiny positive pivots
+        for _ in range(20):
+            n = int(rng.integers(4, 80))
+            B = rng.standard_normal((n, n - 1))
+            with pytest.raises(NotSPDError, match="at dof"):
+                extreme_eigs(_csr(B @ B.T))
+
+    def test_unreduced_system_raises(self):
+        # without Dirichlet rows the stiffness matrix has the constants in its kernel
+        params = FormParams.defaults(1)
+        system = assemble_system(build_cut_topology(config_I(), params.quad_order), params)
+        with pytest.raises(NotSPDError, match="at dof"):
+            extreme_eigs(system.matrix)
+
 
 class TestConditionNumber:
     def test_identity(self):
@@ -110,18 +161,18 @@ class TestConditionNumber:
     def test_diagonal(self):
         assert condition_number(_csr(np.diag([1.0, 100.0]))) == pytest.approx(100.0, rel=1e-3)
 
+    @pytest.mark.parametrize("seed", [13, 42])
+    def test_config_I_matches_dense(self, seed):
+        # a Lanczos stop on two agreeing but unconverged Ritz values once gave
+        # lambda_max 1.1e-3 short here at seed 13
+        A = _reduced_poisson(config_I((5, 5, 5)))
+        w = np.linalg.eigvalsh(A.todense())
+        assert condition_number(A, seed=seed) == pytest.approx(w[-1] / w[0], rel=1e-8)
+
     def test_poisson_h_scaling(self):
         # halving h on the unit square quadruples the condition number
         # (frozen from the dense-eigenvalue oracle: 25.27 -> 103.09)
-        kappas = []
-        params = FormParams.defaults(1)
-        for k in (3, 4):
-            topo = build_cut_topology(single_config(k), 2)
-            system = assemble_system(topo, params)
-            load = assemble_load(topo, lambda x, y: np.ones_like(x), params)
-            bc = build_dirichlet(topo, lambda x, y: np.zeros_like(x))
-            red = apply_dirichlet(system, load, bc, topo)
-            kappas.append(condition_number(red.matrix))
+        kappas = [condition_number(_reduced_poisson(single_config(k))) for k in (3, 4)]
         assert kappas[0] == pytest.approx(25.274, rel=1e-2)
         assert kappas[1] == pytest.approx(103.087, rel=1e-2)
         assert 3.2 <= kappas[1] / kappas[0] <= 4.8
@@ -135,7 +186,7 @@ class TestCsrMatrix:
     def test_fields(self):
         A = CsrMatrix.from_triplets([0, 1, 1], [1, 0, 1], [2.0, 2.0, 1.0], dim=2)
         assert A.dim == 2
-        assert A.row_offsets.tolist() == [0, 1, 3]
-        assert A.col_indices.tolist() == [1, 0, 1]
+        assert A.csr.indptr.tolist() == [0, 1, 3]
+        assert A.csr.indices.tolist() == [1, 0, 1]
         assert A.symmetry_defect() == 0.0
         assert A.max_abs() == 2.0
