@@ -30,7 +30,13 @@ from .assembly import (
 )
 from .geom2d import ConvexPolygon, offset_polygon, rect_polygon, regular_polygon, rotate_rect
 from .mesh import FeSpace, build_band_mesh, build_structured_mesh
-from .multimesh import CutTopology, MultiMeshConfig, MultiMeshPart, build_cut_topology
+from .multimesh import (
+    CutTopology,
+    MultiMeshConfig,
+    MultiMeshPart,
+    build_cut_topology,
+    dump_topology_csv,
+)
 from .solver import DEFAULT_SEED, SolveReport, cg_solve, condition_number
 
 logger = logging.getLogger(__name__)
@@ -220,15 +226,16 @@ def run_permutation_study(
     return reports
 
 
-def _reduced_matrix(predomains, k: int, degree: int, params: FormParams, f):
+def _reduced_matrix(predomains, k: int, degree: int, params: FormParams):
     """Mesh size and Dirichlet-reduced matrix at level k. Only these outlive
-    the call, so the assembly data is freed before the eigensolver runs."""
+    the call, so the assembly data is freed before the eigensolver runs. The
+    reduced matrix does not depend on the load, so a zero load stands in."""
     config = build_stack(predomains, [k] * len(predomains), degree)
     topology = build_cut_topology(config, params.quad_order)
     system = assemble_system(topology, params)
-    load = assemble_load(topology, f, params)
     bc = build_dirichlet(topology, lambda x, y: np.zeros_like(x))
-    return float(max(topology.mesh_sizes())), apply_dirichlet(system, load, bc, topology).matrix
+    reduced = apply_dirichlet(system, np.zeros(system.dim), bc, topology)
+    return float(max(topology.mesh_sizes())), reduced.matrix
 
 
 def run_condition_study(
@@ -241,11 +248,10 @@ def run_condition_study(
     from .solver import EigenEstimationError, NotSPDError
 
     predomains = standard_predomains(name)
-    u_exact, f, _ = poisson_fields()
     rows = []
     for k in k_values:
         p = params if params is not None else FormParams.defaults(degree)
-        h, matrix = _reduced_matrix(predomains, k, degree, p, f)
+        h, matrix = _reduced_matrix(predomains, k, degree, p)
         try:
             kappa = condition_number(matrix, seed=seed)
         except (EigenEstimationError, NotSPDError) as exc:
@@ -453,6 +459,8 @@ def _cmd_solve(args) -> int:
                               "residual": res.report.relative_residual})
     if args.dump_matrix:
         dump_matrixmarket(res.system, outdir / "system.mtx")
+    if args.dump_topology:
+        dump_topology_csv(res.topology, outdir / "facets.csv", outdir / "overlaps.csv")
     print(f"solved {cfg.config} at k={k}: {len(res.reduced.free)} dofs, "
           f"L2 error {rep.l2_err:.6e}, residual {res.report.relative_residual:.2e}")
     return 0
@@ -556,6 +564,9 @@ def main(argv=None) -> int:
     p_solve.add_argument("--k", type=int, default=None, help="mesh refinement level")
     p_solve.add_argument("--dump-matrix", action="store_true",
                          help="also write the system in MatrixMarket format")
+    p_solve.add_argument("--dump-topology", action="store_true",
+                         help="also write facets.csv and overlaps.csv, one row per "
+                              "interface facet and per overlap piece")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_conv = sub.add_parser("convergence", help="sequential refinement study")

@@ -177,10 +177,8 @@ class _CellGrid:
         self.ny = max(1, int(math.ceil(extent[1] / self.bin)))
         clo = v.min(axis=1)
         chi = v.max(axis=1)
-        ix0 = np.clip(((clo[:, 0] - lo[0]) / self.bin).astype(int), 0, self.nx - 1)
-        ix1 = np.clip(((chi[:, 0] - lo[0]) / self.bin).astype(int), 0, self.nx - 1)
-        iy0 = np.clip(((clo[:, 1] - lo[1]) / self.bin).astype(int), 0, self.ny - 1)
-        iy1 = np.clip(((chi[:, 1] - lo[1]) / self.bin).astype(int), 0, self.ny - 1)
+        ix0, ix1 = self._bins(clo[:, 0], 0), self._bins(chi[:, 0], 0)
+        iy0, iy1 = self._bins(clo[:, 1], 1), self._bins(chi[:, 1], 1)
         bins: list[np.ndarray] = []
         cells: list[np.ndarray] = []
         ids = np.arange(len(mesh.cells))
@@ -196,26 +194,50 @@ class _CellGrid:
         starts = np.searchsorted(allbins, np.arange(self.nx * self.ny + 1))
         self._table = (starts, allcells)
 
-    def _bin_range(self, x0, x1, y0, y1):
-        ix0 = min(max(int((x0 - self.lo[0]) / self.bin), 0), self.nx - 1)
-        ix1 = min(max(int((x1 - self.lo[0]) / self.bin), 0), self.nx - 1)
-        iy0 = min(max(int((y0 - self.lo[1]) / self.bin), 0), self.ny - 1)
-        iy1 = min(max(int((y1 - self.lo[1]) / self.bin), 0), self.ny - 1)
-        return ix0, ix1, iy0, iy1
+    def _bins(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Bin index along an axis of each coordinate, clamped to the grid."""
+        n = self.nx if axis == 0 else self.ny
+        return np.clip(((x - self.lo[axis]) / self.bin).astype(np.int64), 0, n - 1)
 
-    def query_bbox(self, x0, x1, y0, y1) -> np.ndarray:
+    def query_bboxes(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate cells of many boxes [lo[q], hi[q]] (each (n, 2)) at once.
+
+        Returns (query, cell) index pairs, sorted by query then cell and free
+        of duplicates: every cell registered in a bin that box q touches.
+        """
         starts, cells = self._table
-        ix0, ix1, iy0, iy1 = self._bin_range(x0, x1, y0, y1)
-        chunks = []
-        for ix in range(ix0, ix1 + 1):
-            b0 = ix * self.ny + iy0
-            b1 = ix * self.ny + iy1 + 1
-            chunks.append(cells[starts[b0]:starts[b1]])
-        out = np.concatenate(chunks) if chunks else np.zeros(0, dtype=int)
-        return np.unique(out)
+        ix0, ix1 = self._bins(lo[:, 0], 0), self._bins(hi[:, 0], 0)
+        iy0, iy1 = self._bins(lo[:, 1], 1), self._bins(hi[:, 1], 1)
+        # one run per (query, bin column): bins iy0..iy1 of a column are
+        # consecutive in the table, so their cells are one slice of it
+        ncols = ix1 - ix0 + 1
+        q = np.repeat(np.arange(len(lo)), ncols)
+        col = (ix0[q] + _ranks(ncols)) * self.ny
+        first = starts[col + iy0[q]]
+        count = starts[col + iy1[q] + 1] - first
+        pos = np.repeat(first, count) + _ranks(count)
+        ncells = len(self.mesh.cells)
+        key = np.unique(np.repeat(q, count) * ncells + cells[pos])
+        return key // ncells, key % ncells
 
-    def query_point(self, x, y) -> np.ndarray:
-        return self.query_bbox(x, x, y, y)
+    def query_point(self, x: float, y: float) -> np.ndarray:
+        """Cells registered in the bin holding (x, y), in increasing order."""
+        starts, cells = self._table
+        ix = min(max(int((x - self.lo[0]) / self.bin), 0), self.nx - 1)
+        iy = min(max(int((y - self.lo[1]) / self.bin), 0), self.ny - 1)
+        b = ix * self.ny + iy
+        return cells[starts[b]:starts[b + 1]]
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., counts[k] - 1 for each k in turn, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _mask(ids: np.ndarray, n: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
 @dataclass
@@ -258,12 +280,9 @@ class CutTopology:
         return int(sum(p.space.dim for p in self.parts))
 
     def is_active(self, i: int) -> np.ndarray:
-        def build():
-            mask = np.zeros(len(self.parts[i].mesh.cells), dtype=bool)
-            mask[self.active[i]] = True
-            return mask
-
-        return self._cached(("active", i), build)
+        return self._cached(
+            ("active", i), lambda: _mask(self.active[i], len(self.parts[i].mesh.cells))
+        )
 
     def uncut_active(self, i: int) -> np.ndarray:
         cut = self.cut_cells[i]
@@ -351,10 +370,13 @@ def _signed_dists(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
 
 
 def _visible_regions(config: MultiMeshConfig, quad_order: int):
-    """Active cell ids and CutCells per mesh."""
+    """Active cell ids and CutCells per mesh, and for each pair i < k the
+    cells of mesh i that predomain k cuts: an active cell of mesh i can
+    overlap Q_k with positive area only if it is among them."""
     nparts = config.nparts
     active: list[np.ndarray] = []
     cut_cells: list[dict[int, CutCell]] = []
+    cut_by: dict[tuple[int, int], np.ndarray] = {}
     for i, part in enumerate(config.parts):
         mesh = part.mesh
         verts = mesh.nodes[mesh.cells]
@@ -383,7 +405,8 @@ def _visible_regions(config: MultiMeshConfig, quad_order: int):
             for c in cand[fully_in]:
                 covered[c] = True
                 pieces.pop(int(c), None)
-            for c in cand[~fully_in & ~separated]:
+            cut_by[i, k] = cand[~fully_in & ~separated]
+            for c in cut_by[i, k]:
                 c = int(c)
                 cur = pieces.get(c)
                 if cur is None:
@@ -415,31 +438,50 @@ def _visible_regions(config: MultiMeshConfig, quad_order: int):
         cut_cells.append({
             c: CutCell(i, c, vis, q) for (c, vis), q in zip(visible.items(), quads)
         })
-    return active, cut_cells
+    return active, cut_cells, cut_by
 
 
-def _segment_poly_params(a: np.ndarray, b: np.ndarray, poly_verts: np.ndarray, tol: float):
-    """Parameter interval of segment a->b inside a convex polygon, or None."""
-    t_lo, t_hi = 0.0, 1.0
-    n = len(poly_verts)
-    for k in range(n):
-        p = poly_verts[k]
-        q = poly_verts[(k + 1) % n]
-        norm = math.hypot(q[0] - p[0], q[1] - p[1])
-        da = ((q[0] - p[0]) * (a[1] - p[1]) - (q[1] - p[1]) * (a[0] - p[0])) / norm
-        db = ((q[0] - p[0]) * (b[1] - p[1]) - (q[1] - p[1]) * (b[0] - p[0])) / norm
-        if da >= -tol and db >= -tol:
-            continue
-        if da <= tol and db <= tol:
-            return None
-        t = da / (da - db)
-        if db < da:
-            t_hi = min(t_hi, t)
-        else:
-            t_lo = max(t_lo, t)
-        if t_lo >= t_hi:
-            return None
-    return t_lo, t_hi
+def _cell_edges(mesh: TriMesh, cells: np.ndarray):
+    """Vertices (n, 3, 2), edge vectors v[k+1] - v[k] and edge lengths of
+    the given cells.
+
+    The lengths come from `math.hypot`, as in `clip_segment` and
+    `_locate_cell`, so the vectorized tests below reproduce their scalar
+    arithmetic bit for bit; each distinct cell is measured once.
+    """
+    uniq, inv = np.unique(cells, return_inverse=True)
+    v = mesh.nodes[mesh.cells[uniq]]
+    e = np.roll(v, -1, axis=1) - v
+    ln = np.array([math.hypot(x, y) for x, y in e.reshape(-1, 2).tolist()]).reshape(-1, 3)
+    return v[inv], e[inv], ln[inv]
+
+
+def _segment_cell_params(a: np.ndarray, b: np.ndarray, mesh: TriMesh, cells: np.ndarray,
+                         tol: np.ndarray):
+    """Parameter interval [t_lo, t_hi] of each segment a[n]->b[n] inside the
+    cell cells[n], and whether it is nonempty.
+
+    Clips against the edge half-planes in order with the arithmetic of
+    `clip_segment`: an end within tol of an edge line counts as inside.
+    """
+    tris, e, ln = _cell_edges(mesh, cells)
+    t_lo = np.zeros(len(a))
+    t_hi = np.ones(len(a))
+    hit = np.ones(len(a), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(3):
+            p = tris[:, k]
+            da = (e[:, k, 0] * (a[:, 1] - p[:, 1]) - e[:, k, 1] * (a[:, 0] - p[:, 0])) / ln[:, k]
+            db = (e[:, k, 0] * (b[:, 1] - p[:, 1]) - e[:, k, 1] * (b[:, 0] - p[:, 0])) / ln[:, k]
+            inside = (da >= -tol) & (db >= -tol)
+            hit &= inside | (da > tol) | (db > tol)
+            t = da / (da - db)
+            leaves = hit & ~inside & (db < da)
+            enters = hit & ~inside & ~(db < da)
+            t_hi = np.where(leaves & (t < t_hi), t, t_hi)
+            t_lo = np.where(enters & (t > t_lo), t, t_lo)
+            hit &= t_lo < t_hi
+    return t_lo, t_hi, hit
 
 
 def _predomain_edge_normal(pre: ConvexPolygon, seg: Segment) -> np.ndarray:
@@ -459,15 +501,10 @@ def _predomain_edge_normal(pre: ConvexPolygon, seg: Segment) -> np.ndarray:
 
 def _locate_cell(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: float,
                  active_mask: np.ndarray | None = None):
-    """Lowest-index cell containing x (boundary-inclusive), or None.
-
-    When a point sits exactly on a shared edge, active cells win the tie:
-    covered cells carry pinned dofs and must not be paired with interface
-    or evaluation points.
-    """
-    cand = grid.query_point(float(x[0]), float(x[1]))
+    """`_locate_cells` for one point, or None: a scalar loop, several times
+    faster than the vectorized one when points come one at a time."""
     fallback = None
-    for c in cand:
+    for c in grid.query_point(float(x[0]), float(x[1])):
         v = mesh.nodes[mesh.cells[c]]
         ok = True
         for k in range(3):
@@ -484,22 +521,44 @@ def _locate_cell(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: float,
     return fallback
 
 
-def _build_facets(config: MultiMeshConfig, active, cut_cells, grids, quad_order: int):
+def _locate_cells(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray,
+                  active_mask: np.ndarray) -> np.ndarray:
+    """For each point x[p], the lowest-index cell containing it (boundary-
+    inclusive within tol[p]) among the cells of its grid bin, or -1.
+
+    When a point sits exactly on a shared edge, active cells win the tie:
+    covered cells carry pinned dofs and must not be paired with interface
+    or evaluation points.
+    """
+    p, c = grid.query_bboxes(x, x)
+    v, e, ln = _cell_edges(mesh, c)
+    cross = e[..., 0] * (x[p, 1, None] - v[..., 1]) - e[..., 1] * (x[p, 0, None] - v[..., 0])
+    inside = np.all(cross >= -tol[p, None] * ln, axis=1)
+    out = np.full(len(x), -1, dtype=np.int64)
+    # pairs are sorted by (point, cell): the first hit per point is the
+    # lowest cell; active hits are written last so they win
+    for hits in [inside, inside & active_mask[c]]:
+        sel = np.flatnonzero(hits)
+        sel = sel[np.unique(p[sel], return_index=True)[1]]
+        out[p[sel]] = c[sel]
+    return out
+
+
+def _build_facets(config: MultiMeshConfig, active, grids, quad_order: int):
+    """Interface facets: the visible part of each active outer boundary
+    facet of mesh i > 0, split among the lower meshes that own it and at
+    every lower cell edge it crosses."""
     nparts = config.nparts
-    masks = []
-    for i in range(nparts):
-        mask = np.zeros(len(config.parts[i].mesh.cells), dtype=bool)
-        mask[active[i]] = True
-        masks.append(mask)
-    facets: list[InterfaceFacet] = []
+    masks = [_mask(active[i], len(p.mesh.cells)) for i, p in enumerate(config.parts)]
+    # owned[j]: (upper mesh, upper cell, normal, tol, segment) per piece
+    # whose topmost visible lower mesh is j
+    owned: list[list[tuple]] = [[] for _ in range(nparts)]
     for i in range(1, nparts):
         part = config.parts[i]
         mesh = part.mesh
-        scale = max(part.predomain.scale, 1.0)
-        tol = REL_TOL * scale
-        is_act = masks[i]
+        tol = REL_TOL * max(part.predomain.scale, 1.0)
         for (cell, ledge), marker in zip(mesh.boundary_facets, mesh.boundary_markers):
-            if marker != MARKER_OUTER or not is_act[cell]:
+            if marker != MARKER_OUTER or not masks[i][cell]:
                 continue
             a, b = mesh.facet_endpoints(int(cell), int(ledge))
             whole = Segment(a, b)
@@ -513,7 +572,6 @@ def _build_facets(config: MultiMeshConfig, active, cut_cells, grids, quad_order:
                     for q in _clip_outside(p, config.parts[k].predomain)
                 ]
             # ownership: topmost lower mesh whose visible region holds the piece
-            owned: list[tuple[int, Segment]] = []
             cur = pieces
             for m in range(i - 1, -1, -1):
                 if not cur:
@@ -524,48 +582,15 @@ def _build_facets(config: MultiMeshConfig, active, cut_cells, grids, quad_order:
                 for p in cur:
                     ins = _clip_inside(p, pre_m)
                     nxt.extend(_clip_outside(p, pre_m))
-                    for q in ins:
-                        if void_m is not None:
-                            owned.extend((m, q2) for q2 in _clip_outside(q, void_m))
-                        else:
-                            owned.append((m, q))
+                    if void_m is not None:
+                        ins = [q2 for q in ins for q2 in _clip_outside(q, void_m)]
+                    owned[m].extend((i, int(cell), normal, tol, q) for q in ins if q.length > tol)
                 cur = nxt
-            # split owned pieces at lower-mesh edge crossings and pair cells
-            for j, seg in owned:
-                lmesh = config.parts[j].mesh
-                lgrid = grids[j]
-                if seg.length <= tol:
-                    continue
-                x0, x1 = sorted((seg.a[0], seg.b[0]))
-                y0, y1 = sorted((seg.a[1], seg.b[1]))
-                cand = lgrid.query_bbox(x0 - tol, x1 + tol, y0 - tol, y1 + tol)
-                params = {0.0, 1.0}
-                for c in cand:
-                    iv = _segment_poly_params(
-                        seg.a, seg.b, lmesh.nodes[lmesh.cells[c]], tol
-                    )
-                    if iv is not None:
-                        params.update(iv)
-                tol_t = tol / seg.length
-                ts = sorted(params)
-                for ta, tb in zip(ts[:-1], ts[1:]):
-                    if tb - ta <= tol_t:
-                        continue
-                    sub = Segment(seg.point_at(ta), seg.point_at(tb))
-                    lower = _locate_cell(lmesh, lgrid, sub.midpoint(), tol, masks[j])
-                    if lower is None:
-                        continue  # rounding sliver outside the lower mesh
-                    facets.append(
-                        InterfaceFacet(
-                            sub,
-                            i,
-                            int(cell),
-                            j,
-                            lower,
-                            normal,
-                            segment_quadrature(sub, quad_order),
-                        )
-                    )
+    facets: list[InterfaceFacet] = []
+    for j, segs in enumerate(owned):
+        if segs:
+            facets.extend(_split_owned(config.parts[j].mesh, grids[j], masks[j], j, segs,
+                                       quad_order))
     facets.sort(
         key=lambda f: (
             f.upper_mesh,
@@ -579,6 +604,41 @@ def _build_facets(config: MultiMeshConfig, active, cut_cells, grids, quad_order:
     return facets
 
 
+def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, j: int, segs: list,
+                 quad_order: int) -> list[InterfaceFacet]:
+    """Split the segments owned by mesh j where they cross its cell edges
+    and pair each sub-segment with the active cell holding its midpoint."""
+    n = len(segs)
+    a = np.array([s[4].a for s in segs])
+    b = np.array([s[4].b for s in segs])
+    tol = np.array([s[3] for s in segs])
+    length = np.array([s[4].length for s in segs])
+    q, c = grid.query_bboxes(np.minimum(a, b) - tol[:, None], np.maximum(a, b) + tol[:, None])
+    t_lo, t_hi, hit = _segment_cell_params(a[q], b[q], mesh, c, tol[q])
+    # split parameters per segment: both ends and every cell entry and exit,
+    # sorted, exact repeats dropped (ends first, so 0.0 beats -0.0)
+    seg = np.concatenate([np.arange(n), np.arange(n), q[hit], q[hit]])
+    t = np.concatenate([np.zeros(n), np.ones(n), t_lo[hit], t_hi[hit]])
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    new = np.ones(len(t), dtype=bool)
+    new[1:] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
+    seg, t = seg[new], t[new]
+    ta, tb, s = t[:-1], t[1:], seg[:-1]
+    keep = np.flatnonzero((seg[1:] == s) & (tb - ta > tol[s] / length[s]))
+    ta, tb, s = ta[keep, None], tb[keep, None], s[keep]
+    pa = a[s] + ta * (b[s] - a[s])
+    pb = a[s] + tb * (b[s] - a[s])
+    lower = _locate_cells(mesh, grid, 0.5 * (pa + pb), tol[s], mask)
+    out = []
+    for k in np.flatnonzero(lower >= 0):  # else a rounding sliver outside the lower mesh
+        i, cell, normal, _, _ = segs[s[k]]
+        sub = Segment(pa[k], pb[k])
+        out.append(InterfaceFacet(sub, i, cell, j, int(lower[k]), normal,
+                                  segment_quadrature(sub, quad_order)))
+    return out
+
+
 def _clip_inside(seg: Segment, poly: ConvexPolygon) -> list[Segment]:
     return clip_segment(seg, poly, keep_inside=True)
 
@@ -587,72 +647,83 @@ def _clip_outside(seg: Segment, poly: ConvexPolygon) -> list[Segment]:
     return clip_segment(seg, poly, keep_inside=False)
 
 
-def _build_overlaps(config: MultiMeshConfig, active, grids, quad_order: int):
+# Triangle pairs that an edge normal separates by more than SAT_MARGIN times
+# the clipping tolerance skip the exact clip. `convex_intersect` keeps only
+# what lies within REL_TOL * scale of the other triangle, so such a pair
+# clips to nothing; the factor leaves ample room for rounding in the
+# projections.
+SAT_MARGIN = 1e3
+
+
+def _sat_separated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """True for each triangle pair (a[n], b[n], each (n, 3, 2)) that one of
+    the six edge normals separates by more than SAT_MARGIN * REL_TOL times
+    the pair's scale (the larger bounding-box extent, as in `convex_intersect`)."""
+    scale = np.maximum(np.ptp(a, axis=1).max(axis=1), np.ptp(b, axis=1).max(axis=1))
+    e = np.concatenate([np.roll(a, -1, axis=1) - a, np.roll(b, -1, axis=1) - b], axis=1)
+    normal = np.stack([e[..., 1], -e[..., 0]], axis=-1)            # (n, 6, 2)
+    pa = np.einsum("nkd,nvd->nkv", normal, a)
+    pb = np.einsum("nkd,nvd->nkv", normal, b)
+    gap = np.maximum(pb.min(axis=2) - pa.max(axis=2), pa.min(axis=2) - pb.max(axis=2))
+    margin = SAT_MARGIN * REL_TOL * scale[:, None] * np.hypot(normal[..., 0], normal[..., 1])
+    return np.any(gap > margin, axis=1)
+
+
+def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids, quad_order: int):
+    """Overlap pieces: each active cell of mesh i that Q_j cuts, intersected
+    with the active cells of mesh j near it, minus all higher predomains.
+
+    Candidate (lower, upper) pairs come from one bulk grid query per mesh
+    pair; a separating-axis test drops the pairs that cannot intersect, and
+    only the rest are clipped exactly.
+    """
     nparts = config.nparts
     found: list[tuple] = []
-    for i in range(nparts - 1):
-        lmesh = config.parts[i].mesh
-        lverts = lmesh.nodes[lmesh.cells]
-        for j in range(i + 1, nparts):
-            Q = config.parts[j].predomain
-            umesh = config.parts[j].mesh
-            ugrid = grids[j]
-            uactive = np.zeros(len(umesh.cells), dtype=bool)
-            uactive[active[j]] = True
-            x0, x1, y0, y1 = Q.bounds()
-            tol = REL_TOL * max(Q.scale, 1.0)
-            clo = lverts.min(axis=1)
-            chi = lverts.max(axis=1)
-            near = (
-                (clo[:, 0] <= x1 + tol)
-                & (chi[:, 0] >= x0 - tol)
-                & (clo[:, 1] <= y1 + tol)
-                & (chi[:, 1] >= y0 - tol)
-            )
-            for c in active[i]:
-                if not near[c]:
-                    continue
-                tri = ConvexPolygon(lverts[c], validate=False)
-                bx0, by0 = lverts[c].min(axis=0)
-                bx1, by1 = lverts[c].max(axis=0)
-                for cu in ugrid.query_bbox(bx0 - tol, bx1 + tol, by0 - tol, by1 + tol):
-                    if not uactive[cu]:
-                        continue
-                    utri = ConvexPolygon(umesh.nodes[umesh.cells[cu]], validate=False)
-                    inter = convex_intersect(tri, utri)
-                    if inter.empty:
-                        continue
-                    pieces = inter.pieces
-                    for k in range(j + 1, nparts):
-                        pieces = [
-                            pp
-                            for p in pieces
-                            for pp in convex_difference(p, config.parts[k].predomain).pieces
-                        ]
-                        if not pieces:
-                            break
-                    found.extend((p, i, int(c), j, int(cu)) for p in pieces)
+    for (i, j), cut in sorted(cut_by.items()):
+        lmesh, umesh = config.parts[i].mesh, config.parts[j].mesh
+        lower = cut[_mask(active[i], len(lmesh.cells))[cut]]
+        lverts = lmesh.nodes[lmesh.cells[lower]]
+        uverts = umesh.nodes[umesh.cells]
+        tol = REL_TOL * max(config.parts[j].predomain.scale, 1.0)
+        q, cu = grids[j].query_bboxes(lverts.min(axis=1) - tol, lverts.max(axis=1) + tol)
+        keep = _mask(active[j], len(umesh.cells))[cu]
+        q, cu = q[keep], cu[keep]
+        keep = ~_sat_separated(lverts[q], uverts[cu])
+        tri_of = None
+        for qk, ck in zip(q[keep].tolist(), cu[keep].tolist()):
+            if tri_of != qk:
+                tri_of, tri = qk, ConvexPolygon(lverts[qk], validate=False)
+            inter = convex_intersect(tri, ConvexPolygon(uverts[ck], validate=False))
+            if inter.empty:
+                continue
+            pieces = inter.pieces
+            for k in range(j + 1, nparts):
+                pieces = [
+                    pp
+                    for p in pieces
+                    for pp in convex_difference(p, config.parts[k].predomain).pieces
+                ]
+                if not pieces:
+                    break
+            if len(pieces) > 1:
+                pieces.sort(key=lambda p: tuple(p.centroid()))
+            found.extend((p, i, int(lower[qk]), j, ck) for p in pieces)
     quads = polyset_quadratures([PolySet([f[0]]) for f in found], quad_order)
     overlaps = [OverlapPiece(*f, q) for f, q in zip(found, quads)]
-    overlaps.sort(
-        key=lambda o: (
-            o.lower_mesh,
-            o.lower_cell,
-            o.upper_mesh,
-            o.upper_cell,
-            tuple(o.polygon.centroid()),
-        )
-    )
+    # order by (lower mesh, lower cell, upper mesh, upper cell, centroid):
+    # the pieces of one cell pair are already in centroid order, and the
+    # sort is stable
+    overlaps.sort(key=lambda o: (o.lower_mesh, o.lower_cell, o.upper_mesh, o.upper_cell))
     return overlaps
 
 
 def build_cut_topology(config: MultiMeshConfig, quad_order: int = 2) -> CutTopology:
     """Construct the full cut topology of a mesh stack."""
     nparts = config.nparts
-    active, cut_cells = _visible_regions(config, quad_order)
+    active, cut_cells, cut_by = _visible_regions(config, quad_order)
     grids = [_CellGrid(p.mesh) for p in config.parts]
-    facets = _build_facets(config, active, cut_cells, grids, quad_order)
-    overlaps = _build_overlaps(config, active, grids, quad_order)
+    facets = _build_facets(config, active, grids, quad_order)
+    overlaps = _build_overlaps(config, active, cut_by, grids, quad_order)
 
     gamma_len = np.zeros(nparts)
     for f in facets:

@@ -5,10 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stackfem.geom2d import ConvexPolygon, rect_polygon, rotate_rect
 from stackfem.mesh import FeSpace, build_structured_mesh
 from stackfem.multimesh import MultiMeshConfig, MultiMeshPart
+
+# Property tests draw the same examples on every run and store none, so the
+# suite stays reproducible; geometry examples have no time limit.
+settings.register_profile("stackfem", derandomize=True, deadline=None, database=None)
+settings.load_profile("stackfem")
 
 
 def build_stack_config(predomains, ks, degree=1) -> MultiMeshConfig:

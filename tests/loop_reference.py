@@ -1,20 +1,44 @@
-"""Per-entity reference evaluators of the cut integrals (test oracles).
+"""Per-entity reference evaluators of the cut integrals and of the cut
+topology (test oracles).
 
-Each function visits one cut cell, interface facet or overlap piece at a
+Each integral evaluator visits one cut cell, interface facet or overlap piece at a
 time, maps its quadrature points into the owning cells one cell at a time
 and sums the local contributions in plain loops. They share no code with
 the batched kernel in `stackfem.assembly` / `stackfem.analysis` beyond the
 reference basis functions, the cut topology itself and the quadrature rules
 of `stackfem.geom2d`, so agreement between the two is a real check of the batching (entity
 offsets, per-point cell gathers, grouping by point count, scatter).
+
+`overlap_pieces` and `interface_facets` build the overlap pieces and the
+interface facets the way `stackfem.multimesh` did before it generated
+candidate pairs in bulk: one grid query per lower cell or facet segment,
+every active upper cell of the bounding-box candidates clipped exactly, and
+one point location per sub-segment. The bulk builder must reproduce them bit
+for bit.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import sparse
 
-from stackfem.geom2d import polyset_quadrature, triangle_quadrature, triangle_rule
-from stackfem.mesh import ref_basis, ref_basis_grad
+from stackfem.geom2d import (
+    REL_TOL,
+    ConvexPolygon,
+    PolySet,
+    Segment,
+    clip_segment,
+    convex_difference,
+    convex_intersect,
+    polyset_quadrature,
+    polyset_quadratures,
+    segment_quadrature,
+    triangle_quadrature,
+    triangle_rule,
+)
+from stackfem.mesh import MARKER_OUTER, ref_basis, ref_basis_grad
+from stackfem.multimesh import InterfaceFacet, OverlapPiece, _predomain_edge_normal
 
 STAB_GRADIENT = "gradient-jump"
 
@@ -230,3 +254,184 @@ def energy_terms(u, topology) -> tuple[float, float, float, float]:
         )
         term_IV += float(np.dot(wq, (vu - vl) ** 2) / (h[i] + h[j]))
     return term_I, term_II, term_III, term_IV
+
+
+# ---------------------------------------------------------------------------
+# Cut topology: overlap pieces and interface facets
+# ---------------------------------------------------------------------------
+
+def query_bbox(grid, x0, x1, y0, y1) -> np.ndarray:
+    """Cells registered in the grid bins one box touches, one box at a time."""
+    starts, cells = grid._table
+    ix0 = min(max(int((x0 - grid.lo[0]) / grid.bin), 0), grid.nx - 1)
+    ix1 = min(max(int((x1 - grid.lo[0]) / grid.bin), 0), grid.nx - 1)
+    iy0 = min(max(int((y0 - grid.lo[1]) / grid.bin), 0), grid.ny - 1)
+    iy1 = min(max(int((y1 - grid.lo[1]) / grid.bin), 0), grid.ny - 1)
+    chunks = [cells[starts[ix * grid.ny + iy0]:starts[ix * grid.ny + iy1 + 1]]
+              for ix in range(ix0, ix1 + 1)]
+    return np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=int)
+
+
+def _active_masks(config, active):
+    masks = []
+    for i, part in enumerate(config.parts):
+        mask = np.zeros(len(part.mesh.cells), dtype=bool)
+        mask[active[i]] = True
+        masks.append(mask)
+    return masks
+
+
+def overlap_pieces(config, active, grids, quad_order):
+    """Every active cell of mesh i near Q_j against every active cell of
+    mesh j in its bounding-box candidates, minus all higher predomains."""
+    nparts = config.nparts
+    masks = _active_masks(config, active)
+    found = []
+    for i in range(nparts - 1):
+        lmesh = config.parts[i].mesh
+        lverts = lmesh.nodes[lmesh.cells]
+        for j in range(i + 1, nparts):
+            Q = config.parts[j].predomain
+            umesh = config.parts[j].mesh
+            x0, x1, y0, y1 = Q.bounds()
+            tol = REL_TOL * max(Q.scale, 1.0)
+            clo = lverts.min(axis=1)
+            chi = lverts.max(axis=1)
+            near = ((clo[:, 0] <= x1 + tol) & (chi[:, 0] >= x0 - tol)
+                    & (clo[:, 1] <= y1 + tol) & (chi[:, 1] >= y0 - tol))
+            for c in active[i]:
+                if not near[c]:
+                    continue
+                tri = ConvexPolygon(lverts[c], validate=False)
+                bx0, by0 = lverts[c].min(axis=0)
+                bx1, by1 = lverts[c].max(axis=0)
+                for cu in query_bbox(grids[j], bx0 - tol, bx1 + tol, by0 - tol, by1 + tol):
+                    if not masks[j][cu]:
+                        continue
+                    utri = ConvexPolygon(umesh.nodes[umesh.cells[cu]], validate=False)
+                    inter = convex_intersect(tri, utri)
+                    if inter.empty:
+                        continue
+                    pieces = inter.pieces
+                    for k in range(j + 1, nparts):
+                        pieces = [pp for p in pieces
+                                  for pp in convex_difference(p, config.parts[k].predomain).pieces]
+                        if not pieces:
+                            break
+                    found.extend((p, i, int(c), j, int(cu)) for p in pieces)
+    quads = polyset_quadratures([PolySet([f[0]]) for f in found], quad_order)
+    overlaps = [OverlapPiece(*f, q) for f, q in zip(found, quads)]
+    overlaps.sort(key=lambda o: (o.lower_mesh, o.lower_cell, o.upper_mesh, o.upper_cell,
+                                 tuple(o.polygon.centroid())))
+    return overlaps
+
+
+def _segment_poly_params(a, b, poly_verts, tol):
+    """Parameter interval of segment a->b inside a convex polygon, or None."""
+    t_lo, t_hi = 0.0, 1.0
+    n = len(poly_verts)
+    for k in range(n):
+        p = poly_verts[k]
+        q = poly_verts[(k + 1) % n]
+        norm = math.hypot(q[0] - p[0], q[1] - p[1])
+        da = ((q[0] - p[0]) * (a[1] - p[1]) - (q[1] - p[1]) * (a[0] - p[0])) / norm
+        db = ((q[0] - p[0]) * (b[1] - p[1]) - (q[1] - p[1]) * (b[0] - p[0])) / norm
+        if da >= -tol and db >= -tol:
+            continue
+        if da <= tol and db <= tol:
+            return None
+        t = da / (da - db)
+        if db < da:
+            t_hi = min(t_hi, t)
+        else:
+            t_lo = max(t_lo, t)
+        if t_lo >= t_hi:
+            return None
+    return t_lo, t_hi
+
+
+def locate_cell(mesh, grid, x, tol, active_mask=None):
+    """Lowest-index cell containing x (boundary-inclusive), active cells
+    first, or None; candidates from the grid bin of x alone."""
+    cand = query_bbox(grid, float(x[0]), float(x[0]), float(x[1]), float(x[1]))
+    fallback = None
+    for c in cand:
+        v = mesh.nodes[mesh.cells[c]]
+        ok = True
+        for k in range(3):
+            p, q = v[k], v[(k + 1) % 3]
+            ln = math.hypot(q[0] - p[0], q[1] - p[1])
+            if (q[0] - p[0]) * (x[1] - p[1]) - (q[1] - p[1]) * (x[0] - p[0]) < -tol * ln:
+                ok = False
+                break
+        if ok:
+            if active_mask is None or active_mask[c]:
+                return int(c)
+            if fallback is None:
+                fallback = int(c)
+    return fallback
+
+
+def interface_facets(config, active, grids, quad_order):
+    """Each active outer boundary facet, clipped to its visible part, split
+    among the lower meshes that own it and at every lower cell edge it
+    crosses, one segment at a time."""
+    nparts = config.nparts
+    masks = _active_masks(config, active)
+    facets = []
+    for i in range(1, nparts):
+        part = config.parts[i]
+        mesh = part.mesh
+        tol = REL_TOL * max(part.predomain.scale, 1.0)
+        for (cell, ledge), marker in zip(mesh.boundary_facets, mesh.boundary_markers):
+            if marker != MARKER_OUTER or not masks[i][cell]:
+                continue
+            a, b = mesh.facet_endpoints(int(cell), int(ledge))
+            whole = Segment(a, b)
+            normal = _predomain_edge_normal(part.predomain, whole)
+            pieces = [whole]
+            for k in range(i + 1, nparts):
+                pieces = [q for p in pieces
+                          for q in clip_segment(p, config.parts[k].predomain, keep_inside=False)]
+            owned = []
+            cur = pieces
+            for m in range(i - 1, -1, -1):
+                if not cur:
+                    break
+                pre_m = config.parts[m].predomain
+                void_m = config.parts[m].void
+                nxt = []
+                for p in cur:
+                    ins = clip_segment(p, pre_m, keep_inside=True)
+                    nxt.extend(clip_segment(p, pre_m, keep_inside=False))
+                    for q in ins:
+                        if void_m is not None:
+                            owned.extend((m, q2) for q2 in clip_segment(q, void_m, keep_inside=False))
+                        else:
+                            owned.append((m, q))
+                cur = nxt
+            for j, seg in owned:
+                lmesh = config.parts[j].mesh
+                if seg.length <= tol:
+                    continue
+                x0, x1 = sorted((seg.a[0], seg.b[0]))
+                y0, y1 = sorted((seg.a[1], seg.b[1]))
+                params = {0.0, 1.0}
+                for c in query_bbox(grids[j], x0 - tol, x1 + tol, y0 - tol, y1 + tol):
+                    iv = _segment_poly_params(seg.a, seg.b, lmesh.nodes[lmesh.cells[c]], tol)
+                    if iv is not None:
+                        params.update(iv)
+                tol_t = tol / seg.length
+                ts = sorted(params)
+                for ta, tb in zip(ts[:-1], ts[1:]):
+                    if tb - ta <= tol_t:
+                        continue
+                    sub = Segment(seg.point_at(ta), seg.point_at(tb))
+                    lower = locate_cell(lmesh, grids[j], sub.midpoint(), tol, masks[j])
+                    if lower is None:
+                        continue
+                    facets.append(InterfaceFacet(sub, i, int(cell), j, lower, normal,
+                                                 segment_quadrature(sub, quad_order)))
+    facets.sort(key=lambda f: (f.upper_mesh, f.upper_cell, f.lower_mesh, f.lower_cell,
+                               tuple(f.segment.a), tuple(f.segment.b)))
+    return facets

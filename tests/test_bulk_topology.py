@@ -1,0 +1,221 @@
+"""Bulk candidate pairs of the cut topology.
+
+The overlap pieces and interface facets built from bulk grid queries and the
+separating-axis prefilter must equal, bit for bit, the ones the per-entity
+loops in `loop_reference` build. The two bulk building blocks are checked
+on their own against brute force with hypothesis.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loop_reference as ref
+from conftest import build_stack_config, config_I, config_II
+from stackfem.cli import boundary_layer_stack
+from stackfem.geom2d import REL_TOL, ConvexPolygon, convex_intersect, rect_polygon, rotate_rect
+from stackfem.mesh import build_structured_mesh
+from stackfem.multimesh import (
+    SAT_MARGIN,
+    _CellGrid,
+    _sat_separated,
+    build_cut_topology,
+)
+
+UNIT = rect_polygon(0.0, 1.0, 0.0, 1.0)
+
+STACKS = {
+    "I-345": lambda: config_I((3, 4, 5)),
+    "I-444": lambda: config_I((4, 4, 4)),
+    "I-543": lambda: config_I((5, 4, 3)),
+    "II-445": lambda: config_II((4, 4, 5)),
+    "II-543": lambda: config_II((5, 4, 3)),
+    "band": lambda: boundary_layer_stack(1)[0],
+    "abutting": lambda: build_stack_config(
+        [UNIT, rect_polygon(0.2, 0.5, 0.3, 0.7), rect_polygon(0.5, 0.8, 0.3, 0.7)],
+        (3, 4, 5)),
+    "rotated-1e-9-deg": lambda: build_stack_config(
+        [UNIT, rotate_rect((0.25, 0.75, 0.25, 0.75), 1e-9),
+         rotate_rect((0.375, 0.625, 0.125, 0.875), -1e-9)], (4, 4, 5)),
+    "edges-1e-13-off-nodes": lambda: build_stack_config(
+        [UNIT, rect_polygon(0.25 + 1e-13, 0.75 - 1e-13, 0.25 - 1e-13, 0.75 + 1e-13),
+         rect_polygon(0.5 + 1e-13, 0.875, 0.375, 0.625 - 1e-13)], (4, 5, 4)),
+    "h-ratio-32": lambda: build_stack_config(
+        [UNIT, rotate_rect((0.3, 0.7, 0.3, 0.7), 17.0)], (0, 5)),
+    "nested": lambda: build_stack_config(
+        [UNIT, rect_polygon(0.2, 0.8, 0.2, 0.8), rect_polygon(0.2, 0.5, 0.2, 0.5)],
+        (3, 4, 5)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STACKS))
+def stack(request):
+    config = STACKS[request.param]()
+    topo = build_cut_topology(config)
+    return config, topo
+
+
+def test_overlaps_match_loop_oracle_bitwise(stack):
+    config, topo = stack
+    want = ref.overlap_pieces(config, topo.active, topo.grids, topo.quad_order)
+    assert len(want) > 0
+    assert [(o.lower_mesh, o.lower_cell, o.upper_mesh, o.upper_cell) for o in topo.overlaps] == [
+        (o.lower_mesh, o.lower_cell, o.upper_mesh, o.upper_cell) for o in want]
+    for got, exp in zip(topo.overlaps, want):
+        assert np.array_equal(got.polygon.vertices, exp.polygon.vertices)
+        assert np.array_equal(got.quad.points, exp.quad.points)
+        assert np.array_equal(got.quad.weights, exp.quad.weights)
+
+
+def test_facets_match_loop_oracle_exactly(stack):
+    config, topo = stack
+    want = ref.interface_facets(config, topo.active, topo.grids, topo.quad_order)
+    assert len(want) > 0
+    assert [(f.upper_mesh, f.upper_cell, f.lower_mesh, f.lower_cell) for f in topo.facets] == [
+        (f.upper_mesh, f.upper_cell, f.lower_mesh, f.lower_cell) for f in want]
+    for got, exp in zip(topo.facets, want):
+        assert np.array_equal(got.segment.a, exp.segment.a)
+        assert np.array_equal(got.segment.b, exp.segment.b)
+        assert np.array_equal(got.normal, exp.normal)
+        assert np.array_equal(got.quad.points, exp.quad.points)
+        assert np.array_equal(got.quad.weights, exp.quad.weights)
+
+
+# ---------------------------------------------------------------------------
+# Bulk grid query
+# ---------------------------------------------------------------------------
+
+GRID_MESHES = {
+    "unit-k3": lambda: build_structured_mesh(UNIT, 2.0 ** -3),
+    "rotated-k4": lambda: build_structured_mesh(rotate_rect((0.2, 0.8, 0.3, 0.75), 23.0),
+                                                2.0 ** -4),
+    "band-k0": lambda: boundary_layer_stack(0)[0].parts[1].mesh,
+}
+_GRIDS: dict = {}
+
+
+def _grid(name) -> _CellGrid:
+    if name not in _GRIDS:
+        _GRIDS[name] = _CellGrid(GRID_MESHES[name]())
+    return _GRIDS[name]
+
+
+# coordinates biased toward mesh lines and bin edges (multiples of 1/16)
+coords = st.one_of(
+    st.floats(-0.2, 1.2),
+    st.integers(-2, 18).map(lambda m: m / 16),
+    st.tuples(st.integers(0, 16), st.sampled_from([-1e-13, 1e-13])).map(
+        lambda t: t[0] / 16 + t[1]),
+)
+widths = st.one_of(st.just(0.0), st.sampled_from([1e-13, 1e-3, 0.05, 0.3, 2.0]),
+                   st.floats(0.0, 0.5))
+boxes = st.lists(st.tuples(coords, coords, widths, widths), min_size=1, max_size=12)
+
+
+@given(name=st.sampled_from(sorted(GRID_MESHES)), boxes=boxes)
+def test_bulk_grid_query_never_misses(name, boxes):
+    grid = _grid(name)
+    v = grid.mesh.nodes[grid.mesh.cells]
+    clo, chi = v.min(axis=1), v.max(axis=1)
+    lo = np.array([(x, y) for x, y, _, _ in boxes])
+    hi = lo + np.array([(wx, wy) for _, _, wx, wy in boxes])
+    q, c = grid.query_bboxes(lo, hi)
+    assert np.all(np.diff(q) >= 0)
+    for k in range(len(lo)):
+        got = c[q == k]
+        assert np.all(np.diff(got) > 0)  # sorted, no duplicates
+        brute = np.flatnonzero(np.all((clo <= hi[k]) & (chi >= lo[k]), axis=1))
+        assert np.isin(brute, got).all()
+        assert np.array_equal(got, ref.query_bbox(grid, lo[k, 0], hi[k, 0], lo[k, 1], hi[k, 1]))
+
+
+# ---------------------------------------------------------------------------
+# Separating-axis prefilter
+# ---------------------------------------------------------------------------
+
+# offsets off a shared edge or vertex, in units of the scale: positive apart,
+# negative overlapping; the prefilter margin is 1e-9
+GAPS = [0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-10, -1e-10, 5e-10, -5e-10, 2e-9, 1e-6, 1e-3]
+
+
+@st.composite
+def triangles(draw, scale):
+    """A counterclockwise triangle: two edges of 0.2 to 1 times scale around
+    an angle of 20 to 140 degrees."""
+    ox, oy = draw(st.floats(-1, 1)), draw(st.floats(-1, 1))
+    theta = draw(st.floats(0, 2 * math.pi))
+    phi = draw(st.floats(math.radians(20), math.radians(140)))
+    l1, l2 = draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0))
+    o = np.array([ox, oy]) * scale
+    return np.array([
+        o,
+        o + scale * l1 * np.array([math.cos(theta), math.sin(theta)]),
+        o + scale * l2 * np.array([math.cos(theta + phi), math.sin(theta + phi)]),
+    ])
+
+
+def _outward(a, k):
+    e = a[(k + 1) % 3] - a[k]
+    return np.array([e[1], -e[0]]) / math.hypot(e[0], e[1])
+
+
+@st.composite
+def triangle_pairs(draw):
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    a = draw(triangles(scale))
+    k = draw(st.integers(0, 2))
+    p, q = a[k], a[(k + 1) % 3]
+    n = _outward(a, k)
+    gap = draw(st.sampled_from(GAPS)) * scale
+    mode = draw(st.sampled_from(["shared-edge", "touching-vertex", "free"]))
+    if mode == "shared-edge":
+        # across edge k, shifted off it by gap
+        depth = draw(st.floats(0.05, 1.0)) * scale
+        along = draw(st.floats(-0.5, 1.5))
+        apex = p + along * (q - p) + depth * n
+        b = np.array([q, p, apex]) + gap * n
+    elif mode == "touching-vertex":
+        # vertex k of a is a vertex of b; b opens away from a, rotated by turn
+        turn = draw(st.floats(-0.3, 0.3))
+        c, s = math.cos(turn), math.sin(turn)
+        d1 = np.array([[c, -s], [s, c]]) @ n
+        d2 = np.array([[c, -s], [s, c]]) @ _outward(a, (k + 2) % 3)
+        l1, l2 = draw(st.floats(0.1, 1.0)) * scale, draw(st.floats(0.1, 1.0)) * scale
+        b = np.array([p, p + l1 * d2, p + l2 * d1]) + gap * (n + _outward(a, (k + 2) % 3))
+        if (b[1, 0] - b[0, 0]) * (b[2, 1] - b[0, 1]) < (b[1, 1] - b[0, 1]) * (b[2, 0] - b[0, 0]):
+            b = b[::-1]
+    else:
+        b = draw(triangles(scale))
+    return a, b
+
+
+@settings(max_examples=400)
+@given(pair=triangle_pairs())
+def test_sat_prefilter_never_drops_an_intersecting_pair(pair):
+    a, b = pair
+    for P, Q in ((a, b), (b, a)):
+        if _sat_separated(P[None], Q[None])[0]:
+            inter = convex_intersect(ConvexPolygon(P, validate=False),
+                                     ConvexPolygon(Q, validate=False))
+            assert inter.empty
+
+
+def test_sat_prefilter_margin():
+    a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    below = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, -1.0]])  # shares edge 0 of a
+    cases = [
+        (a, a, False),
+        (a, below, False),
+        (a, below - [0.0, 1e-13], False),
+        (a, below - [0.0, 0.5 * SAT_MARGIN * REL_TOL], False),
+        (a, below - [0.0, 2.0 * SAT_MARGIN * REL_TOL], True),
+        (a, a + [2.0, 0.0], True),
+        (a, a[:, ::-1] * [1.0, -1.0] + [0.0, -1e-3], True),
+        # a vertex pointing at an edge: only that edge's normal separates
+        (np.array([[0.0, -1e-3], [-0.1, -1.0], [0.1, -1.0]]),
+         np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), True),
+    ]
+    got = _sat_separated(np.array([c[0] for c in cases]), np.array([c[1] for c in cases]))
+    assert got.tolist() == [c[2] for c in cases]

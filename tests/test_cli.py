@@ -69,6 +69,22 @@ class TestSolveCommand:
         A = mmread(out / "system.mtx")
         assert A.shape[0] == A.shape[1] == 81
 
+    def test_dump_topology(self, tmp_path):
+        from stackfem.cli import build_stack
+        from stackfem.multimesh import build_cut_topology
+
+        out = tmp_path / "run"
+        rc = main(["solve", "--mm-config", "II", "--k", "3", "--out", str(out),
+                   "--dump-topology"])
+        assert rc == 0
+        facets = list(csv.reader(open(out / "facets.csv")))
+        overlaps = list(csv.reader(open(out / "overlaps.csv")))
+        assert facets[0] == ["i", "j", "ax", "ay", "bx", "by", "nx", "ny"]
+        assert overlaps[0] == ["i", "j", "area", "cx", "cy"]
+        topo = build_cut_topology(build_stack(standard_predomains("II"), [3] * 3, 1))
+        assert len(facets) - 1 == len(topo.facets) > 0
+        assert len(overlaps) - 1 == len(topo.overlaps) > 0
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["solve", "--mm-config", "I", "--k", "3"]
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -152,6 +168,28 @@ class TestConvergenceCommand:
 
 
 class TestConditionCommand:
+    def test_reduced_matrix_ignores_the_load(self):
+        """The condition study reduces with a zero load; the reduced matrix
+        is the one a manufactured-source load gives, and kappa at config I,
+        k=4 is the value recorded when the study still assembled that load."""
+        from stackfem import cli
+        from stackfem.assembly import FormParams
+
+        params = FormParams.defaults(1)
+        pres = standard_predomains("I")
+        h, got = cli._reduced_matrix(pres, 4, 1, params)
+        topo = cli.build_cut_topology(cli.build_stack(pres, [4] * 3, 1), params.quad_order)
+        system = cli.assemble_system(topo, params)
+        load = cli.assemble_load(topo, cli.poisson_fields()[1], params)
+        bc = cli.build_dirichlet(topo, lambda x, y: np.zeros_like(x))
+        want = cli.apply_dirichlet(system, load, bc, topo).matrix.csr
+        assert h == max(topo.mesh_sizes())
+        assert got.csr.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.csr, attr), getattr(want, attr))
+        rows, _ = cli.run_condition_study("I", [4], 1)
+        assert rows[0][1] == pytest.approx(195.45174264295414, rel=1e-12)
+
     def test_larger_penalty_raises_kappa_keeps_slope(self):
         from stackfem.assembly import FormParams
         from stackfem.cli import run_condition_study
