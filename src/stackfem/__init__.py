@@ -44,9 +44,7 @@ from .analysis import (
     diagnostics,
     energy_norm,
     error_norms,
-    eval_function,
     global_interpolant,
-    h_norm,
 )
 
 __version__ = "0.1.0"

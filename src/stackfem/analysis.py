@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom2d import triangle_rule
-from .mesh import nodal_interpolate, ref_basis
+from .mesh import nodal_interpolate
 from .multimesh import CutTopology, QuadBatch, point_locate
 
 __all__ = [
@@ -14,11 +13,9 @@ __all__ = [
     "EnergyBreakdown",
     "Diagnostics",
     "ErrorReport",
-    "eval_function",
     "eval_or_nan",
     "error_norms",
     "energy_norm",
-    "h_norm",
     "global_interpolant",
     "diagnostics",
     "csv_header",
@@ -41,40 +38,37 @@ class MultimeshFunction:
         return np.concatenate(self.coeffs)
 
 
-def eval_function(u: MultimeshFunction, topology: CutTopology, x,
-                  outside: float | None = None) -> float:
-    """Value of the composite function: the topmost visible mesh wins.
-
-    Outside the composite domain (or inside a void) this raises, or returns
-    `outside` when one is given.
-    """
-    loc = point_locate(topology, x)
-    if loc is None:
-        if outside is None:
-            raise ValueError(f"point {x} lies outside the composite domain")
-        return outside
-    i, cell = loc
-    space = topology.parts[i].space
-    return float(space.eval_in_cell(u.coeffs[i], cell, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def eval_or_nan(u: MultimeshFunction, topology: CutTopology, x) -> float:
-    """Like eval_function, but NaN outside the composite domain."""
-    return eval_function(u, topology, x, outside=float("nan"))
+def eval_or_nan(u: MultimeshFunction, topology: CutTopology, xy) -> np.ndarray:
+    """Values (n,) of the composite function at the points xy (n, 2): the
+    topmost visible mesh wins. NaN outside the composite domain and inside
+    voids."""
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    mesh, cell = point_locate(topology, xy)
+    out = np.full(len(xy), np.nan)
+    for i in range(topology.nparts):
+        sel = np.flatnonzero(mesh == i)
+        if len(sel):
+            out[sel] = _values_at(u, topology, i, cell[sel], xy[sel])[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
 
-def _values(u: MultimeshFunction, topology: CutTopology, batch: QuadBatch, m: int):
-    """u and its gradient at every point of a batch, taken in its m-th mesh."""
-    i = batch.meshes[m]
+def _values_at(u: MultimeshFunction, topology: CutTopology, i: int, cells: np.ndarray,
+               pts: np.ndarray):
+    """u and its gradient in mesh i at the points pts[n], taken in cells[n]."""
     space = topology.parts[i].space
-    cells = batch.per_point(batch.cells[:, m])
-    phi, grad = space.tabulate(cells, batch.points)
+    phi, grad = space.tabulate(cells, pts)
     c = u.coeffs[i][space.cell_dofs[cells]]                          # (n, nd)
     return (phi * c).sum(axis=1), np.einsum("nak,na->nk", grad, c)
+
+
+def _values(u: MultimeshFunction, topology: CutTopology, batch: QuadBatch, m: int):
+    """u and its gradient at every point of a batch, taken in its m-th mesh."""
+    return _values_at(u, topology, batch.meshes[m], batch.per_point(batch.cells[:, m]),
+                      batch.points)
 
 
 def error_norms(
@@ -146,23 +140,6 @@ def energy_norm(u: MultimeshFunction, topology: CutTopology) -> EnergyBreakdown:
         )
         term_IV += float(np.dot(wq, (vu - vl) ** 2) / (h[i] + h[j]))
     return EnergyBreakdown(term_I, term_II, term_III, term_IV)
-
-
-def h_norm(u: MultimeshFunction, topology: CutTopology) -> float:
-    """L2 norm over the full active domains (overlaps counted per mesh)."""
-    total = 0.0
-    for i, part in enumerate(topology.parts):
-        space = part.space
-        bary, w = triangle_rule(2 * space.degree)
-        cells = topology.active[i]
-        if not len(cells):
-            continue
-        phi = ref_basis(space.degree, bary[:, 1:])
-        cf = u.coeffs[i][space.cell_dofs[cells]]
-        vals = np.einsum("qa,ca->cq", phi, cf)
-        areas = part.mesh.cell_areas()[cells]
-        total += float(np.einsum("q,cq,c->", w, vals ** 2, areas))
-    return float(np.sqrt(total))
 
 
 def global_interpolant(topology: CutTopology, f) -> MultimeshFunction:

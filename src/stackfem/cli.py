@@ -12,7 +12,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -304,19 +304,20 @@ def boundary_layer_stack(k: int, degree: int = 1) -> tuple[MultiMeshConfig, floa
 
 def run_boundary_layer(
     k: int, degree: int = 1, probe_n: int = 101, cg_tol: float = 1e-10,
+    params: FormParams | None = None,
 ) -> BoundaryLayerResult:
+    """Solve the obstacle demo at level k. `params` (default: the defaults
+    for `degree`) sets the forms; the reaction weight is always eps."""
     config, eps = boundary_layer_stack(k, degree)
-    params = FormParams.defaults(degree, reaction_eps=eps)
+    params = replace(params or FormParams.defaults(degree), reaction_eps=eps)
     zero = lambda x, y: np.zeros_like(x)
     one = lambda x, y: np.ones_like(x)
     res = solve_poisson(config, params, zero, zero, g_inner=one, cg_tol=cg_tol)
 
     xs = np.linspace(0.0, 1.0, probe_n)
-    probe = []
-    for y in xs:
-        for x in xs:
-            probe.append((x, y, analysis.eval_or_nan(res.u, res.topology, (x, y))))
-    probe = np.array(probe)
+    x, y = np.meshgrid(xs, xs)
+    grid = np.column_stack([x.ravel(), y.ravel()])
+    probe = np.column_stack([grid, analysis.eval_or_nan(res.u, res.topology, grid)])
 
     hexagon = hexagon_obstacle()
     v = hexagon.vertices
@@ -324,9 +325,7 @@ def run_boundary_layer(
     e = v[1] - v[0]
     n_out = np.array([e[1], -e[0]]) / math.hypot(e[0], e[1])
     ds = np.linspace(0.0, min(12.0 * eps, 0.3), 600)
-    vals = np.array(
-        [analysis.eval_or_nan(res.u, res.topology, mid + d * n_out) for d in ds]
-    )
+    vals = analysis.eval_or_nan(res.u, res.topology, mid + ds[:, None] * n_out)
     below = np.flatnonzero(vals < 0.5)
     if len(below):
         j = below[0]
@@ -338,7 +337,7 @@ def run_boundary_layer(
             halfwidth = float(d0 + (0.5 - v0) / (v1 - v0) * (d1 - d0))
     else:
         halfwidth = float(ds[-1])
-    corner = analysis.eval_or_nan(res.u, res.topology, (0.05, 0.05))
+    corner = analysis.eval_or_nan(res.u, res.topology, (0.05, 0.05))[0]
     return BoundaryLayerResult(k, eps, res, probe, halfwidth, float(corner))
 
 
@@ -361,14 +360,12 @@ class ExperimentConfig:
     full: bool = False
     custom_parts: list | None = field(default=None, repr=False)
 
-    def form_params(self, reaction_eps=None) -> FormParams:
+    def form_params(self) -> FormParams:
         overrides = {"stab_variant": STAB_FLAGS[self.stab]}
         if self.beta0 is not None:
             overrides["beta0"] = self.beta0
         if self.beta1 is not None:
             overrides["beta1"] = self.beta1
-        if reaction_eps is not None:
-            overrides["reaction_eps"] = reaction_eps
         return FormParams.defaults(self.degree, **overrides)
 
     def predomains(self) -> list[ConvexPolygon]:
@@ -403,7 +400,8 @@ class ExperimentConfig:
 def _load_experiment(args, k_range: tuple[int, int] = (3, 6),
                      full_range: tuple[int, int] | None = (3, 10)) -> ExperimentConfig:
     """Defaults, then the JSON config file, then flags. k_range is the
-    subcommand's default k range; --full replaces it by full_range."""
+    subcommand's default k range; `full`, from the JSON file or --full,
+    replaces it by full_range."""
     cfg = ExperimentConfig(k_min=k_range[0], k_max=k_range[1])
     if args.config_file:
         data = json.loads(Path(args.config_file).read_text())
@@ -419,8 +417,8 @@ def _load_experiment(args, k_range: tuple[int, int] = (3, 6),
             setattr(cfg, key, val)
     if getattr(args, "full", False):
         cfg.full = True
-        if full_range is not None:
-            cfg.k_min, cfg.k_max = full_range
+    if cfg.full and full_range is not None:
+        cfg.k_min, cfg.k_max = full_range
     return cfg
 
 
@@ -512,7 +510,7 @@ def _cmd_boundary_layer(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for k in range(cfg.k_min, cfg.k_max + 1):
-        result = run_boundary_layer(k, cfg.degree)
+        result = run_boundary_layer(k, cfg.degree, params=cfg.form_params())
         rows.append(result)
         probe_path = outdir / f"probe_k{k}.csv"
         with open(probe_path, "w", newline="") as fh:

@@ -100,23 +100,29 @@ class ConvexPolygon:
         c = (v + v2) * w[:, None]
         return c.sum(axis=0) / (6.0 * self._area)
 
-    def contains(self, point, tol: float | None = None) -> bool:
-        """True if the point is inside or on the boundary (boundary counts in)."""
-        if tol is None:
-            tol = REL_TOL * self.scale
+    def _edge_cross(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Cross products e_k x (point - v_k) per point and edge (..., nedges),
+        positive inside, and the edge lengths."""
         v = self.vertices
         e = np.roll(v, -1, axis=0) - v
-        d = np.asarray(point, dtype=float) - v
-        return bool(np.all(e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0] >= -tol * np.hypot(e[:, 0], e[:, 1])))
+        d = np.asarray(points, dtype=float)[..., None, :] - v
+        return e[:, 0] * d[..., 1] - e[:, 1] * d[..., 0], np.hypot(e[:, 0], e[:, 1])
 
-    def contains_strict(self, point, tol: float | None = None) -> bool:
-        """True only if the point is inside with margin tol (boundary excluded)."""
+    def contains(self, point, tol: float | None = None):
+        """True if the point is inside or on the boundary (boundary counts in);
+        points (n, 2) give one bool per point."""
         if tol is None:
             tol = REL_TOL * self.scale
-        v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
-        d = np.asarray(point, dtype=float) - v
-        return bool(np.all(e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0] > tol * np.hypot(e[:, 0], e[:, 1])))
+        cross, ln = self._edge_cross(point)
+        return np.all(cross >= -tol * ln, axis=-1)
+
+    def contains_strict(self, point, tol: float | None = None):
+        """True only if the point is inside with margin tol (boundary excluded);
+        points (n, 2) give one bool per point."""
+        if tol is None:
+            tol = REL_TOL * self.scale
+        cross, ln = self._edge_cross(point)
+        return np.all(cross > tol * ln, axis=-1)
 
     def bounds(self) -> tuple[float, float, float, float]:
         lo = self.vertices.min(axis=0)

@@ -15,8 +15,6 @@ __all__ = [
     "build_structured_mesh",
     "build_band_mesh",
     "nodal_interpolate",
-    "write_mesh",
-    "read_mesh",
     "MARKER_OUTER",
     "MARKER_INNER",
 ]
@@ -109,11 +107,6 @@ class TriMesh:
     @property
     def area(self) -> float:
         return float(self.cell_areas().sum())
-
-    @property
-    def uniformity_ratio(self) -> float:
-        d = self.cell_diameters()
-        return float(d.max() / d.min())
 
     def facet_endpoints(self, cell: int, ledge: int) -> tuple[np.ndarray, np.ndarray]:
         tri = self.cells[cell]
@@ -390,33 +383,3 @@ def build_band_mesh(inner: ConvexPolygon, width: float, target_h: float) -> TriM
             markers[idx] = MARKER_INNER
     mesh.boundary_markers = markers
     return mesh
-
-
-# ---------------------------------------------------------------------------
-# ASCII mesh format
-# ---------------------------------------------------------------------------
-
-def write_mesh(mesh: TriMesh, path) -> None:
-    """Write the ASCII format: 'ntrimesh 2' header, nodes, 0-based cells."""
-    with open(path, "w") as fh:
-        fh.write("ntrimesh 2\n")
-        fh.write(f"{len(mesh.nodes)}\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        fh.write(f"{len(mesh.cells)}\n")
-        for a, b, c in mesh.cells:
-            fh.write(f"{a} {b} {c}\n")
-
-
-def read_mesh(path) -> TriMesh:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if header[:2] != ["ntrimesh", "2"]:
-            raise MeshError(f"bad mesh header: {header}")
-        nn = int(fh.readline())
-        nodes = np.array([[float(t) for t in fh.readline().split()] for _ in range(nn)])
-        mc = int(fh.readline())
-        cells = np.array(
-            [[int(t) for t in fh.readline().split()] for _ in range(mc)], dtype=np.int64
-        )
-    return TriMesh(nodes, cells)

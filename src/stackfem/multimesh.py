@@ -220,14 +220,6 @@ class _CellGrid:
         key = np.unique(np.repeat(q, count) * ncells + cells[pos])
         return key // ncells, key % ncells
 
-    def query_point(self, x: float, y: float) -> np.ndarray:
-        """Cells registered in the bin holding (x, y), in increasing order."""
-        starts, cells = self._table
-        ix = min(max(int((x - self.lo[0]) / self.bin), 0), self.nx - 1)
-        iy = min(max(int((y - self.lo[1]) / self.bin), 0), self.ny - 1)
-        b = ix * self.ny + iy
-        return cells[starts[b]:starts[b + 1]]
-
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
     """0, 1, ..., counts[k] - 1 for each k in turn, concatenated."""
@@ -252,7 +244,7 @@ class CutTopology:
     N_O: int
     N_Oi: np.ndarray
     gamma_len: np.ndarray
-    grids: list[_CellGrid] = field(repr=False, default=None)
+    grids: list[_CellGrid] = field(repr=False)
     _cache: dict = field(repr=False, compare=False, default_factory=dict)
 
     def _cached(self, key, build):
@@ -289,13 +281,6 @@ class CutTopology:
         if not cut:
             return self.active[i]
         return self.active[i][~np.isin(self.active[i], np.fromiter(cut, dtype=int))]
-
-    def visible_polyset(self, i: int, cell: int) -> PolySet:
-        cc = self.cut_cells[i].get(cell)
-        if cc is not None:
-            return cc.visible
-        tri = ConvexPolygon(self.parts[i].mesh.cell_vertices(cell), validate=False)
-        return PolySet([tri])
 
     def visible_area(self, i: int) -> float:
         mesh = self.parts[i].mesh
@@ -346,13 +331,6 @@ class CutTopology:
     def overlap_batches(self) -> list[QuadBatch]:
         """Overlap piece quadrature, one batch per (lower, upper) mesh pair."""
         return self._cached("overlaps", lambda: _pair_batches(self.overlaps))
-
-    def grid(self, i: int) -> _CellGrid:
-        if self.grids is None:
-            self.grids = [None] * self.nparts
-        if self.grids[i] is None:
-            self.grids[i] = _CellGrid(self.parts[i].mesh)
-        return self.grids[i]
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +423,8 @@ def _cell_edges(mesh: TriMesh, cells: np.ndarray):
     """Vertices (n, 3, 2), edge vectors v[k+1] - v[k] and edge lengths of
     the given cells.
 
-    The lengths come from `math.hypot`, as in `clip_segment` and
-    `_locate_cell`, so the vectorized tests below reproduce their scalar
+    The lengths come from `math.hypot`, as in `clip_segment`, so the
+    vectorized segment clip and point-in-cell test below keep the scalar
     arithmetic bit for bit; each distinct cell is measured once.
     """
     uniq, inv = np.unique(cells, return_inverse=True)
@@ -497,28 +475,6 @@ def _predomain_edge_normal(pre: ConvexPolygon, seg: Segment) -> np.ndarray:
         if off <= tol and -tol <= along <= ln + tol:
             return np.array([u[1], -u[0]])
     raise ConfigError("boundary facet does not lie on its predomain hull")
-
-
-def _locate_cell(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: float,
-                 active_mask: np.ndarray | None = None):
-    """`_locate_cells` for one point, or None: a scalar loop, several times
-    faster than the vectorized one when points come one at a time."""
-    fallback = None
-    for c in grid.query_point(float(x[0]), float(x[1])):
-        v = mesh.nodes[mesh.cells[c]]
-        ok = True
-        for k in range(3):
-            p, q = v[k], v[(k + 1) % 3]
-            ln = math.hypot(q[0] - p[0], q[1] - p[1])
-            if (q[0] - p[0]) * (x[1] - p[1]) - (q[1] - p[1]) * (x[0] - p[0]) < -tol * ln:
-                ok = False
-                break
-        if ok:
-            if active_mask is None or active_mask[c]:
-                return int(c)
-            if fallback is None:
-                fallback = int(c)
-    return fallback
 
 
 def _locate_cells(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray,
@@ -767,24 +723,35 @@ def compute_delta_NO(topology: CutTopology):
     return delta, N_O, N_Oi
 
 
-def point_locate(topology: CutTopology, x) -> tuple[int, int] | None:
-    """Topmost mesh and cell whose visible region contains x, or None.
+def point_locate(topology: CutTopology, xy) -> tuple[np.ndarray, np.ndarray]:
+    """Topmost mesh and cell whose visible region contains each point
+    xy[n]: two int arrays, -1 where no visible region holds the point.
 
     Points on a predomain boundary resolve to the higher mesh; points
     strictly inside a void (a hole) resolve to nothing.
     """
-    x = np.asarray(x, dtype=float)
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    mesh = np.full(len(xy), -1, dtype=np.int64)
+    cell = np.full(len(xy), -1, dtype=np.int64)
+    free = np.ones(len(xy), dtype=bool)  # neither located nor in a void above
     for i in range(topology.nparts - 1, -1, -1):
         part = topology.parts[i]
         tol = REL_TOL * max(part.predomain.scale, 1.0)
-        if not part.predomain.contains(x, tol):
+        idx = np.flatnonzero(free)
+        idx = idx[part.predomain.contains(xy[idx], tol)]
+        if part.void is not None:
+            hole = part.void.contains_strict(xy[idx], tol)
+            free[idx[hole]] = False
+            idx = idx[~hole]
+        if len(idx) == 0:
             continue
-        if part.void is not None and part.void.contains_strict(x, tol):
-            return None
-        cell = _locate_cell(part.mesh, topology.grid(i), x, tol, topology.is_active(i))
-        if cell is not None:
-            return i, cell
-    return None
+        found = _locate_cells(part.mesh, topology.grids[i], xy[idx], np.full(len(idx), tol),
+                              topology.is_active(i))
+        hit = found >= 0
+        mesh[idx[hit]] = i
+        cell[idx[hit]] = found[hit]
+        free[idx[hit]] = False
+    return mesh, cell
 
 
 def dump_topology_csv(topology: CutTopology, facet_path, overlap_path) -> None:

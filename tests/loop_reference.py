@@ -14,7 +14,8 @@ interface facets the way `stackfem.multimesh` did before it generated
 candidate pairs in bulk: one grid query per lower cell or facet segment,
 every active upper cell of the bounding-box candidates clipped exactly, and
 one point location per sub-segment. The bulk builder must reproduce them bit
-for bit.
+for bit. `point_locate` is the scalar point location that evaluation used
+before it took arrays: one point, one grid bin and one cell at a time.
 """
 from __future__ import annotations
 
@@ -370,6 +371,23 @@ def locate_cell(mesh, grid, x, tol, active_mask=None):
             if fallback is None:
                 fallback = int(c)
     return fallback
+
+
+def point_locate(topology, x):
+    """(mesh, cell) of the topmost visible region holding x, or None: the
+    parts from the top down, a point strictly inside a void holds nothing."""
+    x = np.asarray(x, dtype=float)
+    for i in range(topology.nparts - 1, -1, -1):
+        part = topology.parts[i]
+        tol = REL_TOL * max(part.predomain.scale, 1.0)
+        if not part.predomain.contains(x, tol):
+            continue
+        if part.void is not None and part.void.contains_strict(x, tol):
+            return None
+        cell = locate_cell(part.mesh, topology.grids[i], x, tol, topology.is_active(i))
+        if cell is not None:
+            return i, cell
+    return None
 
 
 def interface_facets(config, active, grids, quad_order):

@@ -12,10 +12,8 @@ from stackfem.analysis import (
     diagnostics,
     energy_norm,
     error_norms,
-    eval_function,
     eval_or_nan,
     global_interpolant,
-    h_norm,
 )
 from stackfem.assembly import (
     FormParams,
@@ -60,21 +58,20 @@ class TestEval:
         u = MultimeshFunction(
             [np.full(off[i], float(i + 1)) for i in range(3)]
         )
-        assert eval_function(u, topo, (0.5, 0.5)) == pytest.approx(3.0)
-        assert eval_function(u, topo, (0.25, 0.25)) == pytest.approx(2.0)
-        assert eval_function(u, topo, (0.1, 0.1)) == pytest.approx(1.0)
+        got = eval_or_nan(u, topo, [(0.5, 0.5), (0.25, 0.25), (0.1, 0.1)])
+        assert got == pytest.approx([3.0, 2.0, 1.0])
 
     def test_linear_reproduction_everywhere(self, topo, rng):
         u = global_interpolant(topo, lambda x, y: x + y)
-        for _ in range(100):
-            x = rng.uniform(0.001, 0.999, 2)
-            assert eval_function(u, topo, x) == pytest.approx(x[0] + x[1], abs=1e-12)
+        x = rng.uniform(0.001, 0.999, (100, 2))
+        assert eval_or_nan(u, topo, x) == pytest.approx(x.sum(axis=1), abs=1e-12)
 
-    def test_outside_raises(self, topo):
+    def test_outside_is_nan(self, topo):
         u = global_interpolant(topo, lambda x, y: x)
-        with pytest.raises(ValueError):
-            eval_function(u, topo, (1.7, 0.3))
-        assert np.isnan(eval_or_nan(u, topo, (1.7, 0.3)))
+        got = eval_or_nan(u, topo, [(1.7, 0.3), (0.3, 0.3), (0.3, -0.2)])
+        assert np.isnan(got).tolist() == [True, False, True]
+        assert got[1] == pytest.approx(0.3, abs=1e-12)
+        assert eval_or_nan(u, topo, np.zeros((0, 2))).shape == (0,)
 
 
 class TestErrorNorms:
@@ -137,28 +134,6 @@ class TestEnergyNorm:
             qf = float(v @ S.matvec(v))
             term = params.beta1 * energy_norm(u, topo).term_II
             assert term == pytest.approx(qf, rel=1e-12, abs=1e-14)
-
-
-class TestHNorm:
-    def test_constants_count_overlaps(self):
-        topo = build_cut_topology(config_I(), 2)
-        u = MultimeshFunction([np.ones(p.space.dim) for p in topo.parts])
-        active_areas = sum(
-            float(p.mesh.cell_areas()[topo.active[i]].sum())
-            for i, p in enumerate(topo.parts)
-        )
-        assert h_norm(u, topo) ** 2 == pytest.approx(active_areas, rel=1e-12)
-        assert active_areas > 1.0  # overlaps counted at least twice
-
-    def test_zero(self):
-        topo = build_cut_topology(config_I(), 2)
-        u = MultimeshFunction([np.zeros(p.space.dim) for p in topo.parts])
-        assert h_norm(u, topo) == 0.0
-
-    def test_single_mesh_reduces_to_l2(self):
-        topo = build_cut_topology(single_config(3), 2)
-        u = MultimeshFunction([np.ones(topo.parts[0].space.dim)])
-        assert h_norm(u, topo) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestGlobalInterpolant:

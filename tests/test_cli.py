@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -7,6 +8,7 @@ from scipy.io import mmread
 
 from stackfem.cli import (
     ExperimentConfig,
+    _load_experiment,
     boundary_layer_stack,
     main,
     run_boundary_layer,
@@ -259,6 +261,24 @@ class TestConditionCommand:
         assert len(list(csv.reader(open(out / "results.csv")))) == 4  # header, 2 levels, slope
 
 
+class TestFullRange:
+    @staticmethod
+    def _args(**kw):
+        """Parsed flags: none given except kw."""
+        keys = ("config_file", "config", "k_min", "k_max", "degree", "beta0", "beta1",
+                "stab", "seed", "out")
+        return argparse.Namespace(**{**dict.fromkeys(keys), "full": False, **kw})
+
+    def test_json_full_equals_flag(self, tmp_path):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"config": "single", "full": True}))
+        from_json = _load_experiment(self._args(config_file=str(cfg_path)))
+        from_flag = _load_experiment(self._args(config="single", full=True))
+        assert from_json.full and from_flag.full
+        assert (from_json.k_min, from_json.k_max) == (from_flag.k_min, from_flag.k_max) == (3, 10)
+        assert from_json.resolved() == from_flag.resolved()
+
+
 class TestBoundaryLayer:
     def test_stack_geometry(self):
         config, eps = boundary_layer_stack(0)
@@ -291,3 +311,22 @@ class TestBoundaryLayer:
         assert (out / "probe_k0.csv").exists()
         meta = json.loads((out / "meta.json").read_text())
         assert "hexagon" in meta["obstacle"]
+
+    def test_form_flags_reach_the_solve(self, tmp_path):
+        def run(name, *flags):
+            out = tmp_path / name
+            assert main(["boundary-layer", "--k-min", "0", "--k-max", "0", "--out", str(out),
+                         *flags]) == 0
+            probe = np.loadtxt(out / "probe_k0.csv", delimiter=",", skiprows=1)
+            return probe[:, 2], json.loads((out / "meta.json").read_text())
+
+        u_default, _ = run("default")
+        u_l2, meta = run("l2", "--stab", "l2", "--beta0", "80")
+        assert (meta["stab_variant"], meta["beta0"]) == ("scaled-value-jump", 80.0)
+        hole = np.isnan(u_default)
+        assert np.array_equal(np.isnan(u_l2), hole)
+        assert np.max(np.abs(u_l2[~hole] - u_default[~hole])) > 1e-8
+        # what meta.json records is what ran
+        params = ExperimentConfig(stab="l2", beta0=80.0).form_params()
+        direct = run_boundary_layer(0, params=params)
+        assert np.array_equal(direct.probe[:, 2], u_l2, equal_nan=True)

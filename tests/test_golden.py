@@ -10,10 +10,23 @@ cut-integral kernel. Columns are compared as follows:
   it stops at depends on the summation order of the assembled entries:
   changing every matrix entry by one ulp moves these columns by up to
   3.3e-10 on the P2 convergence run.
+
+The boundary-layer files (`stackfem boundary-layer --k-min 0 --k-max 0`)
+were written by the version that located and evaluated the probe one point
+at a time. Its solve is the same; only the evaluation arithmetic differs
+(a per-cell matmul then, one einsum per mesh now), by a few ulps. So:
+
+- k, eps, dofs and the probe coordinates exactly, and NaN (hole) positions
+  exactly;
+- u and corner_value (both in [0, 1]) to absolute 1e-14;
+- layer_halfwidth to relative 1e-12: it interpolates linearly between two
+  probe values, and dividing by their difference amplifies rounding.
 """
 import csv
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stackfem.cli import main
@@ -51,3 +64,27 @@ def test_results_match_golden(name, tmp_path):
             else:
                 rtol = SOLVE_RTOL if col in SOLVE_COLUMNS else GEOMETRY_RTOL
                 assert float(g) == pytest.approx(float(w), rel=rtol, abs=0), (col, row_want[0])
+
+
+def test_boundary_layer_matches_golden(tmp_path):
+    assert main(["boundary-layer", "--k-min", "0", "--k-max", "0", "--out", str(tmp_path)]) == 0
+    want = _rows(DATA / "boundary_layer_k0_results.csv")
+    got = _rows(tmp_path / "results.csv")
+    assert got[0] == want[0] and len(got) == len(want) == 2
+    row_got, row_want = dict(zip(got[0], got[1])), dict(zip(want[0], want[1]))
+    for col in ("k", "eps", "dofs"):
+        assert row_got[col] == row_want[col], col
+    assert float(row_got["layer_halfwidth"]) == pytest.approx(
+        float(row_want["layer_halfwidth"]), rel=1e-12, abs=0)
+    assert math.isclose(float(row_got["corner_value"]), float(row_want["corner_value"]),
+                        rel_tol=0, abs_tol=1e-14)
+
+    want = _rows(DATA / "boundary_layer_k0_probe.csv")
+    got = _rows(tmp_path / "probe_k0.csv")
+    assert got[0] == want[0] == ["x", "y", "u"]
+    assert [r[:2] for r in got] == [r[:2] for r in want]
+    u_got = np.array([float(r[2]) for r in got[1:]])
+    u_want = np.array([float(r[2]) for r in want[1:]])
+    hole = np.isnan(u_want)
+    assert hole.any() and np.array_equal(np.isnan(u_got), hole)
+    assert np.max(np.abs(u_got[~hole] - u_want[~hole])) <= 1e-14

@@ -91,10 +91,9 @@ class TestConfigI:
         assert list(N_Oi) == [0, 1, 2]
 
     def test_point_locate_examples(self, topo):
-        assert point_locate(topo, (0.5, 0.5))[0] == 2
-        assert point_locate(topo, (0.25, 0.25))[0] == 1
-        assert point_locate(topo, (0.1, 0.1))[0] == 0
-        assert point_locate(topo, (1.5, 0.5)) is None
+        mesh, cell = point_locate(topo, [(0.5, 0.5), (0.25, 0.25), (0.1, 0.1), (1.5, 0.5)])
+        assert mesh.tolist() == [2, 1, 0, -1]
+        assert cell[3] == -1 and (cell[:3] >= 0).all()
 
     def test_pairing_correctness(self, topo):
         for f in topo.facets:
@@ -184,15 +183,15 @@ class TestRandomStacks:
         config = random_rect_stack(rng)
         topo = build_cut_topology(config, quad_order=1)
         pts = rng.uniform(0.001, 0.999, size=(10_000, 2))
-        for x in pts:
-            got = point_locate(topo, x)
+        mesh, cell = point_locate(topo, pts)
+        for x, got in zip(pts, mesh):
             expect = None
             for i in range(topo.nparts - 1, -1, -1):
                 if config.parts[i].predomain.contains(x):
                     expect = i
                     break
-            assert got is not None
-            assert got[0] == expect
+            assert got == expect
+        assert (cell >= 0).all()
 
 
 class TestVoids:
@@ -206,10 +205,11 @@ class TestVoids:
         assert total == pytest.approx(1.0 - hexa.area, abs=1e-10)
 
     def test_hole_points_not_found(self, topo):
-        assert point_locate(topo, (0.5, 0.5)) is None
-        assert point_locate(topo, (0.5, 0.62)) is None  # still inside the hexagon
-        assert point_locate(topo, (0.5, 0.7))[0] == 1   # inside the band
-        assert point_locate(topo, (0.1, 0.1))[0] == 0
+        # the centre and a point still inside the hexagon, then the band
+        # and the background
+        mesh, cell = point_locate(topo, [(0.5, 0.5), (0.5, 0.62), (0.5, 0.7), (0.1, 0.1)])
+        assert mesh.tolist() == [-1, -1, 1, 0]
+        assert cell[:2].tolist() == [-1, -1]
 
     def test_inner_loop_is_not_an_interface(self, topo):
         hexa = regular_polygon(6, 0.15, (0.5, 0.5))
