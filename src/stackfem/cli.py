@@ -347,7 +347,6 @@ def run_boundary_layer(
 
 @dataclass
 class ExperimentConfig:
-    problem: str = "poisson"
     config: str = "I"
     k_min: int = 3
     k_max: int = 6
@@ -383,7 +382,6 @@ class ExperimentConfig:
     def resolved(self) -> dict:
         p = self.form_params()
         return {
-            "problem": self.problem,
             "config": self.config,
             "k_min": self.k_min,
             "k_max": self.k_max,
@@ -405,7 +403,7 @@ def _load_experiment(args, k_range: tuple[int, int] = (3, 6),
     cfg = ExperimentConfig(k_min=k_range[0], k_max=k_range[1])
     if args.config_file:
         data = json.loads(Path(args.config_file).read_text())
-        for key in ("problem", "config", "k_min", "k_max", "degree", "beta0",
+        for key in ("config", "k_min", "k_max", "degree", "beta0",
                     "beta1", "stab", "seed", "out", "full"):
             if key in data:
                 setattr(cfg, key, data[key])
@@ -433,8 +431,10 @@ def _write_reports(path: Path, reports: list[analysis.ErrorReport], nparts: int,
             w.writerow(row)
 
 
-def _write_meta(outdir: Path, cfg: ExperimentConfig, extra: dict | None = None) -> None:
-    meta = cfg.resolved()
+def _write_meta(outdir: Path, cfg: ExperimentConfig, extra: dict | None = None,
+                omit: tuple[str, ...] = ()) -> None:
+    """meta.json: the resolved settings but those in omit, plus extra."""
+    meta = {key: val for key, val in cfg.resolved().items() if key not in omit}
     meta.update(extra or {})
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -524,8 +524,11 @@ def _cmd_boundary_layer(args) -> int:
         for r in rows:
             w.writerow([r.k, f"{r.eps:.17g}", f"{r.layer_halfwidth:.17g}",
                         f"{r.corner_value:.17g}", len(r.solve.reduced.free)])
+    # the stack, the reaction term and the k range are fixed: --mm-config,
+    # --seed and --full do not reach the run
     _write_meta(outdir, cfg, {"command": "boundary-layer",
-                              "obstacle": "regular hexagon, inradius 0.15, center (0.5, 0.5)"})
+                              "obstacle": "regular hexagon, inradius 0.15, center (0.5, 0.5)"},
+                omit=("config", "seed", "full"))
     for r in rows:
         print(f"k={r.k}: eps={r.eps:.4g}, layer halfwidth {r.layer_halfwidth:.4g}, "
               f"corner value {r.corner_value:.3e}")

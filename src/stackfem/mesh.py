@@ -25,6 +25,9 @@ __all__ = [
 MARKER_OUTER = 0
 MARKER_INNER = 1
 
+# local edge k of a cell joins its local vertices k and (k + 1) % 3
+_EDGE_VERTS = np.array([[0, 1], [1, 2], [2, 0]])
+
 
 class MeshError(ValueError):
     """Raised for non-conforming or badly oriented meshes."""
@@ -68,24 +71,29 @@ class TriMesh:
     # -- structure ---------------------------------------------------------
 
     def _check_orientation(self):
-        v = self.nodes[self.cells]
-        cross = (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1]) - (
-            v[:, 1, 1] - v[:, 0, 1]
-        ) * (v[:, 2, 0] - v[:, 0, 0])
-        if np.any(cross <= 0):
-            raise MeshError(f"{int((cross <= 0).sum())} cells are degenerate or clockwise")
+        bad = np.flatnonzero(self.cell_areas() <= 0)
+        if len(bad):
+            c = int(bad[0])
+            raise MeshError(
+                f"{len(bad)} cells are degenerate or clockwise, the first is cell {c} "
+                f"with nodes {self.cells[c].tolist()}"
+            )
 
     def _extract_boundary(self) -> np.ndarray:
-        # row c*3 + k holds local edge k of cell c (joining vertices k, k+1)
-        edges = self.cells[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-        keys = np.sort(edges, axis=1)
-        _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        # key c*3 + k is local edge k of cell c, so the facets come out
+        # sorted by (cell, local edge)
+        n = len(self.nodes)
+        keys, inverse, counts = np.unique(
+            _edge_keys(self.cells[:, _EDGE_VERTS], n), return_inverse=True, return_counts=True
+        )
         if counts.max(initial=1) > 2:
-            raise MeshError("non-conforming mesh: an edge is shared by more than 2 cells")
+            e = int(np.argmax(counts > 2))
+            lo, hi = divmod(int(keys[e]), n)
+            raise MeshError(
+                f"non-conforming mesh: edge ({lo}, {hi}) is shared by {counts[e]} cells"
+            )
         rows = np.flatnonzero(counts[inverse] == 1)
-        facets = np.stack([rows // 3, rows % 3], axis=1)
-        order = np.lexsort((facets[:, 1], facets[:, 0]))
-        return facets[order].astype(np.int64)
+        return np.stack([rows // 3, rows % 3], axis=1)
 
     def cell_vertices(self, cell: int) -> np.ndarray:
         return self.nodes[self.cells[cell]]
@@ -133,6 +141,14 @@ class TriMesh:
         """Map physical points (n, 2) to reference coordinates of one cell."""
         v0, _, invJ, _ = self.geometry()
         return (np.atleast_2d(pts) - v0[cell]) @ invJ[cell].T
+
+
+def _edge_keys(pairs: np.ndarray, nnodes: int) -> np.ndarray:
+    """One int64 key lo * nnodes + hi per undirected edge of the node pairs
+    (..., 2), flattened: sorting the keys sorts the edges by (lo, hi)."""
+    lo = np.minimum(pairs[..., 0], pairs[..., 1])
+    hi = np.maximum(pairs[..., 0], pairs[..., 1])
+    return (lo * nnodes + hi).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +221,14 @@ class FeSpace:
             self.cell_dofs = mesh.cells.copy()
             self.dof_coords = mesh.nodes.copy()
         else:
-            edges = np.concatenate(
-                [mesh.cells[:, [1, 2]], mesh.cells[:, [2, 0]], mesh.cells[:, [0, 1]]]
-            )
-            keys = np.sort(edges, axis=1)
-            uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+            # edge dofs in (lo, hi) node order; local edges opposite v0, v1, v2
             nn = len(mesh.nodes)
-            m = len(mesh.cells)
-            edge_dof = nn + inverse.reshape(3, m).T  # (m, 3): edges opp. v0, v1, v2
+            keys, inverse = np.unique(
+                _edge_keys(mesh.cells[:, [[1, 2], [2, 0], [0, 1]]], nn), return_inverse=True
+            )
+            edge_dof = nn + inverse.reshape(-1, 3)
             self.cell_dofs = np.concatenate([mesh.cells, edge_dof], axis=1)
-            mids = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
+            mids = 0.5 * (mesh.nodes[keys // nn] + mesh.nodes[keys % nn])
             self.dof_coords = np.concatenate([mesh.nodes, mids])
         self.dim = len(self.dof_coords)
 
@@ -243,23 +257,15 @@ class FeSpace:
         gphys = gref @ invJ[cell]  # chain rule: grad_x = J^{-T} grad_ref
         return np.einsum("qdk,d->qk", gphys, coeffs[self.cell_dofs[cell]])
 
-    def facet_dofs(self, cell: int, ledge: int) -> np.ndarray:
-        """Dofs whose basis functions are nonzero on a boundary facet."""
-        tri = self.cell_dofs[cell]
-        a, b = ledge, (ledge + 1) % 3
-        if self.degree == 1:
-            return np.array([tri[a], tri[b]])
-        opp = 3 - a - b  # local vertex opposite the edge
-        return np.array([tri[a], tri[b], tri[3 + opp]])
-
     def boundary_dofs(self, marker: int | None = None) -> np.ndarray:
-        """Sorted unique dofs on boundary facets (optionally of one marker)."""
-        out = []
-        for (cell, ledge), mk in zip(self.mesh.boundary_facets, self.mesh.boundary_markers):
-            if marker is not None and mk != marker:
-                continue
-            out.extend(self.facet_dofs(int(cell), int(ledge)).tolist())
-        return np.unique(np.array(out, dtype=np.int64)) if out else np.zeros(0, dtype=np.int64)
+        """Sorted unique dofs whose basis functions are nonzero on boundary
+        facets (optionally of one marker): the facet's two vertices and, for
+        degree 2, its edge dof, which sits opposite local vertex ledge + 2."""
+        facets = self.mesh.boundary_facets
+        if marker is not None:
+            facets = facets[self.mesh.boundary_markers == marker]
+        local = _EDGE_VERTS if self.degree == 1 else np.hstack([_EDGE_VERTS, [[5], [3], [4]]])
+        return np.unique(self.cell_dofs[facets[:, :1], local[facets[:, 1]]])
 
 
 def nodal_interpolate(space: FeSpace, f) -> np.ndarray:
@@ -303,21 +309,16 @@ def build_structured_mesh(polygon: ConvexPolygon, target_h: float) -> TriMesh:
     X, Y = np.meshgrid(xi, eta, indexing="ij")
     nodes = v0[None, :] + X.reshape(-1, 1) * u[None, :] + Y.reshape(-1, 1) * w[None, :]
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                cells.append((n00, n10, n11))
-                cells.append((n00, n11, n01))
-            else:
-                cells.append((n00, n10, n01))
-                cells.append((n10, n11, n01))
-    return TriMesh(nodes, np.array(cells, dtype=np.int64))
+    # two cells per grid square (i, j), squares in row-major order; node
+    # (i, j) is i * (ny + 1) + j
+    I, J = np.meshgrid(np.arange(nx, dtype=np.int64), np.arange(ny, dtype=np.int64),
+                       indexing="ij")
+    n00 = (I * (ny + 1) + J).ravel()
+    n10, n01, n11 = n00 + ny + 1, n00 + 1, n00 + ny + 2
+    even = ((I + J) % 2 == 0).ravel()  # diagonal n00-n11, else n10-n01
+    cells = np.stack([n00, n10, np.where(even, n11, n01), np.where(even, n00, n10), n11, n01],
+                     axis=1)
+    return TriMesh(nodes, cells.reshape(-1, 3))
 
 
 def build_band_mesh(inner: ConvexPolygon, width: float, target_h: float) -> TriMesh:
@@ -337,16 +338,15 @@ def build_band_mesh(inner: ConvexPolygon, width: float, target_h: float) -> TriM
     nedge = len(vin)
     nlay = max(1, math.ceil(width / target_h - 1e-12))
 
-    ring_in, ring_out = [], []
-    for k in range(nedge):
-        a_in, b_in = vin[k], vin[(k + 1) % nedge]
-        a_out, b_out = vout[k], vout[(k + 1) % nedge]
-        mseg = max(1, math.ceil(np.hypot(*(b_out - a_out)) / target_h - 1e-12))
-        t = np.arange(mseg) / mseg
-        ring_in.append(a_in[None, :] + t[:, None] * (b_in - a_in)[None, :])
-        ring_out.append(a_out[None, :] + t[:, None] * (b_out - a_out)[None, :])
-    ring_in = np.concatenate(ring_in)
-    ring_out = np.concatenate(ring_out)
+    # edge k of both loops is split into mseg[k] equal segments
+    d_in = np.roll(vin, -1, axis=0) - vin
+    d_out = np.roll(vout, -1, axis=0) - vout
+    mseg = np.maximum(1, np.ceil(np.hypot(d_out[:, 0], d_out[:, 1]) / target_h - 1e-12))
+    mseg = mseg.astype(np.int64)
+    edge = np.repeat(np.arange(nedge), mseg)
+    t = (np.arange(len(edge)) - np.repeat(np.cumsum(mseg) - mseg, mseg)) / mseg[edge]
+    ring_in = vin[edge] + t[:, None] * d_in[edge]
+    ring_out = vout[edge] + t[:, None] * d_out[edge]
     M = len(ring_in)
 
     layers = np.arange(nlay + 1) / nlay
@@ -355,17 +355,14 @@ def build_band_mesh(inner: ConvexPolygon, width: float, target_h: float) -> TriM
         + ring_out[None, :, :] * layers[:, None, None]
     ).reshape(-1, 2)
 
-    cells = []
-    for l in range(nlay):
-        base0 = l * M
-        base1 = (l + 1) * M
-        for r in range(M):
-            r2 = (r + 1) % M
-            c00, c10 = base0 + r, base0 + r2
-            c01, c11 = base1 + r, base1 + r2
-            cells.append((c00, c10, c11))
-            cells.append((c00, c11, c01))
-    cells = np.array(cells, dtype=np.int64)
+    # two cells per (layer, ring position), layers in turn; ring node r of
+    # layer l is l * M + r
+    L, R = np.meshgrid(np.arange(nlay, dtype=np.int64), np.arange(M, dtype=np.int64),
+                       indexing="ij")
+    c00 = (L * M + R).ravel()
+    c10 = (L * M + (R + 1) % M).ravel()
+    c01, c11 = c00 + M, c10 + M
+    cells = np.stack([c00, c10, c11, c00, c11, c01], axis=1).reshape(-1, 3)
 
     # ensure positive orientation regardless of ring direction
     v = nodes[cells]
@@ -376,10 +373,8 @@ def build_band_mesh(inner: ConvexPolygon, width: float, target_h: float) -> TriM
     cells[flip] = cells[flip][:, [0, 2, 1]]
 
     mesh = TriMesh(nodes, cells)
-    markers = np.full(len(mesh.boundary_facets), MARKER_OUTER, dtype=np.int64)
-    for idx, (cell, ledge) in enumerate(mesh.boundary_facets):
-        a, b = mesh.cells[cell][ledge], mesh.cells[cell][(ledge + 1) % 3]
-        if a < M and b < M:
-            markers[idx] = MARKER_INNER
-    mesh.boundary_markers = markers
+    # the nodes of the inner loop are the first M
+    cell, ledge = mesh.boundary_facets.T
+    on_inner = np.all(mesh.cells[cell[:, None], _EDGE_VERTS[ledge]] < M, axis=1)
+    mesh.boundary_markers = np.where(on_inner, MARKER_INNER, MARKER_OUTER)
     return mesh

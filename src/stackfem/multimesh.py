@@ -167,32 +167,27 @@ class _CellGrid:
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        v = mesh.nodes[mesh.cells]
-        lo = v.min(axis=(0, 1))
-        hi = v.max(axis=(0, 1))
+        clo, chi = _cell_boxes(mesh.nodes[mesh.cells])
+        lo = clo.min(axis=0)
+        hi = chi.max(axis=0)
         self.lo = lo
         extent = np.maximum(hi - lo, 1e-12)
         self.bin = max(mesh.h, float(extent.max()) / 512)
         self.nx = max(1, int(math.ceil(extent[0] / self.bin)))
         self.ny = max(1, int(math.ceil(extent[1] / self.bin)))
-        clo = v.min(axis=1)
-        chi = v.max(axis=1)
         ix0, ix1 = self._bins(clo[:, 0], 0), self._bins(chi[:, 0], 0)
         iy0, iy1 = self._bins(clo[:, 1], 1), self._bins(chi[:, 1], 1)
-        bins: list[np.ndarray] = []
-        cells: list[np.ndarray] = []
-        ids = np.arange(len(mesh.cells))
+        keys: list[np.ndarray] = []
+        ncells = len(mesh.cells)
+        ids = np.arange(ncells)
         for dx in range(int((ix1 - ix0).max(initial=0)) + 1):
             for dy in range(int((iy1 - iy0).max(initial=0)) + 1):
                 mask = (ix0 + dx <= ix1) & (iy0 + dy <= iy1)
-                bins.append((ix0[mask] + dx) * self.ny + (iy0[mask] + dy))
-                cells.append(ids[mask])
-        allbins = np.concatenate(bins)
-        allcells = np.concatenate(cells)
-        order = np.lexsort((allcells, allbins))
-        allbins, allcells = allbins[order], allcells[order]
-        starts = np.searchsorted(allbins, np.arange(self.nx * self.ny + 1))
-        self._table = (starts, allcells)
+                keys.append(((ix0[mask] + dx) * self.ny + (iy0[mask] + dy)) * ncells + ids[mask])
+        # key bin * ncells + cell is unique: sorting it orders by bin, then cell
+        key = np.sort(np.concatenate(keys))
+        starts = np.searchsorted(key // ncells, np.arange(self.nx * self.ny + 1))
+        self._table = (starts, key % ncells)
 
     def _bins(self, x: np.ndarray, axis: int) -> np.ndarray:
         """Bin index along an axis of each coordinate, clamped to the grid."""
@@ -224,6 +219,13 @@ class _CellGrid:
 def _ranks(counts: np.ndarray) -> np.ndarray:
     """0, 1, ..., counts[k] - 1 for each k in turn, concatenated."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _cell_boxes(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners (m, 2) of the bounding boxes of triangles
+    (m, 3, 2), elementwise over the three vertices."""
+    a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
+    return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
 
 
 def _mask(ids: np.ndarray, n: int) -> np.ndarray:
@@ -358,16 +360,14 @@ def _visible_regions(config: MultiMeshConfig, quad_order: int):
     for i, part in enumerate(config.parts):
         mesh = part.mesh
         verts = mesh.nodes[mesh.cells]
-        areas = mesh.cell_areas()
+        clo, chi = _cell_boxes(verts)
         scale = part.predomain.scale
         tol = REL_TOL * max(scale, 1.0)
         covered = np.zeros(len(mesh.cells), dtype=bool)
-        pieces: dict[int, list[ConvexPolygon]] = {}
+        pieces: dict[int, list[ConvexPolygon]] = {}  # of the cut cells; stale once covered
         for k in range(i + 1, nparts):
             Q = config.parts[k].predomain
             x0, x1, y0, y1 = Q.bounds()
-            clo = verts.min(axis=1)
-            chi = verts.max(axis=1)
             cand = np.flatnonzero(
                 ~covered
                 & (clo[:, 0] <= x1 + tol)
@@ -380,39 +380,28 @@ def _visible_regions(config: MultiMeshConfig, quad_order: int):
             d = _signed_dists(verts[cand], Q)  # (nc, 3, nedges)
             fully_in = np.all(d >= -tol, axis=(1, 2))
             separated = np.any(np.all(d < -tol, axis=1), axis=1)
-            for c in cand[fully_in]:
-                covered[c] = True
-                pieces.pop(int(c), None)
+            covered[cand[fully_in]] = True
             cut_by[i, k] = cand[~fully_in & ~separated]
-            for c in cut_by[i, k]:
-                c = int(c)
-                cur = pieces.get(c)
-                if cur is None:
-                    cur = [ConvexPolygon(verts[c], validate=False)]
-                nxt: list[ConvexPolygon] = []
-                for p in cur:
-                    nxt.extend(convex_difference(p, Q).pieces)
+            for c in cut_by[i, k].tolist():
+                cur = pieces.get(c) or [ConvexPolygon(verts[c], validate=False)]
+                nxt = [q for p in cur for q in convex_difference(p, Q).pieces]
                 if nxt:
                     pieces[c] = nxt
                 else:
                     covered[c] = True
-                    pieces.pop(c, None)
-        act = []
+        # a cut cell with a visible area below the floor counts as covered
+        areas = mesh.cell_areas()
         visible: dict[int, PolySet] = {}
-        for c in range(len(mesh.cells)):
+        for c in sorted(pieces):
             if covered[c]:
                 continue
-            ps = pieces.get(c)
-            if ps is None:
-                act.append(c)
-                continue
-            vis = PolySet(ps)
+            vis = PolySet(pieces[c])
             if vis.area <= 1e-14 * areas[c]:
-                continue
-            act.append(c)
-            visible[c] = vis
+                covered[c] = True
+            else:
+                visible[c] = vis
         quads = polyset_quadratures(list(visible.values()), quad_order)
-        active.append(np.array(act, dtype=np.int64))
+        active.append(np.flatnonzero(~covered))
         cut_cells.append({
             c: CutCell(i, c, vis, q) for (c, vis), q in zip(visible.items(), quads)
         })
@@ -462,8 +451,10 @@ def _segment_cell_params(a: np.ndarray, b: np.ndarray, mesh: TriMesh, cells: np.
     return t_lo, t_hi, hit
 
 
-def _predomain_edge_normal(pre: ConvexPolygon, seg: Segment) -> np.ndarray:
-    """Outward normal of the predomain edge the segment lies on."""
+def _predomain_edge_normal(pre: ConvexPolygon, seg: Segment, part: int,
+                           cell: int) -> np.ndarray:
+    """Outward normal of the predomain edge the segment, a boundary facet
+    of the cell of the part's mesh, lies on."""
     tol = REL_TOL * max(pre.scale, 1.0) * 1e3  # mesh nodes sit on edges up to rounding
     mid = seg.midpoint()
     for p, q in pre.edges():
@@ -474,7 +465,10 @@ def _predomain_edge_normal(pre: ConvexPolygon, seg: Segment) -> np.ndarray:
         along = u[0] * (mid[0] - p[0]) + u[1] * (mid[1] - p[1])
         if off <= tol and -tol <= along <= ln + tol:
             return np.array([u[1], -u[0]])
-    raise ConfigError("boundary facet does not lie on its predomain hull")
+    raise ConfigError(
+        f"boundary facet of part {part}, cell {cell} does not lie on its predomain hull: "
+        f"midpoint ({mid[0]:.17g}, {mid[1]:.17g})"
+    )
 
 
 def _locate_cells(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray,
@@ -518,7 +512,7 @@ def _build_facets(config: MultiMeshConfig, active, grids, quad_order: int):
                 continue
             a, b = mesh.facet_endpoints(int(cell), int(ledge))
             whole = Segment(a, b)
-            normal = _predomain_edge_normal(part.predomain, whole)
+            normal = _predomain_edge_normal(part.predomain, whole, i, int(cell))
             # keep only the part of the facet not covered by higher predomains
             pieces = [whole]
             for k in range(i + 1, nparts):
@@ -641,7 +635,8 @@ def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids, quad_order: 
         lverts = lmesh.nodes[lmesh.cells[lower]]
         uverts = umesh.nodes[umesh.cells]
         tol = REL_TOL * max(config.parts[j].predomain.scale, 1.0)
-        q, cu = grids[j].query_bboxes(lverts.min(axis=1) - tol, lverts.max(axis=1) + tol)
+        llo, lhi = _cell_boxes(lverts)
+        q, cu = grids[j].query_bboxes(llo - tol, lhi + tol)
         keep = _mask(active[j], len(umesh.cells))[cu]
         q, cu = q[keep], cu[keep]
         keep = ~_sat_separated(lverts[q], uverts[cu])

@@ -16,6 +16,14 @@ every active upper cell of the bounding-box candidates clipped exactly, and
 one point location per sub-segment. The bulk builder must reproduce them bit
 for bit. `point_locate` is the scalar point location that evaluation used
 before it took arrays: one point, one grid bin and one cell at a time.
+
+`visible_regions` and `grid_table` are the cell bookkeeping of the cut
+topology as loops: a visit to every cell for the active list and a
+`lexsort` of the bin table. The mesh and space builders at the end
+(`structured_mesh`, `band_mesh`, `boundary_facets`, `band_markers`,
+`p2_numbering`, `boundary_dofs`) make the cells, boundary facets, markers and dof numbering
+one grid square, ring position or facet at a time, with the edges keyed as
+sorted node pairs and `np.unique(axis=0)`.
 """
 from __future__ import annotations
 
@@ -32,14 +40,27 @@ from stackfem.geom2d import (
     clip_segment,
     convex_difference,
     convex_intersect,
+    offset_polygon,
     polyset_quadrature,
     polyset_quadratures,
     segment_quadrature,
     triangle_quadrature,
     triangle_rule,
 )
-from stackfem.mesh import MARKER_OUTER, ref_basis, ref_basis_grad
-from stackfem.multimesh import InterfaceFacet, OverlapPiece, _predomain_edge_normal
+from stackfem.mesh import (
+    MARKER_INNER,
+    MARKER_OUTER,
+    _rectangle_frame,
+    ref_basis,
+    ref_basis_grad,
+)
+from stackfem.multimesh import (
+    CutCell,
+    InterfaceFacet,
+    OverlapPiece,
+    _predomain_edge_normal,
+    _signed_dists,
+)
 
 STAB_GRADIENT = "gradient-jump"
 
@@ -406,7 +427,7 @@ def interface_facets(config, active, grids, quad_order):
                 continue
             a, b = mesh.facet_endpoints(int(cell), int(ledge))
             whole = Segment(a, b)
-            normal = _predomain_edge_normal(part.predomain, whole)
+            normal = _predomain_edge_normal(part.predomain, whole, i, int(cell))
             pieces = [whole]
             for k in range(i + 1, nparts):
                 pieces = [q for p in pieces
@@ -453,3 +474,185 @@ def interface_facets(config, active, grids, quad_order):
     facets.sort(key=lambda f: (f.upper_mesh, f.upper_cell, f.lower_mesh, f.lower_cell,
                                tuple(f.segment.a), tuple(f.segment.b)))
     return facets
+
+
+# ---------------------------------------------------------------------------
+# Cut topology: visible regions and the grid table
+# ---------------------------------------------------------------------------
+
+def visible_regions(config, quad_order):
+    """Active cells, cut cells and the cells each higher predomain cuts,
+    with the boxes recomputed per predomain and a visit to every cell."""
+    nparts = config.nparts
+    active, cut_cells, cut_by = [], [], {}
+    for i, part in enumerate(config.parts):
+        mesh = part.mesh
+        verts = mesh.nodes[mesh.cells]
+        areas = mesh.cell_areas()
+        tol = REL_TOL * max(part.predomain.scale, 1.0)
+        covered = np.zeros(len(mesh.cells), dtype=bool)
+        pieces = {}
+        for k in range(i + 1, nparts):
+            Q = config.parts[k].predomain
+            x0, x1, y0, y1 = Q.bounds()
+            clo = verts.min(axis=1)
+            chi = verts.max(axis=1)
+            cand = np.flatnonzero(~covered & (clo[:, 0] <= x1 + tol) & (chi[:, 0] >= x0 - tol)
+                                  & (clo[:, 1] <= y1 + tol) & (chi[:, 1] >= y0 - tol))
+            if len(cand) == 0:
+                continue
+            d = _signed_dists(verts[cand], Q)
+            fully_in = np.all(d >= -tol, axis=(1, 2))
+            separated = np.any(np.all(d < -tol, axis=1), axis=1)
+            for c in cand[fully_in]:
+                covered[c] = True
+                pieces.pop(int(c), None)
+            cut_by[i, k] = cand[~fully_in & ~separated]
+            for c in cut_by[i, k]:
+                c = int(c)
+                cur = pieces.get(c) or [ConvexPolygon(verts[c], validate=False)]
+                nxt = [q for p in cur for q in convex_difference(p, Q).pieces]
+                if nxt:
+                    pieces[c] = nxt
+                else:
+                    covered[c] = True
+                    pieces.pop(c, None)
+        act, visible = [], {}
+        for c in range(len(mesh.cells)):
+            if covered[c]:
+                continue
+            ps = pieces.get(c)
+            if ps is None:
+                act.append(c)
+                continue
+            vis = PolySet(ps)
+            if vis.area <= 1e-14 * areas[c]:
+                continue
+            act.append(c)
+            visible[c] = vis
+        quads = polyset_quadratures(list(visible.values()), quad_order)
+        active.append(np.array(act, dtype=np.int64))
+        cut_cells.append({c: CutCell(i, c, vis, q) for (c, vis), q in zip(visible.items(), quads)})
+    return active, cut_cells, cut_by
+
+
+def grid_table(grid):
+    """(starts, cells) of a `_CellGrid`: every cell listed in each bin its
+    bounding box touches, ordered by bin then cell with `lexsort`."""
+    v = grid.mesh.nodes[grid.mesh.cells]
+    clo, chi = v.min(axis=1), v.max(axis=1)
+    bins, cells = [], []
+    for c in range(len(v)):
+        ix0, iy0 = (int(b) for b in _grid_bins(grid, clo[c]))
+        ix1, iy1 = (int(b) for b in _grid_bins(grid, chi[c]))
+        for ix in range(ix0, ix1 + 1):
+            for iy in range(iy0, iy1 + 1):
+                bins.append(ix * grid.ny + iy)
+                cells.append(c)
+    bins, cells = np.array(bins, dtype=np.int64), np.array(cells, dtype=np.int64)
+    order = np.lexsort((cells, bins))
+    return np.searchsorted(bins[order], np.arange(grid.nx * grid.ny + 1)), cells[order]
+
+
+def _grid_bins(grid, x):
+    return (min(max(int((x[0] - grid.lo[0]) / grid.bin), 0), grid.nx - 1),
+            min(max(int((x[1] - grid.lo[1]) / grid.bin), 0), grid.ny - 1))
+
+
+# ---------------------------------------------------------------------------
+# Meshes and spaces
+# ---------------------------------------------------------------------------
+
+def structured_mesh(polygon, target_h):
+    """Nodes and cells of the crossed-diagonal grid, one square at a time."""
+    v0, u, w, lu, lw = _rectangle_frame(polygon)
+    nx = max(1, math.ceil(lu / target_h - 1e-12))
+    ny = max(1, math.ceil(lw / target_h - 1e-12))
+    X, Y = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1),
+                       indexing="ij")
+    nodes = v0[None, :] + X.reshape(-1, 1) * u[None, :] + Y.reshape(-1, 1) * w[None, :]
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            n00, n10 = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+            n01, n11 = n00 + 1, n10 + 1
+            if (i + j) % 2 == 0:
+                cells += [(n00, n10, n11), (n00, n11, n01)]
+            else:
+                cells += [(n00, n10, n01), (n10, n11, n01)]
+    return nodes, np.array(cells, dtype=np.int64)
+
+
+def band_mesh(inner, width, target_h):
+    """Nodes and cells of the band, one ring edge and one ring position at
+    a time, and the size M of a ring."""
+    vin, vout = inner.vertices, offset_polygon(inner, width).vertices
+    nedge = len(vin)
+    nlay = max(1, math.ceil(width / target_h - 1e-12))
+    ring_in, ring_out = [], []
+    for k in range(nedge):
+        a_in, b_in = vin[k], vin[(k + 1) % nedge]
+        a_out, b_out = vout[k], vout[(k + 1) % nedge]
+        mseg = max(1, math.ceil(np.hypot(*(b_out - a_out)) / target_h - 1e-12))
+        t = np.arange(mseg) / mseg
+        ring_in.append(a_in[None, :] + t[:, None] * (b_in - a_in)[None, :])
+        ring_out.append(a_out[None, :] + t[:, None] * (b_out - a_out)[None, :])
+    ring_in, ring_out = np.concatenate(ring_in), np.concatenate(ring_out)
+    M = len(ring_in)
+    layers = np.arange(nlay + 1) / nlay
+    nodes = (ring_in[None] * (1.0 - layers[:, None, None])
+             + ring_out[None] * layers[:, None, None]).reshape(-1, 2)
+    cells = []
+    for layer in range(nlay):
+        for r in range(M):
+            c00, c10 = layer * M + r, layer * M + (r + 1) % M
+            c01, c11 = c00 + M, c10 + M
+            tri = [(c00, c10, c11), (c00, c11, c01)]
+            for t in tri:
+                v = nodes[list(t)]
+                cross = ((v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1])
+                         - (v[1, 1] - v[0, 1]) * (v[2, 0] - v[0, 0]))
+                cells.append((t[0], t[2], t[1]) if cross < 0 else t)
+    return nodes, np.array(cells, dtype=np.int64), M
+
+
+def boundary_facets(cells):
+    """(cell, local edge) of every edge that one cell alone holds, sorted."""
+    edges = np.sort(cells[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    _, inverse, counts = np.unique(edges, axis=0, return_inverse=True, return_counts=True)
+    facets = [(row // 3, row % 3) for row in range(len(edges))
+              if counts[inverse.ravel()[row]] == 1]
+    return np.array(sorted(facets), dtype=np.int64).reshape(-1, 2)
+
+
+def band_markers(cells, facets, M):
+    """MARKER_INNER on facets joining two inner-loop nodes (the first M)."""
+    markers = np.full(len(facets), MARKER_OUTER, dtype=np.int64)
+    for idx, (cell, ledge) in enumerate(facets):
+        if cells[cell][ledge] < M and cells[cell][(ledge + 1) % 3] < M:
+            markers[idx] = MARKER_INNER
+    return markers
+
+
+def p2_numbering(nodes, cells):
+    """P2 cell dofs and dof coordinates: one dof per edge after the nodes,
+    numbered by the sorted node pair."""
+    edges = np.concatenate([cells[:, [1, 2]], cells[:, [2, 0]], cells[:, [0, 1]]])
+    uniq, inverse = np.unique(np.sort(edges, axis=1), axis=0, return_inverse=True)
+    edge_dof = len(nodes) + inverse.reshape(3, len(cells)).T
+    mids = 0.5 * (nodes[uniq[:, 0]] + nodes[uniq[:, 1]])
+    return np.concatenate([cells, edge_dof], axis=1), np.concatenate([nodes, mids])
+
+
+def boundary_dofs(space, marker=None):
+    """Sorted unique dofs of the boundary facets (of one marker), collected
+    facet by facet."""
+    out = []
+    mesh = space.mesh
+    for (cell, ledge), mk in zip(mesh.boundary_facets, mesh.boundary_markers):
+        if marker is not None and mk != marker:
+            continue
+        tri = space.cell_dofs[cell]
+        a, b = ledge, (ledge + 1) % 3
+        out += [tri[a], tri[b]] if space.degree == 1 else [tri[a], tri[b], tri[6 - a - b]]
+    return np.unique(np.array(out, dtype=np.int64)) if out else np.zeros(0, dtype=np.int64)

@@ -1,9 +1,11 @@
-"""Bulk candidate pairs of the cut topology.
+"""Bulk candidate pairs and cell bookkeeping of the cut topology.
 
 The overlap pieces and interface facets built from bulk grid queries and the
 separating-axis prefilter must equal, bit for bit, the ones the per-entity
-loops in `loop_reference` build. The two bulk building blocks are checked
-on their own against brute force with hypothesis.
+loops in `loop_reference` build. So must the active cells, the visible
+regions and the grid bin tables, which the loops build one cell at a time.
+The two bulk building blocks are checked on their own against brute force
+with hypothesis.
 """
 import math
 
@@ -21,6 +23,7 @@ from stackfem.multimesh import (
     SAT_MARGIN,
     _CellGrid,
     _sat_separated,
+    _visible_regions,
     build_cut_topology,
 )
 
@@ -81,6 +84,34 @@ def test_facets_match_loop_oracle_exactly(stack):
         assert np.array_equal(got.normal, exp.normal)
         assert np.array_equal(got.quad.points, exp.quad.points)
         assert np.array_equal(got.quad.weights, exp.quad.weights)
+
+
+def test_visible_regions_match_loop_oracle_bitwise(stack):
+    config, topo = stack
+    active, cut_cells, cut_by = ref.visible_regions(config, topo.quad_order)
+    got_cut_by = _visible_regions(config, topo.quad_order)[2]
+    assert sorted(got_cut_by) == sorted(cut_by)
+    for key in cut_by:
+        assert np.array_equal(got_cut_by[key], cut_by[key])
+    for i in range(config.nparts):
+        assert topo.active[i].dtype == np.int64
+        assert np.array_equal(topo.active[i], active[i])
+        assert list(topo.cut_cells[i]) == list(cut_cells[i])
+        for got, exp in zip(topo.cut_cells[i].values(), cut_cells[i].values()):
+            assert len(got.visible.pieces) == len(exp.visible.pieces)
+            for p, q in zip(got.visible.pieces, exp.visible.pieces):
+                assert np.array_equal(p.vertices, q.vertices)
+            assert np.array_equal(got.visible_quad.points, exp.visible_quad.points)
+            assert np.array_equal(got.visible_quad.weights, exp.visible_quad.weights)
+
+
+def test_grid_tables_match_loop_oracle(stack):
+    _, topo = stack
+    for grid in topo.grids:
+        starts, cells = grid._table
+        want_starts, want_cells = ref.grid_table(grid)
+        assert starts.dtype == cells.dtype == np.int64
+        assert np.array_equal(starts, want_starts) and np.array_equal(cells, want_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,17 @@ class TestBoundaryLayer:
         meta = json.loads((out / "meta.json").read_text())
         assert "hexagon" in meta["obstacle"]
 
+    def test_meta_records_no_unused_setting(self, tmp_path):
+        def run(name, *flags):
+            out = tmp_path / name
+            assert main(["boundary-layer", "--k-min", "0", "--k-max", "0", "--out", str(out),
+                         *flags]) == 0
+            return (out / "meta.json").read_text(), (out / "probe_k0.csv").read_bytes()
+
+        meta, probe = run("default")
+        assert run("flags", "--mm-config", "II", "--seed", "7", "--full") == (meta, probe)
+        assert not {"config", "seed", "full", "problem"} & set(json.loads(meta))
+
     def test_form_flags_reach_the_solve(self, tmp_path):
         def run(name, *flags):
             out = tmp_path / name

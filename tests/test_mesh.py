@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import loop_reference as ref
 from conftest import fit_rate
 from stackfem.geom2d import (
     offset_polygon,
@@ -67,9 +71,17 @@ class TestStructuredMesh:
         assert all(c == 2 for c in counts.values())
 
     def test_nonconforming_rejected(self):
-        nodes = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0]]
+        # node 4 sits off the line through nodes 0 and 1, so every cell is
+        # counterclockwise and only the conformity check can fail
+        nodes = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]]
         cells = [[0, 1, 2], [1, 3, 2], [0, 1, 4], [0, 1, 3]]  # edge (0,1) used 3x
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by 3 cells"):
+            TriMesh(nodes, cells)
+
+    def test_clockwise_cell_named(self):
+        nodes = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]]
+        cells = [[0, 1, 2], [1, 2, 3], [1, 4, 3]]  # cell 1 runs clockwise
+        with pytest.raises(ValueError, match=r"^1 cells .* first is cell 1 with nodes \[1, 2, 3\]"):
             TriMesh(nodes, cells)
 
 
@@ -117,6 +129,61 @@ class TestBandMesh:
         hexa = regular_polygon(6, 0.15, (0.5, 0.5))
         with pytest.raises(ValueError):
             build_band_mesh(hexa, -0.1, 0.05)
+
+
+def _assert_same(got, want):
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _assert_spaces_match_oracle(mesh):
+    for degree in (1, 2):
+        space = FeSpace(mesh, degree)
+        if degree == 2:
+            cell_dofs, dof_coords = ref.p2_numbering(mesh.nodes, mesh.cells)
+            _assert_same(space.cell_dofs, cell_dofs)
+            assert np.array_equal(space.dof_coords, dof_coords)
+        for marker in (None, MARKER_OUTER, MARKER_INNER):
+            _assert_same(space.boundary_dofs(marker), ref.boundary_dofs(space, marker))
+
+
+@given(
+    x0=st.floats(-1.0, 1.0), y0=st.floats(-1.0, 1.0),
+    lx=st.floats(0.01, 1.0), ly=st.floats(0.01, 1.0),
+    angle=st.one_of(st.sampled_from([0.0, 90.0, 1e-9]), st.floats(-180.0, 180.0)),
+    cells_per_side=st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.3, 24.0)),
+)
+def test_structured_mesh_matches_loop_oracle(x0, y0, lx, ly, angle, cells_per_side):
+    """Cells, facets and dofs equal the per-square loops, down to one cell
+    pair (a target_h above both sides) and single rows or columns."""
+    poly = rotate_rect((x0, x0 + lx, y0, y0 + ly), angle)
+    target_h = max(lx, ly) / cells_per_side
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        mesh = build_structured_mesh(poly, target_h)
+    nodes, cells = ref.structured_mesh(poly, target_h)
+    assert np.array_equal(mesh.nodes, nodes)
+    _assert_same(mesh.cells, cells)
+    _assert_same(mesh.boundary_facets, ref.boundary_facets(cells))
+    _assert_same(mesh.boundary_markers, np.zeros(len(mesh.boundary_facets), dtype=np.int64))
+    _assert_spaces_match_oracle(mesh)
+
+
+@given(
+    nsides=st.integers(3, 8),
+    inradius=st.floats(0.05, 0.5),
+    width=st.floats(0.01, 0.3),
+    layers=st.one_of(st.just(1.0), st.floats(0.5, 6.0)),
+)
+def test_band_mesh_matches_loop_oracle(nsides, inradius, width, layers):
+    hexa = regular_polygon(nsides, inradius, (0.5, 0.5))
+    target_h = width / layers
+    mesh = build_band_mesh(hexa, width, target_h)
+    nodes, cells, ring = ref.band_mesh(hexa, width, target_h)
+    assert np.array_equal(mesh.nodes, nodes)
+    _assert_same(mesh.cells, cells)
+    _assert_same(mesh.boundary_facets, ref.boundary_facets(cells))
+    _assert_same(mesh.boundary_markers, ref.band_markers(cells, mesh.boundary_facets, ring))
+    _assert_spaces_match_oracle(mesh)
 
 
 class TestFeSpace:

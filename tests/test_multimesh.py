@@ -267,6 +267,18 @@ class TestConfigValidation:
                 ]
             )
 
+    def test_facet_off_hull_names_part_and_cell(self):
+        # same area as the predomain, shifted up: facets of the bottom row
+        # lie off the predomain hull
+        bg = rect_polygon(0.0, 1.0, 0.0, 1.0)
+        bg_mesh = build_structured_mesh(bg, 0.25)
+        pre = rect_polygon(0.25, 0.75, 0.25, 0.75)
+        shifted = build_structured_mesh(rect_polygon(0.25, 0.75, 0.3125, 0.8125), 0.125)
+        config = MultiMeshConfig([MultiMeshPart(bg, bg_mesh, FeSpace(bg_mesh, 1)),
+                                  MultiMeshPart(pre, shifted, FeSpace(shifted, 1))])
+        with pytest.raises(ConfigError, match=r"part 1, cell 0 does not lie on its predomain"):
+            build_cut_topology(config)
+
 
 def _in_cell(mesh, cell, x, tol=1e-10) -> bool:
     v = mesh.nodes[mesh.cells[cell]]
