@@ -15,7 +15,6 @@ from .geom2d import (
     clip_segment,
     convex_difference,
     convex_intersect,
-    polyset_quadrature,
     rect_polygon,
     regular_polygon,
     rotate_rect,

@@ -9,7 +9,7 @@ and tabulated at once, and local matrices are reduced per entity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import io as scipy_io
@@ -107,10 +107,9 @@ class _Triplets:
 
 @dataclass
 class SystemMatrix:
-    """Assembled stiffness matrix with per-mesh block offsets."""
+    """Assembled stiffness matrix of the coupled system."""
 
     matrix: CsrMatrix
-    block_offsets: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -234,7 +233,7 @@ def assemble_system(topology: CutTopology, params: FormParams) -> SystemMatrix:
     trip.extend(assemble_stabilization(topology, params))
     rows, cols, vals = trip.arrays()
     mat = CsrMatrix.from_triplets(rows, cols, vals, topology.total_dim)
-    return SystemMatrix(mat, topology.block_offsets())
+    return SystemMatrix(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,6 @@ class ReducedSystem:
     free: np.ndarray
     bc: DirichletBC
     dim_full: int
-    block_offsets: np.ndarray = field(repr=False, default=None)
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
         """Full coefficient vector: solved values on free dofs, boundary data
@@ -338,14 +336,7 @@ def apply_dirichlet(
     A = system.matrix.csr
     A_ff = A[np.ix_(free, free)]
     rhs = load[free] - A[np.ix_(free, bc.dofs)] @ bc.values
-    return ReducedSystem(
-        CsrMatrix(A_ff.tocsr()),
-        rhs,
-        free,
-        bc,
-        system.dim,
-        block_offsets=system.block_offsets,
-    )
+    return ReducedSystem(CsrMatrix(A_ff.tocsr()), rhs, free, bc, system.dim)
 
 
 def dump_matrixmarket(system: SystemMatrix, path) -> None:

@@ -449,12 +449,15 @@ def _cmd_solve(args) -> int:
     config = build_stack(predomains, [k] * len(predomains), cfg.degree)
     res = solve_poisson(config, cfg.form_params(), f, u_exact)
     if not res.report.converged:
-        print(f"solver did not converge: residual {res.report.relative_residual:.3e}")
+        logger.error("solver did not converge on %s at k=%d: residual %.3e",
+                     cfg.config, k, res.report.relative_residual)
         return 1
     rep = _error_report(f"{cfg.config}:k{k}", cfg.degree, res, u_exact, grad_u)
     _write_reports(outdir / "results.csv", [rep], len(predomains))
+    # one level runs, recorded as k: the k range, --full and --seed do not reach it
     _write_meta(outdir, cfg, {"command": "solve", "k": k,
-                              "residual": res.report.relative_residual})
+                              "residual": res.report.relative_residual},
+                omit=("seed", "k_min", "k_max", "full"))
     if args.dump_matrix:
         dump_matrixmarket(res.system, outdir / "system.mtx")
     if args.dump_topology:
@@ -479,8 +482,9 @@ def _cmd_convergence(args) -> int:
         mode = "permutations"
     nparts = len(cfg.predomains())
     _write_reports(outdir / "results.csv", reports, nparts)
+    # --seed does not reach the run
     _write_meta(outdir, cfg, {"command": "convergence", "mode": mode,
-                              "rotation_center": "rectangle centroid"})
+                              "rotation_center": "rectangle centroid"}, omit=("seed",))
     print(f"convergence ({mode}): {len(reports)} solves -> {outdir / 'results.csv'}")
     return 0
 

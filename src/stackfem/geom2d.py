@@ -20,11 +20,8 @@ __all__ = [
     "convex_intersect",
     "convex_difference",
     "clip_segment",
-    "polyset_quadrature",
-    "polyset_quadratures",
-    "segment_quadrature",
-    "triangle_quadrature",
     "triangles_quadrature",
+    "segments_quadrature",
     "fan_triangles",
     "rotate_rect",
     "rect_polygon",
@@ -474,53 +471,14 @@ def triangles_quadrature(tris: np.ndarray, order: int) -> QuadRule:
     return QuadRule(pts, np.outer(_triangle_areas(tris), w))
 
 
-def triangle_quadrature(tri_verts: np.ndarray, order: int) -> QuadRule:
-    """Mapped rule on a single physical triangle given as a (3, 2) array."""
-    return triangles_quadrature(np.asarray(tri_verts, dtype=float)[None], order)
-
-
-def polyset_quadrature(S: PolySet, order: int) -> QuadRule:
-    """Quadrature over a PolySet, exact for polynomials of total degree <= order.
-
-    Each convex piece is fan-triangulated from its first vertex and a mapped
-    reference rule is laid on every triangle.
-    """
-    return polyset_quadratures([S], order)[0]
-
-
-def polyset_quadratures(sets: list[PolySet], order: int) -> list[QuadRule]:
-    """polyset_quadrature of every PolySet, computed in one pass."""
-    if not sets:
-        return []
-    set_of = np.repeat(np.arange(len(sets)), [len(S.pieces) for S in sets])
-    tris, owner = fan_triangles([p for S in sets for p in S.pieces])
-    quad = triangles_quadrature(tris, order)
-    nq = len(triangle_rule(order)[1])
-    cuts = np.searchsorted(set_of[owner], np.arange(1, len(sets))) * nq
-    return [
-        QuadRule(p, w)
-        for p, w in zip(np.split(quad.points, cuts), np.split(quad.weights, cuts))
-    ]
-
-
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_unit(npts: int):
-    rule = _GAUSS_CACHE.get(npts)
-    if rule is None:
-        x, w = np.polynomial.legendre.leggauss(npts)
-        rule = (0.5 * (x + 1.0), 0.5 * w)
-        _GAUSS_CACHE[npts] = rule
-    return rule
-
-
-def segment_quadrature(s: Segment, order: int) -> QuadRule:
-    """Gauss rule along a segment, exact for polynomials of degree <= order."""
-    npts = max(1, (order + 2) // 2)
-    t, w = _gauss_unit(npts)
-    pts = s.a[None, :] + t[:, None] * (s.b - s.a)[None, :]
-    return QuadRule(pts, w * s.length)
+def segments_quadrature(a: np.ndarray, b: np.ndarray, order: int) -> QuadRule:
+    """Gauss rule exact for degree <= order mapped onto every segment
+    a[s] -> b[s] (each (ns, 2)); the points of segment s are rows
+    s*nq .. (s+1)*nq - 1."""
+    x, w = np.polynomial.legendre.leggauss(max(1, (order + 2) // 2))
+    d = b - a
+    pts = a[:, None, :] + 0.5 * (x + 1.0)[None, :, None] * d[:, None, :]
+    return QuadRule(pts, np.outer(np.hypot(d[:, 0], d[:, 1]), 0.5 * w))
 
 
 # ---------------------------------------------------------------------------

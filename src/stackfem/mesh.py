@@ -232,10 +232,6 @@ class FeSpace:
             self.dof_coords = np.concatenate([mesh.nodes, mids])
         self.dim = len(self.dof_coords)
 
-    @property
-    def ndof_local(self) -> int:
-        return 3 if self.degree == 1 else 6
-
     def tabulate(self, cells: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Basis values (n, nd) and physical gradients (n, nd, 2) at points
         (n, 2), point k taken in cell cells[k]."""

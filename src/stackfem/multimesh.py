@@ -5,6 +5,9 @@ regions (cell minus all higher predomains), the interface facets between a
 mesh boundary and the topmost visible mesh below it, the overlap pieces
 where an active cell reaches under a higher mesh, and the combinatorial
 overlap counts driving the conditioning diagnostics.
+
+The topology is geometry only; quadrature batches are built from it on
+first use.
 """
 from __future__ import annotations
 
@@ -18,14 +21,12 @@ from .geom2d import (
     REL_TOL,
     ConvexPolygon,
     PolySet,
-    QuadRule,
     Segment,
     clip_segment,
     convex_difference,
     convex_intersect,
     fan_triangles,
-    polyset_quadratures,
-    segment_quadrature,
+    segments_quadrature,
     triangle_rule,
     triangles_quadrature,
 )
@@ -95,7 +96,6 @@ class CutCell:
     mesh_index: int
     cell: int
     visible: PolySet
-    visible_quad: QuadRule
 
 
 @dataclass
@@ -106,7 +106,6 @@ class InterfaceFacet:
     lower_mesh: int
     lower_cell: int
     normal: np.ndarray  # unit, outward from the upper predomain
-    quad: QuadRule
 
 
 @dataclass
@@ -116,7 +115,6 @@ class OverlapPiece:
     lower_cell: int
     upper_mesh: int
     upper_cell: int
-    quad: QuadRule
 
 
 @dataclass
@@ -141,24 +139,26 @@ class QuadBatch:
         return np.repeat(values, np.diff(self.starts), axis=0)
 
 
-def _pair_batches(entities, with_normals: bool = False) -> list[QuadBatch]:
-    """One batch per (lower, upper) mesh pair of facets or overlap pieces."""
-    groups: dict[tuple[int, int], list] = {}
-    for e in entities:
-        if e.quad.total > 0.0:
-            groups.setdefault((e.lower_mesh, e.upper_mesh), []).append(e)
-    out = []
-    for meshes, ents in sorted(groups.items()):
-        counts = [len(e.quad.weights) for e in ents]
-        out.append(QuadBatch(
-            meshes,
-            np.array([(e.lower_cell, e.upper_cell) for e in ents], dtype=np.int64),
-            np.concatenate([[0], np.cumsum(counts)]),
-            np.concatenate([e.quad.points for e in ents]),
-            np.concatenate([e.quad.weights for e in ents]),
-            np.array([e.normal for e in ents]) if with_normals else None,
-        ))
-    return out
+def _triangle_batch(meshes: tuple[int, ...], cells: np.ndarray, tris: np.ndarray,
+                    owner: np.ndarray, order: int) -> QuadBatch:
+    """The rule of the given order mapped onto triangles tris (nt, 3, 2),
+    triangle t belonging to entity owner[t] (ascending) with cells
+    cells[owner[t]]."""
+    quad = triangles_quadrature(tris, order)
+    nq = len(triangle_rule(order)[1])
+    starts = np.searchsorted(owner, np.arange(len(cells) + 1)) * nq
+    return QuadBatch(meshes, cells, starts, quad.points, quad.weights)
+
+
+def _pair_groups(entities):
+    """Facets or overlap pieces grouped by (lower, upper) mesh pair, pairs
+    ascending: yields the pair, the (lower cell, upper cell) rows of its
+    entities and their positions in the list, in list order."""
+    rows = np.array([(e.lower_mesh, e.upper_mesh, e.lower_cell, e.upper_cell)
+                     for e in entities], dtype=np.int64).reshape(-1, 4)
+    for pair in np.unique(rows[:, :2], axis=0):
+        sel = np.flatnonzero((rows[:, :2] == pair).all(axis=1))
+        yield tuple(pair.tolist()), rows[sel, 2:], sel
 
 
 class _CellGrid:
@@ -242,7 +242,6 @@ class CutTopology:
     cut_cells: list[dict[int, CutCell]]      # only cells that are actually cut
     facets: list[InterfaceFacet]
     overlaps: list[OverlapPiece]
-    delta: np.ndarray
     N_O: int
     N_Oi: np.ndarray
     gamma_len: np.ndarray
@@ -307,32 +306,49 @@ class CutTopology:
         )
 
     def _cell_batch(self, i: int, order: int) -> QuadBatch:
+        """Entities are the uncut active cells, then the cut cells."""
+        cut = self.cut_cells[i]
+
         def cut_fan():
-            pieces = [(c, p) for c, cc in self.cut_cells[i].items() for p in cc.visible]
-            tris, owner = fan_triangles([p for _, p in pieces])
-            return tris, np.array([c for c, _ in pieces], dtype=np.int64)[owner]
+            piece_cell = [k for k, cc in enumerate(cut.values()) for _ in cc.visible]
+            tris, owner = fan_triangles([p for cc in cut.values() for p in cc.visible])
+            return tris, np.array(piece_cell, dtype=np.int64)[owner]
 
         mesh = self.parts[i].mesh
         uncut = self.uncut_active(i)
         cut_tris, cut_owner = self._cached(("fan", i), cut_fan)
-        tri_cell = np.concatenate([uncut, cut_owner])
-        quad = triangles_quadrature(
-            np.concatenate([mesh.nodes[mesh.cells[uncut]], cut_tris]), order
-        )
-        first = np.flatnonzero(np.diff(tri_cell, prepend=-1) != 0)
-        nq = len(triangle_rule(order)[1])
-        return QuadBatch(
-            (i,), tri_cell[first, None], np.append(first, len(tri_cell)) * nq,
-            quad.points, quad.weights,
+        return _triangle_batch(
+            (i,),
+            np.concatenate([uncut, np.fromiter(cut, dtype=np.int64)])[:, None],
+            np.concatenate([mesh.nodes[mesh.cells[uncut]], cut_tris]),
+            np.concatenate([np.arange(len(uncut)), len(uncut) + cut_owner]),
+            order,
         )
 
     def facet_batches(self) -> list[QuadBatch]:
-        """Interface facet quadrature, one batch per (lower, upper) mesh pair."""
-        return self._cached("facets", lambda: _pair_batches(self.facets, with_normals=True))
+        """Interface facet quadrature, one batch per (lower, upper) mesh pair:
+        the Gauss rule of order quad_order on every facet segment."""
+        def build():
+            # per facet: its two endpoints and its normal
+            geo = np.array([(f.segment.a, f.segment.b, f.normal) for f in self.facets])
+            out = []
+            for meshes, cells, sel in _pair_groups(self.facets):
+                quad = segments_quadrature(geo[sel, 0], geo[sel, 1], self.quad_order)
+                nq = len(quad.weights) // len(sel)
+                out.append(QuadBatch(meshes, cells, np.arange(len(sel) + 1) * nq,
+                                     quad.points, quad.weights, geo[sel, 2]))
+            return out
+
+        return self._cached("facets", build)
 
     def overlap_batches(self) -> list[QuadBatch]:
-        """Overlap piece quadrature, one batch per (lower, upper) mesh pair."""
-        return self._cached("overlaps", lambda: _pair_batches(self.overlaps))
+        """Overlap piece quadrature, one batch per (lower, upper) mesh pair:
+        the triangle rule of order quad_order on the fan of every piece."""
+        return self._cached("overlaps", lambda: [
+            _triangle_batch(meshes, cells, *fan_triangles([self.overlaps[k].polygon for k in sel]),
+                            self.quad_order)
+            for meshes, cells, sel in _pair_groups(self.overlaps)
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +365,7 @@ def _signed_dists(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
     return (e[:, 0] * py - e[:, 1] * px) / ln
 
 
-def _visible_regions(config: MultiMeshConfig, quad_order: int):
+def _visible_regions(config: MultiMeshConfig):
     """Active cell ids and CutCells per mesh, and for each pair i < k the
     cells of mesh i that predomain k cuts: an active cell of mesh i can
     overlap Q_k with positive area only if it is among them."""
@@ -400,11 +416,8 @@ def _visible_regions(config: MultiMeshConfig, quad_order: int):
                 covered[c] = True
             else:
                 visible[c] = vis
-        quads = polyset_quadratures(list(visible.values()), quad_order)
         active.append(np.flatnonzero(~covered))
-        cut_cells.append({
-            c: CutCell(i, c, vis, q) for (c, vis), q in zip(visible.items(), quads)
-        })
+        cut_cells.append({c: CutCell(i, c, vis) for c, vis in visible.items()})
     return active, cut_cells, cut_by
 
 
@@ -494,7 +507,7 @@ def _locate_cells(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray
     return out
 
 
-def _build_facets(config: MultiMeshConfig, active, grids, quad_order: int):
+def _build_facets(config: MultiMeshConfig, active, grids):
     """Interface facets: the visible part of each active outer boundary
     facet of mesh i > 0, split among the lower meshes that own it and at
     every lower cell edge it crosses."""
@@ -539,8 +552,7 @@ def _build_facets(config: MultiMeshConfig, active, grids, quad_order: int):
     facets: list[InterfaceFacet] = []
     for j, segs in enumerate(owned):
         if segs:
-            facets.extend(_split_owned(config.parts[j].mesh, grids[j], masks[j], j, segs,
-                                       quad_order))
+            facets.extend(_split_owned(config.parts[j].mesh, grids[j], masks[j], j, segs))
     facets.sort(
         key=lambda f: (
             f.upper_mesh,
@@ -554,8 +566,8 @@ def _build_facets(config: MultiMeshConfig, active, grids, quad_order: int):
     return facets
 
 
-def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, j: int, segs: list,
-                 quad_order: int) -> list[InterfaceFacet]:
+def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, j: int,
+                 segs: list) -> list[InterfaceFacet]:
     """Split the segments owned by mesh j where they cross its cell edges
     and pair each sub-segment with the active cell holding its midpoint."""
     n = len(segs)
@@ -583,9 +595,7 @@ def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, j: int, segs:
     out = []
     for k in np.flatnonzero(lower >= 0):  # else a rounding sliver outside the lower mesh
         i, cell, normal, _, _ = segs[s[k]]
-        sub = Segment(pa[k], pb[k])
-        out.append(InterfaceFacet(sub, i, cell, j, int(lower[k]), normal,
-                                  segment_quadrature(sub, quad_order)))
+        out.append(InterfaceFacet(Segment(pa[k], pb[k]), i, cell, j, int(lower[k]), normal))
     return out
 
 
@@ -619,7 +629,7 @@ def _sat_separated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.any(gap > margin, axis=1)
 
 
-def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids, quad_order: int):
+def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids):
     """Overlap pieces: each active cell of mesh i that Q_j cuts, intersected
     with the active cells of mesh j near it, minus all higher predomains.
 
@@ -628,7 +638,7 @@ def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids, quad_order: 
     only the rest are clipped exactly.
     """
     nparts = config.nparts
-    found: list[tuple] = []
+    overlaps: list[OverlapPiece] = []
     for (i, j), cut in sorted(cut_by.items()):
         lmesh, umesh = config.parts[i].mesh, config.parts[j].mesh
         lower = cut[_mask(active[i], len(lmesh.cells))[cut]]
@@ -658,9 +668,7 @@ def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids, quad_order: 
                     break
             if len(pieces) > 1:
                 pieces.sort(key=lambda p: tuple(p.centroid()))
-            found.extend((p, i, int(lower[qk]), j, ck) for p in pieces)
-    quads = polyset_quadratures([PolySet([f[0]]) for f in found], quad_order)
-    overlaps = [OverlapPiece(*f, q) for f, q in zip(found, quads)]
+            overlaps.extend(OverlapPiece(p, i, int(lower[qk]), j, ck) for p in pieces)
     # order by (lower mesh, lower cell, upper mesh, upper cell, centroid):
     # the pieces of one cell pair are already in centroid order, and the
     # sort is stable
@@ -669,12 +677,13 @@ def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids, quad_order: 
 
 
 def build_cut_topology(config: MultiMeshConfig, quad_order: int = 2) -> CutTopology:
-    """Construct the full cut topology of a mesh stack."""
+    """Construct the full cut topology of a mesh stack. quad_order is the
+    order of the facet and overlap batches and the default cell order."""
     nparts = config.nparts
-    active, cut_cells, cut_by = _visible_regions(config, quad_order)
+    active, cut_cells, cut_by = _visible_regions(config)
     grids = [_CellGrid(p.mesh) for p in config.parts]
-    facets = _build_facets(config, active, grids, quad_order)
-    overlaps = _build_overlaps(config, active, cut_by, grids, quad_order)
+    facets = _build_facets(config, active, grids)
+    overlaps = _build_overlaps(config, active, cut_by, grids)
 
     gamma_len = np.zeros(nparts)
     for f in facets:
@@ -687,13 +696,12 @@ def build_cut_topology(config: MultiMeshConfig, quad_order: int = 2) -> CutTopol
         cut_cells=cut_cells,
         facets=facets,
         overlaps=overlaps,
-        delta=None,
         N_O=0,
         N_Oi=None,
         gamma_len=gamma_len,
         grids=grids,
     )
-    topo.delta, topo.N_O, topo.N_Oi = compute_delta_NO(topo)
+    _, topo.N_O, topo.N_Oi = compute_delta_NO(topo)
     return topo
 
 

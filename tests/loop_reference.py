@@ -1,13 +1,23 @@
 """Per-entity reference evaluators of the cut integrals and of the cut
 topology (test oracles).
 
+The per-entity rules come first: `triangle_quadrature` on one cell,
+`polyset_quadrature` on one visible region or overlap polygon (a fan of
+each convex piece from its first vertex) and `segment_quadrature` on one
+facet segment. Each is built from the entity's own geometry (`cc.visible`,
+`o.polygon`, `f.segment`), one entity at a time. `cell_batches`,
+`facet_batches` and `overlap_batches` concatenate them into the flat
+batches that `stackfem.multimesh.CutTopology` builds in bulk, which must
+match bit for bit.
+
 Each integral evaluator visits one cut cell, interface facet or overlap piece at a
-time, maps its quadrature points into the owning cells one cell at a time
-and sums the local contributions in plain loops. They share no code with
-the batched kernel in `stackfem.assembly` / `stackfem.analysis` beyond the
-reference basis functions, the cut topology itself and the quadrature rules
-of `stackfem.geom2d`, so agreement between the two is a real check of the batching (entity
-offsets, per-point cell gathers, grouping by point count, scatter).
+time, lays its own per-entity rule on it, maps the points into the owning
+cells one cell at a time and sums the local contributions in plain loops.
+They share no code with the batched kernel in `stackfem.assembly` /
+`stackfem.analysis` beyond the reference basis functions, the cut topology
+geometry and the reference rules of `stackfem.geom2d`, so agreement between
+the two is a real check of the batching (entity offsets, per-point cell
+gathers, grouping by point count, scatter).
 
 `overlap_pieces` and `interface_facets` build the overlap pieces and the
 interface facets the way `stackfem.multimesh` did before it generated
@@ -37,15 +47,14 @@ from stackfem.geom2d import (
     ConvexPolygon,
     PolySet,
     Segment,
+    QuadRule,
     clip_segment,
     convex_difference,
     convex_intersect,
+    fan_triangles,
     offset_polygon,
-    polyset_quadrature,
-    polyset_quadratures,
-    segment_quadrature,
-    triangle_quadrature,
     triangle_rule,
+    triangles_quadrature,
 )
 from stackfem.mesh import (
     MARKER_INNER,
@@ -58,6 +67,7 @@ from stackfem.multimesh import (
     CutCell,
     InterfaceFacet,
     OverlapPiece,
+    QuadBatch,
     _predomain_edge_normal,
     _signed_dists,
 )
@@ -88,6 +98,78 @@ class _Blocks:
         )
         return coo.tocsr()
 
+
+# ---------------------------------------------------------------------------
+# Per-entity rules and the batches they make
+# ---------------------------------------------------------------------------
+
+def triangle_quadrature(tri_verts, order) -> QuadRule:
+    """Mapped rule on one physical triangle given as a (3, 2) array."""
+    return triangles_quadrature(np.asarray(tri_verts, dtype=float)[None], order)
+
+
+def polyset_quadrature(S, order) -> QuadRule:
+    """Rule over one PolySet: each convex piece fan-triangulated from its
+    first vertex, the mapped rule on every triangle."""
+    return triangles_quadrature(fan_triangles(S.pieces)[0], order)
+
+
+def segment_quadrature(seg, order) -> QuadRule:
+    """Gauss rule along one segment, exact for degree <= order."""
+    x, w = np.polynomial.legendre.leggauss(max(1, (order + 2) // 2))
+    t = 0.5 * (x + 1.0)
+    return QuadRule(seg.a[None, :] + t[:, None] * (seg.b - seg.a)[None, :], 0.5 * w * seg.length)
+
+
+def _batch(meshes, cells, rules, normals=None) -> QuadBatch:
+    return QuadBatch(
+        meshes,
+        np.array(cells, dtype=np.int64).reshape(len(rules), len(meshes)),
+        np.concatenate([[0], np.cumsum([len(r.weights) for r in rules])]).astype(np.int64),
+        np.concatenate([r.points for r in rules]),
+        np.concatenate([r.weights for r in rules]),
+        None if normals is None else np.array(normals),
+    )
+
+
+def cell_batches(config, active, cut_cells, order) -> list[QuadBatch]:
+    """Per mesh: the uncut active cells with the rule of their triangle,
+    then the cut cells with the rule of their visible region."""
+    out = []
+    for i, part in enumerate(config.parts):
+        uncut = [int(c) for c in active[i] if int(c) not in cut_cells[i]]
+        rules = [triangle_quadrature(part.mesh.cell_vertices(c), order) for c in uncut]
+        rules += [polyset_quadrature(cc.visible, order) for cc in cut_cells[i].values()]
+        out.append(_batch((i,), uncut + list(cut_cells[i]), rules))
+    return out
+
+
+def _pair_batches(entities, rules, with_normals=False) -> list[QuadBatch]:
+    """Entities with positive weight, grouped by (lower, upper) mesh pair."""
+    groups = {}
+    for e, r in zip(entities, rules):
+        if r.total > 0.0:
+            groups.setdefault((e.lower_mesh, e.upper_mesh), []).append((e, r))
+    return [
+        _batch(meshes, [(e.lower_cell, e.upper_cell) for e, _ in ents], [r for _, r in ents],
+               [e.normal for e, _ in ents] if with_normals else None)
+        for meshes, ents in sorted(groups.items())
+    ]
+
+
+def facet_batches(facets, order) -> list[QuadBatch]:
+    return _pair_batches(facets, [segment_quadrature(f.segment, order) for f in facets],
+                         with_normals=True)
+
+
+def overlap_batches(overlaps, order) -> list[QuadBatch]:
+    return _pair_batches(overlaps,
+                         [polyset_quadrature(PolySet([o.polygon]), order) for o in overlaps])
+
+
+# ---------------------------------------------------------------------------
+# Cut integrals
+# ---------------------------------------------------------------------------
 
 def _ref_rule(order):
     bary, w = triangle_rule(order)
@@ -132,10 +214,10 @@ def volume_matrix(topology, params) -> sparse.csr_matrix:
             K *= areas[:, None, None]
             out.add_many(offsets[i] + space.cell_dofs[cells], K)
         for cell, cc in topology.cut_cells[i].items():
-            if cc.visible_quad.total <= 0.0:
+            quad = polyset_quadrature(cc.visible, params.quad_order)
+            if quad.total <= 0.0:
                 continue
-            pts = cc.visible_quad.points
-            wq = cc.visible_quad.weights
+            pts, wq = quad.points, quad.weights
             ph, g, dofs = _trace(space, cell, pts, offsets[i])
             K = np.einsum("q,qal,qbl->ab", wq, g, g)
             if eps2:
@@ -154,7 +236,8 @@ def interface_matrix(topology, params) -> sparse.csr_matrix:
         ki = h[i] / (h[i] + h[j])
         kj = 1.0 - ki
         pen = params.beta0 / (h[i] + h[j])
-        pts, wq = f.quad.points, f.quad.weights
+        quad = segment_quadrature(f.segment, topology.quad_order)
+        pts, wq = quad.points, quad.weights
         phi_u, grad_u, dofs_u = _trace(topology.parts[i].space, f.upper_cell, pts, offsets[i])
         phi_l, grad_l, dofs_l = _trace(topology.parts[j].space, f.lower_cell, pts, offsets[j])
         jump = np.concatenate([phi_u, -phi_l], axis=1)
@@ -172,7 +255,8 @@ def stabilization_matrix(topology, params) -> sparse.csr_matrix:
     h = topology.mesh_sizes()
     for o in topology.overlaps:
         i, j = o.lower_mesh, o.upper_mesh
-        pts, wq = o.quad.points, o.quad.weights
+        quad = polyset_quadrature(PolySet([o.polygon]), topology.quad_order)
+        pts, wq = quad.points, quad.weights
         if wq.sum() <= 0.0:
             continue
         phi_l, grad_l, dofs_l = _trace(topology.parts[i].space, o.lower_cell, pts, offsets[i])
@@ -205,12 +289,13 @@ def load_vector(topology, f, params) -> np.ndarray:
             loc = np.einsum("q,cq,qa->ca", w, fv, phi) * areas[:, None]
             np.add.at(b, offsets[i] + space.cell_dofs[cells], loc)
         for cell, cc in topology.cut_cells[i].items():
-            pts = cc.visible_quad.points
+            quad = polyset_quadrature(cc.visible, params.quad_order)
+            pts = quad.points
             if not len(pts):
                 continue
             fv = np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float), len(pts))
             ph, _, dofs = _trace(space, cell, pts, offsets[i])
-            np.add.at(b, dofs, np.einsum("q,q,qa->a", cc.visible_quad.weights, fv, ph))
+            np.add.at(b, dofs, np.einsum("q,q,qa->a", quad.weights, fv, ph))
     return b
 
 
@@ -252,13 +337,14 @@ def energy_terms(u, topology) -> tuple[float, float, float, float]:
 
     term_II = 0.0
     for o in topology.overlaps:
+        quad = polyset_quadrature(PolySet([o.polygon]), topology.quad_order)
         gl = topology.parts[o.lower_mesh].space.grad_in_cell(
-            u.coeffs[o.lower_mesh], o.lower_cell, o.quad.points
+            u.coeffs[o.lower_mesh], o.lower_cell, quad.points
         )
         gu = topology.parts[o.upper_mesh].space.grad_in_cell(
-            u.coeffs[o.upper_mesh], o.upper_cell, o.quad.points
+            u.coeffs[o.upper_mesh], o.upper_cell, quad.points
         )
-        term_II += float(np.dot(o.quad.weights, ((gl - gu) ** 2).sum(axis=1)))
+        term_II += float(np.dot(quad.weights, ((gl - gu) ** 2).sum(axis=1)))
 
     term_III = 0.0
     term_IV = 0.0
@@ -266,11 +352,12 @@ def energy_terms(u, topology) -> tuple[float, float, float, float]:
         i, j = f.upper_mesh, f.lower_mesh
         su = topology.parts[i].space
         sl = topology.parts[j].space
-        gu = su.grad_in_cell(u.coeffs[i], f.upper_cell, f.quad.points)
-        gl = sl.grad_in_cell(u.coeffs[j], f.lower_cell, f.quad.points)
-        vu = su.eval_in_cell(u.coeffs[i], f.upper_cell, f.quad.points)
-        vl = sl.eval_in_cell(u.coeffs[j], f.lower_cell, f.quad.points)
-        wq = f.quad.weights
+        quad = segment_quadrature(f.segment, topology.quad_order)
+        pts, wq = quad.points, quad.weights
+        gu = su.grad_in_cell(u.coeffs[i], f.upper_cell, pts)
+        gl = sl.grad_in_cell(u.coeffs[j], f.lower_cell, pts)
+        vu = su.eval_in_cell(u.coeffs[i], f.upper_cell, pts)
+        vl = sl.eval_in_cell(u.coeffs[j], f.lower_cell, pts)
         term_III += float(
             h[i] * np.dot(wq, (gu ** 2).sum(axis=1)) + h[j] * np.dot(wq, (gl ** 2).sum(axis=1))
         )
@@ -303,12 +390,12 @@ def _active_masks(config, active):
     return masks
 
 
-def overlap_pieces(config, active, grids, quad_order):
+def overlap_pieces(config, active, grids):
     """Every active cell of mesh i near Q_j against every active cell of
     mesh j in its bounding-box candidates, minus all higher predomains."""
     nparts = config.nparts
     masks = _active_masks(config, active)
-    found = []
+    overlaps = []
     for i in range(nparts - 1):
         lmesh = config.parts[i].mesh
         lverts = lmesh.nodes[lmesh.cells]
@@ -340,9 +427,7 @@ def overlap_pieces(config, active, grids, quad_order):
                                   for pp in convex_difference(p, config.parts[k].predomain).pieces]
                         if not pieces:
                             break
-                    found.extend((p, i, int(c), j, int(cu)) for p in pieces)
-    quads = polyset_quadratures([PolySet([f[0]]) for f in found], quad_order)
-    overlaps = [OverlapPiece(*f, q) for f, q in zip(found, quads)]
+                    overlaps.extend(OverlapPiece(p, i, int(c), j, int(cu)) for p in pieces)
     overlaps.sort(key=lambda o: (o.lower_mesh, o.lower_cell, o.upper_mesh, o.upper_cell,
                                  tuple(o.polygon.centroid())))
     return overlaps
@@ -411,7 +496,7 @@ def point_locate(topology, x):
     return None
 
 
-def interface_facets(config, active, grids, quad_order):
+def interface_facets(config, active, grids):
     """Each active outer boundary facet, clipped to its visible part, split
     among the lower meshes that own it and at every lower cell edge it
     crosses, one segment at a time."""
@@ -469,8 +554,7 @@ def interface_facets(config, active, grids, quad_order):
                     lower = locate_cell(lmesh, grids[j], sub.midpoint(), tol, masks[j])
                     if lower is None:
                         continue
-                    facets.append(InterfaceFacet(sub, i, int(cell), j, lower, normal,
-                                                 segment_quadrature(sub, quad_order)))
+                    facets.append(InterfaceFacet(sub, i, int(cell), j, lower, normal))
     facets.sort(key=lambda f: (f.upper_mesh, f.upper_cell, f.lower_mesh, f.lower_cell,
                                tuple(f.segment.a), tuple(f.segment.b)))
     return facets
@@ -480,7 +564,7 @@ def interface_facets(config, active, grids, quad_order):
 # Cut topology: visible regions and the grid table
 # ---------------------------------------------------------------------------
 
-def visible_regions(config, quad_order):
+def visible_regions(config):
     """Active cells, cut cells and the cells each higher predomain cuts,
     with the boxes recomputed per predomain and a visit to every cell."""
     nparts = config.nparts
@@ -530,9 +614,8 @@ def visible_regions(config, quad_order):
                 continue
             act.append(c)
             visible[c] = vis
-        quads = polyset_quadratures(list(visible.values()), quad_order)
         active.append(np.array(act, dtype=np.int64))
-        cut_cells.append({c: CutCell(i, c, vis, q) for (c, vis), q in zip(visible.items(), quads)})
+        cut_cells.append({c: CutCell(i, c, vis) for c, vis in visible.items()})
     return active, cut_cells, cut_by
 
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from conftest import config_I, config_II, fit_rate, single_config
 from stackfem.analysis import (
     EnergyBreakdown,
@@ -275,13 +276,12 @@ class TestReportCsv:
 
 
 def _independent_errors(space, coeffs, f, gf, order):
-    from stackfem.geom2d import ConvexPolygon, PolySet, polyset_quadrature
+    from stackfem.geom2d import triangles_quadrature
 
     mesh = space.mesh
     l2 = h1 = 0.0
     for c in range(len(mesh.cells)):
-        tri = ConvexPolygon(mesh.cell_vertices(c), validate=False)
-        quad = polyset_quadrature(PolySet([tri]), order)
+        quad = triangles_quadrature(mesh.cell_vertices(c)[None], order)
         vals = space.eval_in_cell(coeffs, c, quad.points)
         grads = space.grad_in_cell(coeffs, c, quad.points)
         fe = f(quad.points[:, 0], quad.points[:, 1])
@@ -300,10 +300,11 @@ def _energy_error(u, topo, f, gf) -> float:
     term_III = 0.0
     for fac in topo.facets:
         i, j = fac.upper_mesh, fac.lower_mesh
-        gu = topo.parts[i].space.grad_in_cell(u.coeffs[i], fac.upper_cell, fac.quad.points)
-        gl = topo.parts[j].space.grad_in_cell(u.coeffs[j], fac.lower_cell, fac.quad.points)
-        ge = gf(fac.quad.points[:, 0], fac.quad.points[:, 1])
-        wq = fac.quad.weights
+        quad = ref.segment_quadrature(fac.segment, topo.quad_order)
+        pts, wq = quad.points, quad.weights
+        gu = topo.parts[i].space.grad_in_cell(u.coeffs[i], fac.upper_cell, pts)
+        gl = topo.parts[j].space.grad_in_cell(u.coeffs[j], fac.lower_cell, pts)
+        ge = gf(pts[:, 0], pts[:, 1])
         term_III += float(
             h[i] * np.dot(wq, ((gu - ge) ** 2).sum(axis=1))
             + h[j] * np.dot(wq, ((gl - ge) ** 2).sum(axis=1))

@@ -1,11 +1,13 @@
-"""Bulk candidate pairs and cell bookkeeping of the cut topology.
+"""Bulk candidate pairs, cell bookkeeping and quadrature batches of the
+cut topology.
 
 The overlap pieces and interface facets built from bulk grid queries and the
 separating-axis prefilter must equal, bit for bit, the ones the per-entity
 loops in `loop_reference` build. So must the active cells, the visible
-regions and the grid bin tables, which the loops build one cell at a time.
-The two bulk building blocks are checked on their own against brute force
-with hypothesis.
+regions and the grid bin tables, which the loops build one cell at a time,
+and the cell, facet and overlap batches, which the loops concatenate from
+one rule per entity. The two bulk building blocks are checked on their own
+against brute force with hypothesis.
 """
 import math
 
@@ -60,21 +62,28 @@ def stack(request):
     return config, topo
 
 
-def test_overlaps_match_loop_oracle_bitwise(stack):
+@pytest.fixture(scope="module")
+def oracle(stack):
+    """The loop oracles' visible regions, facets and overlap pieces."""
     config, topo = stack
-    want = ref.overlap_pieces(config, topo.active, topo.grids, topo.quad_order)
+    active, cut_cells, cut_by = ref.visible_regions(config)
+    return (active, cut_cells, cut_by, ref.interface_facets(config, topo.active, topo.grids),
+            ref.overlap_pieces(config, topo.active, topo.grids))
+
+
+def test_overlaps_match_loop_oracle_bitwise(stack, oracle):
+    _, topo = stack
+    want = oracle[4]
     assert len(want) > 0
     assert [(o.lower_mesh, o.lower_cell, o.upper_mesh, o.upper_cell) for o in topo.overlaps] == [
         (o.lower_mesh, o.lower_cell, o.upper_mesh, o.upper_cell) for o in want]
     for got, exp in zip(topo.overlaps, want):
         assert np.array_equal(got.polygon.vertices, exp.polygon.vertices)
-        assert np.array_equal(got.quad.points, exp.quad.points)
-        assert np.array_equal(got.quad.weights, exp.quad.weights)
 
 
-def test_facets_match_loop_oracle_exactly(stack):
-    config, topo = stack
-    want = ref.interface_facets(config, topo.active, topo.grids, topo.quad_order)
+def test_facets_match_loop_oracle_exactly(stack, oracle):
+    _, topo = stack
+    want = oracle[3]
     assert len(want) > 0
     assert [(f.upper_mesh, f.upper_cell, f.lower_mesh, f.lower_cell) for f in topo.facets] == [
         (f.upper_mesh, f.upper_cell, f.lower_mesh, f.lower_cell) for f in want]
@@ -82,14 +91,12 @@ def test_facets_match_loop_oracle_exactly(stack):
         assert np.array_equal(got.segment.a, exp.segment.a)
         assert np.array_equal(got.segment.b, exp.segment.b)
         assert np.array_equal(got.normal, exp.normal)
-        assert np.array_equal(got.quad.points, exp.quad.points)
-        assert np.array_equal(got.quad.weights, exp.quad.weights)
 
 
-def test_visible_regions_match_loop_oracle_bitwise(stack):
+def test_visible_regions_match_loop_oracle_bitwise(stack, oracle):
     config, topo = stack
-    active, cut_cells, cut_by = ref.visible_regions(config, topo.quad_order)
-    got_cut_by = _visible_regions(config, topo.quad_order)[2]
+    active, cut_cells, cut_by = oracle[:3]
+    got_cut_by = _visible_regions(config)[2]
     assert sorted(got_cut_by) == sorted(cut_by)
     for key in cut_by:
         assert np.array_equal(got_cut_by[key], cut_by[key])
@@ -101,8 +108,32 @@ def test_visible_regions_match_loop_oracle_bitwise(stack):
             assert len(got.visible.pieces) == len(exp.visible.pieces)
             for p, q in zip(got.visible.pieces, exp.visible.pieces):
                 assert np.array_equal(p.vertices, q.vertices)
-            assert np.array_equal(got.visible_quad.points, exp.visible_quad.points)
-            assert np.array_equal(got.visible_quad.weights, exp.visible_quad.weights)
+
+
+def _assert_batches_equal(got, want):
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert g.meshes == w.meshes
+        for name in ("cells", "starts", "points", "weights", "normals"):
+            a, b = getattr(g, name), getattr(w, name)
+            if b is None:
+                assert a is None, name
+            else:
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("quad_order", [2, 4])
+def test_batches_match_per_entity_rules_bitwise(stack, oracle, quad_order):
+    config, topo = stack
+    if quad_order != topo.quad_order:
+        topo = build_cut_topology(config, quad_order)
+    active, cut_cells, _, facets, overlaps = oracle
+    p = max(part.space.degree for part in config.parts)
+    for order in sorted({quad_order, 2 * p + 2}):
+        _assert_batches_equal(topo.cell_batches(order),
+                              ref.cell_batches(config, active, cut_cells, order))
+    _assert_batches_equal(topo.facet_batches(), ref.facet_batches(facets, quad_order))
+    _assert_batches_equal(topo.overlap_batches(), ref.overlap_batches(overlaps, quad_order))
 
 
 def test_grid_tables_match_loop_oracle(stack):

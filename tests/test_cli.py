@@ -102,6 +102,38 @@ class TestSolveCommand:
             run_equal_refinement("single", [3], 1, FormParams.defaults(1),
                                  cg_tol=1e-16)  # unreachable tolerance
 
+    def test_nonconvergence_is_logged_with_exit_code_1(self, tmp_path, monkeypatch, capsys,
+                                                       caplog):
+        from stackfem import cli
+        from stackfem.solver import SolveReport
+
+        def stalled(A, b, tol=1e-10):
+            return np.zeros_like(b), SolveReport(7, 0.5, False)
+
+        monkeypatch.setattr(cli, "cg_solve", stalled)
+        out = tmp_path / "run"
+        with caplog.at_level("ERROR", logger="stackfem.cli"):
+            rc = main(["solve", "--mm-config", "single", "--k", "2", "--out", str(out)])
+        assert rc == 1
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("ERROR", "solver did not converge on single at k=2: residual 5.000e-01")
+        ]
+        assert capsys.readouterr().out == ""
+        assert not (out / "results.csv").exists()
+
+    def test_meta_records_no_unused_setting(self, tmp_path):
+        def run(name, *flags):
+            out = tmp_path / name
+            assert main(["solve", "--mm-config", "single", "--k", "3", "--out", str(out),
+                         *flags]) == 0
+            return (out / "meta.json").read_text(), (out / "results.csv").read_bytes()
+
+        meta, results = run("default")
+        assert run("flags", "--seed", "7", "--k-max", "9", "--k-min", "5", "--full") == (
+            meta, results)
+        assert not {"seed", "k_min", "k_max", "full"} & set(json.loads(meta))
+        assert json.loads(meta)["k"] == 3
+
     def test_json_config_file(self, tmp_path):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"config": "single", "degree": 1, "k_min": 3}))
@@ -122,6 +154,17 @@ class TestConvergenceCommand:
         assert len(rows) == 4  # header + 3 levels
         errs = [float(r[rows[0].index("l2_err")]) for r in rows[1:]]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_meta_records_no_unused_setting(self, tmp_path):
+        def run(name, *flags):
+            out = tmp_path / name
+            assert main(["convergence", "--mm-config", "single", "--k-min", "2",
+                         "--k-max", "3", "--equal", "--out", str(out), *flags]) == 0
+            return (out / "meta.json").read_text(), (out / "results.csv").read_bytes()
+
+        meta, results = run("default")
+        assert run("flags", "--seed", "9") == (meta, results)
+        assert "seed" not in json.loads(meta)
 
     def test_config_II_k4_runs_to_convergence(self):
         from stackfem.assembly import FormParams

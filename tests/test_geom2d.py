@@ -7,20 +7,25 @@ from conftest import monomial_integral_polygon
 from stackfem.geom2d import (
     ConvexPolygon,
     GeometryError,
-    PolySet,
     Segment,
     clip_segment,
     convex_difference,
     convex_intersect,
+    fan_triangles,
     offset_polygon,
-    polyset_quadrature,
     rect_polygon,
     regular_polygon,
     rotate_rect,
-    segment_quadrature,
+    segments_quadrature,
+    triangles_quadrature,
 )
 
 UNIT = rect_polygon(0.0, 1.0, 0.0, 1.0)
+
+
+def _polygon_rule(P, order):
+    """The triangle rule on the fan of one convex polygon."""
+    return triangles_quadrature(fan_triangles([P])[0], order)
 
 
 class TestIntersect:
@@ -106,22 +111,22 @@ class TestClipSegment:
 
 class TestQuadrature:
     def test_unit_square_weight_sum(self):
-        q = polyset_quadrature(PolySet([UNIT]), 2)
+        q = _polygon_rule(UNIT, 2)
         assert q.total == pytest.approx(1.0, rel=1e-12)
         assert np.all(q.weights > 0)
 
     def test_linear_exact(self):
-        q = polyset_quadrature(PolySet([UNIT]), 2)
+        q = _polygon_rule(UNIT, 2)
         assert q.integrate(lambda x, y: x) == pytest.approx(0.5, rel=1e-12)
 
     def test_x2y2_exact(self):
-        q = polyset_quadrature(PolySet([UNIT]), 4)
+        q = _polygon_rule(UNIT, 4)
         assert q.integrate(lambda x, y: x ** 2 * y ** 2) == pytest.approx(1 / 9, rel=1e-12)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
     def test_monomial_exactness_reference_triangle(self, order):
         tri = ConvexPolygon([[0, 0], [1, 0], [0, 1]])
-        q = polyset_quadrature(PolySet([tri]), order)
+        q = _polygon_rule(tri, order)
         assert np.all(q.weights > 0)
         for a in range(order + 1):
             for b in range(order + 1 - a):
@@ -133,7 +138,7 @@ class TestQuadrature:
     def test_monomial_exactness_random_polygon(self, order, rng):
         for _ in range(5):
             P = _random_convex(rng)
-            q = polyset_quadrature(PolySet([P]), order)
+            q = _polygon_rule(P, order)
             for a in range(order + 1):
                 for b in range(order + 1 - a):
                     exact = monomial_integral_polygon(P, a, b)
@@ -142,13 +147,29 @@ class TestQuadrature:
 
     def test_unsupported_order(self):
         with pytest.raises(GeometryError):
-            polyset_quadrature(PolySet([UNIT]), 7)
+            _polygon_rule(UNIT, 7)
 
     def test_segment_rule(self):
         s = Segment((0.0, 0.0), (2.0, 0.0))
-        q = segment_quadrature(s, 4)
+        q = segments_quadrature(s.a[None], s.b[None], 4)
         assert q.total == pytest.approx(2.0, rel=1e-14)
         assert q.integrate(lambda x, y: x ** 4) == pytest.approx(32 / 5, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_segments_rule_exact_per_segment(self, order, rng):
+        a = rng.uniform(-1.0, 1.0, (7, 2))
+        b = a + rng.uniform(0.1, 1.0, (7, 2))
+        q = segments_quadrature(a, b, order)
+        nq = len(q.weights) // len(a)
+        assert len(q.weights) == nq * len(a) and np.all(q.weights > 0)
+        for s in range(len(a)):
+            pts, w = q.points[s * nq:(s + 1) * nq], q.weights[s * nq:(s + 1) * nq]
+            length = math.hypot(*(b[s] - a[s]))
+            for k in range(order + 1):
+                # x runs linearly from a_x to b_x along the segment
+                exact = length * (b[s, 0] ** (k + 1) - a[s, 0] ** (k + 1)) / (
+                    (k + 1) * (b[s, 0] - a[s, 0]))
+                assert np.dot(w, pts[:, 0] ** k) == pytest.approx(exact, rel=1e-12)
 
 
 class TestConstructors:

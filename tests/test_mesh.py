@@ -10,9 +10,7 @@ import loop_reference as ref
 from conftest import fit_rate
 from stackfem.geom2d import (
     offset_polygon,
-    polyset_quadrature,
-    PolySet,
-    ConvexPolygon,
+    triangles_quadrature,
     rect_polygon,
     regular_polygon,
     rotate_rect,
@@ -283,8 +281,7 @@ def _interp_errors(space: FeSpace, coeffs, f, gf):
     l2 = 0.0
     h1 = 0.0
     for c in range(len(mesh.cells)):
-        tri = ConvexPolygon(mesh.cell_vertices(c), validate=False)
-        q = polyset_quadrature(PolySet([tri]), 6)
+        q = triangles_quadrature(mesh.cell_vertices(c)[None], 6)
         vals = space.eval_in_cell(coeffs, c, q.points)
         grads = space.grad_in_cell(coeffs, c, q.points)
         fe = f(q.points[:, 0], q.points[:, 1])
