@@ -399,24 +399,20 @@ def _load_experiment(args, k_range: tuple[int, int] = (3, 6),
                      full_range: tuple[int, int] | None = (3, 10)) -> ExperimentConfig:
     """Defaults, then the JSON config file, then flags. k_range is the
     subcommand's default k range; `full`, from the JSON file or --full,
-    replaces it by full_range."""
-    cfg = ExperimentConfig(k_min=k_range[0], k_max=k_range[1])
-    if args.config_file:
-        data = json.loads(Path(args.config_file).read_text())
-        for key in ("config", "k_min", "k_max", "degree", "beta0",
-                    "beta1", "stab", "seed", "out", "full"):
-            if key in data:
-                setattr(cfg, key, data[key])
-        cfg.custom_parts = data.get("parts")
+    makes full_range the default instead, so an explicit k bound still wins."""
+    data = json.loads(Path(args.config_file).read_text()) if args.config_file else {}
+    full = bool(data.get("full")) or bool(getattr(args, "full", False))
+    k_min, k_max = full_range if full and full_range is not None else k_range
+    cfg = ExperimentConfig(k_min=k_min, k_max=k_max, full=full)
+    for key in ("config", "k_min", "k_max", "degree", "beta0", "beta1", "stab", "seed", "out"):
+        if key in data:
+            setattr(cfg, key, data[key])
+    cfg.custom_parts = data.get("parts")
     for key in ("config", "k_min", "k_max", "degree", "beta0", "beta1",
                 "stab", "seed", "out"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if getattr(args, "full", False):
-        cfg.full = True
-    if cfg.full and full_range is not None:
-        cfg.k_min, cfg.k_max = full_range
     return cfg
 
 

@@ -20,6 +20,15 @@ __all__ = [
     "convex_intersect",
     "convex_difference",
     "clip_segment",
+    "split_polygons",
+    "clip_polygons",
+    "subtract_polygon",
+    "segment_params",
+    "clip_segments",
+    "polygons",
+    "stack_padded",
+    "math_hypot",
+    "edge_vectors",
     "triangles_quadrature",
     "segments_quadrature",
     "fan_triangles",
@@ -225,162 +234,291 @@ class QuadRule:
 
 
 # ---------------------------------------------------------------------------
-# Half-plane splitting
+# Batched half-plane clipping
 # ---------------------------------------------------------------------------
+#
+# Polygons travel in batches of padded vertex arrays: polygon r of a batch
+# is verts[r, :counts[r]] of verts (n, M, 2). Every kernel does the
+# Sutherland-Hodgman arithmetic of clipping one polygon at a time, element
+# by element, so a batch clips bit for bit like the polygons one by one.
 
-def _split_by_line(verts: list, px: float, py: float, qx: float, qy: float, tol: float):
-    """Split a convex polygon (list of (x, y)) by the directed line p->q.
-
-    Returns (left, right) vertex lists; either may be empty. Vertices within
-    tol of the line are emitted to both sides, so left + right tile the input
-    and share cut vertices bitwise. Pure Python: the polygons here are tiny
-    and this sits in the innermost cut loops.
-    """
-    ex = qx - px
-    ey = qy - py
-    inv_norm = 1.0 / math.hypot(ex, ey)
-    d = [(ex * (y - py) - ey * (x - px)) * inv_norm for x, y in verts]
-    neg_tol = -tol
-    if all(v >= neg_tol for v in d):
-        return verts, []
-    if all(v <= tol for v in d):
-        return [], verts
-    left: list = []
-    right: list = []
-    n = len(verts)
-    for k in range(n):
-        k2 = k + 1 if k + 1 < n else 0
-        dk = d[k]
-        dk2 = d[k2]
-        vk = verts[k]
-        if dk >= neg_tol:
-            left.append(vk)
-        if dk <= tol:
-            right.append(vk)
-        # genuine sign change: emit the crossing point to both sides
-        if (dk > tol and dk2 < neg_tol) or (dk < neg_tol and dk2 > tol):
-            t = dk / (dk - dk2)
-            vk2 = verts[k2]
-            x = (vk[0] + t * (vk2[0] - vk[0]), vk[1] + t * (vk2[1] - vk[1]))
-            left.append(x)
-            right.append(x)
-    return left, right
+_EPS = np.finfo(float).eps
 
 
-def _as_piece(verts: list, scale: float) -> ConvexPolygon | None:
-    """Build a polygon from raw split output, or None if below the noise floor."""
-    if len(verts) < 3:
-        return None
-    verts = _dedupe_list(verts, REL_TOL * scale)
-    if len(verts) < 3:
-        return None
-    area = polygon_area(verts)
-    if area <= AREA_FLOOR * scale * scale:
-        return None
-    poly = ConvexPolygon.__new__(ConvexPolygon)
-    poly.vertices = np.array(verts)
-    poly._area = area
-    poly._scale = None
-    return poly
+def math_hypot(ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """`math.hypot` of each (ex, ey): `np.hypot` may round differently."""
+    return np.array([math.hypot(x, y) for x, y in zip(ex.ravel().tolist(), ey.ravel().tolist())],
+                    dtype=float).reshape(np.shape(ex))
 
 
-def _dedupe_list(verts: list, tol_len: float) -> list:
-    out = []
+def _farther(dx: np.ndarray, dy: np.ndarray, tol_len: np.ndarray) -> np.ndarray:
+    """hypot(dx, dy) > tol_len, decided as `math.hypot` decides it: where
+    `np.hypot` lands within a few ulps of tol_len, it is measured again."""
+    h = np.hypot(dx, dy)
+    near = np.nonzero(np.abs(h - tol_len) <= 4 * _EPS * tol_len)
+    if len(near[0]):
+        h[near] = math_hypot(dx[near], dy[near])
+    return h > tol_len
+
+
+def _compact(slots: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots (n, S, 2) where mask (n, S) holds, moved to the front of
+    each row in order: a batch (verts, counts)."""
+    counts = mask.sum(axis=1)
+    out = np.zeros((len(mask), int(counts.max(initial=0)), 2))
+    r, k = np.nonzero(mask)
+    out[r, np.cumsum(mask, axis=1)[r, k] - 1] = slots[r, k]
+    return out, counts
+
+
+def stack_padded(verts: list[np.ndarray]) -> np.ndarray:
+    """Vertex arrays (n_i, M_i, 2) stacked along the rows, zero padded to
+    the largest M_i."""
+    out = np.zeros((sum(len(v) for v in verts), max((v.shape[1] for v in verts), default=0), 2))
+    start = 0
     for v in verts:
-        if not out or math.hypot(v[0] - out[-1][0], v[1] - out[-1][1]) > tol_len:
-            out.append(v)
-    if len(out) > 1 and math.hypot(out[-1][0] - out[0][0], out[-1][1] - out[0][1]) <= tol_len:
-        out.pop()
+        out[start:start + len(v), :v.shape[1]] = v
+        start += len(v)
     return out
 
 
-def _edge_list(poly: ConvexPolygon) -> list:
-    cached = getattr(poly, "_vlist", None)
-    if cached is None:
-        cached = [tuple(v) for v in poly.vertices.tolist()]
-        poly._vlist = cached
-    return cached
+def _feature_scales(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The larger bounding-box extent of each polygon of a batch, floored
+    at 1e-300, as `ConvexPolygon.scale`."""
+    valid = (np.arange(verts.shape[1]) < counts[:, None])[..., None]
+    lo = np.where(valid, verts, np.inf).min(axis=1)
+    hi = np.where(valid, verts, -np.inf).max(axis=1)
+    ext = hi - lo
+    return np.maximum(np.maximum(ext[:, 0], ext[:, 1]), 1e-300)
+
+
+def split_polygons(verts, counts, p, e, inv_norm, tol):
+    """Split polygon r of a batch by the directed line through p[r] along
+    e[r], inv_norm[r] = 1 / |e[r]| (or by one line p, e, inv_norm for all):
+    returns the batches (verts, counts) of the parts left and right of the
+    lines.
+
+    Vertices within tol[r] of the line go to both sides, so the two parts
+    tile the polygon and share cut vertices bitwise; a polygon that no
+    vertex leaves the band of on one side goes whole to the other.
+    """
+    n, width = verts.shape[:2]
+    valid = np.arange(width) < counts[:, None]
+    p, e, inv_norm = (np.asarray(x)[..., None] for x in (p, e, inv_norm))
+    d = (e[..., 0, :] * (verts[..., 1] - p[..., 1, :])
+         - e[..., 1, :] * (verts[..., 0] - p[..., 0, :])) * inv_norm
+    neg_tol = -tol[:, None]
+    tol = tol[:, None]
+    all_left = np.all((d >= neg_tol) | ~valid, axis=1)
+    all_right = np.all((d <= tol) | ~valid, axis=1)
+    general = (~all_left & ~all_right)[:, None]
+    # index of the vertex after slot k: k + 1, or 0 after the last vertex
+    nxt = np.where(np.arange(1, width + 1) < counts[:, None], np.arange(1, width + 1), 0)
+    d2 = np.take_along_axis(d, nxt, axis=1)
+    # genuine sign change: the crossing point goes to both sides
+    cross = general & valid & (((d > tol) & (d2 < neg_tol)) | ((d < neg_tol) & (d2 > tol)))
+    slots = np.zeros((n, width, 2, 2))
+    slots[:, :, 0] = verts
+    r, k = np.nonzero(cross)
+    dk, dk2 = d[r, k], d[r, nxt[r, k]]
+    t = (dk / (dk - dk2))[:, None]
+    vk, vk2 = verts[r, k], verts[r, nxt[r, k]]
+    slots[r, k, 1] = vk + t * (vk2 - vk)
+    keep_left = valid & (all_left[:, None] | (general & (d >= neg_tol)))
+    keep_right = valid & ((all_right & ~all_left)[:, None] | (general & (d <= tol)))
+    slots = slots.reshape(n, 2 * width, 2)
+    return (_compact(slots, np.stack([keep_left, cross], axis=2).reshape(n, 2 * width)),
+            _compact(slots, np.stack([keep_right, cross], axis=2).reshape(n, 2 * width)))
+
+
+def _finish(verts, counts, scale):
+    """Raw split output as polygons: vertices within REL_TOL * scale of the
+    last one kept dropped (and the last within that of the first), then
+    polygons with fewer than 3 vertices or an area at most
+    AREA_FLOOR * scale^2 emptied. Returns (verts, counts, areas); an empty
+    polygon has count 0."""
+    n, width = verts.shape[:2]
+    if width == 0:
+        return verts, np.zeros(n, dtype=np.int64), np.zeros(n)
+    tol_len = REL_TOL * scale
+    valid = np.arange(width) < counts[:, None]
+    # the last vertex kept is the one before, until a vertex goes; rows
+    # where one goes are thinned again vertex by vertex
+    step = verts[:, 1:] - verts[:, :-1]
+    keep = valid.copy()
+    keep[:, 1:] &= _farther(step[..., 0], step[..., 1], tol_len[:, None])
+    rows = np.flatnonzero((keep != valid).any(axis=1))
+    last = verts[rows, 0]
+    for k in range(1, width):
+        far = (k < counts[rows]) & _farther(verts[rows, k, 0] - last[:, 0],
+                                            verts[rows, k, 1] - last[:, 1], tol_len[rows])
+        keep[rows, k] = far
+        last[far] = verts[rows[far], k]
+    lastk = width - 1 - np.argmax(keep[:, ::-1], axis=1)
+    d = verts[np.arange(n), lastk] - verts[:, 0]
+    closes = (keep.sum(axis=1) > 1) & ~_farther(d[:, 0], d[:, 1], tol_len)
+    keep[np.flatnonzero(closes), lastk[closes]] = False
+    verts, counts = _compact(verts, keep)
+    # shoelace sum in vertex order, starting from the last vertex
+    end = np.maximum(counts - 1, 0)
+    prev = np.empty_like(verts)
+    prev[:, 1:] = verts[:, :-1]
+    prev[:, 0] = verts[np.arange(n), end]
+    terms = prev[..., 0] * verts[..., 1] - verts[..., 0] * prev[..., 1]
+    areas = 0.5 * np.cumsum(terms, axis=1)[np.arange(n), end]
+    counts = np.where((counts >= 3) & (areas > AREA_FLOOR * scale * scale), counts, 0)
+    return verts, counts, areas
+
+
+def edge_vectors(verts):
+    """Edge vectors v[k+1] - v[k] and edge lengths (`math.hypot`) of
+    polygons (..., K, 2) that all have K vertices."""
+    e = np.roll(verts, -1, axis=-2) - verts
+    return e, math_hypot(e[..., 0], e[..., 1])
+
+
+def clip_polygons(verts, counts, clip, which):
+    """Intersection of polygon r of a batch with the convex polygon
+    clip[which[r]] of clip (m, K, 2), for every r: clips against the edge
+    half-planes of the clip polygon in order and stops a polygon as soon as
+    fewer than 3 vertices remain. 1 / |edge| is taken once per distinct
+    clip edge.
+
+    Returns the batch (verts, counts, areas), count 0 where empty.
+    """
+    e, norm = edge_vectors(clip)
+    inv_norm = 1.0 / norm
+    scale = np.maximum(_feature_scales(verts, counts),
+                       _feature_scales(clip, np.full(len(clip), clip.shape[1]))[which])
+    tol = REL_TOL * scale
+    for k in range(clip.shape[1]):
+        (verts, counts), _ = split_polygons(verts, counts, clip[which, k], e[which, k],
+                                            inv_norm[which, k], tol)
+        counts = np.where(counts < 3, 0, counts)
+    return _finish(verts, counts, scale)
+
+
+def subtract_polygon(verts, counts, Q: ConvexPolygon):
+    """Every polygon of a batch minus one convex polygon Q, each as a
+    disjoint convex decomposition: the part outside each edge half-plane of
+    Q is split off in turn, and what remains after all edges (the part
+    inside Q) is dropped.
+
+    Returns the pieces as a batch (verts, counts, areas) and the row of the
+    input each came from, in (input row, edge of Q) order.
+    """
+    qv = Q.vertices
+    e, norm = edge_vectors(qv)
+    inv_norm = 1.0 / norm
+    scale = np.maximum(_feature_scales(verts, counts), Q.scale)
+    tol = REL_TOL * scale
+    outside = []
+    for k in range(len(qv)):
+        counts = np.where(counts < 3, 0, counts)  # nothing more to split off
+        (verts, counts), out = split_polygons(verts, counts, qv[k], e[k], inv_norm[k], tol)
+        outside.append(out)
+    # the raw pieces in (input row, edge) order; those of 3 or more vertices
+    # are finished together
+    n = len(counts)
+    order = (np.arange(n)[:, None] + n * np.arange(len(qv))).ravel()
+    raw_counts = np.concatenate([c for _, c in outside])[order]
+    rows = order[raw_counts >= 3]
+    v, c, a = _finish(stack_padded([v for v, _ in outside])[rows], raw_counts[raw_counts >= 3],
+                      np.tile(scale, len(qv))[rows])
+    keep = np.flatnonzero(c)
+    return v[keep], c[keep], a[keep], rows[keep] % n
+
+
+def segment_params(a, b, p, e, norm, tol):
+    """Parameter interval [t_lo, t_hi] of each segment a[n] -> b[n] inside
+    the convex polygon with vertices p (n, K, 2) or (1, K, 2), edge vectors
+    e and edge lengths norm (same leading shape), and whether it is
+    nonempty.
+
+    Clips against the edge half-planes in order: an end within tol[n] of an
+    edge line counts as inside, a segment with neither end clear inside an
+    edge is empty, and one whose interval closes stops there.
+    """
+    t_lo = np.zeros(len(a))
+    t_hi = np.ones(len(a))
+    hit = np.ones(len(a), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(p.shape[1]):
+            pk, ek, nk = p[:, k], e[:, k], norm[:, k]
+            da = (ek[:, 0] * (a[:, 1] - pk[:, 1]) - ek[:, 1] * (a[:, 0] - pk[:, 0])) / nk
+            db = (ek[:, 0] * (b[:, 1] - pk[:, 1]) - ek[:, 1] * (b[:, 0] - pk[:, 0])) / nk
+            inside = (da >= -tol) & (db >= -tol)
+            hit &= inside | (da > tol) | (db > tol)
+            t = da / (da - db)
+            leaves = hit & ~inside & (db < da)
+            enters = hit & ~inside & ~(db < da)
+            t_hi = np.where(leaves & (t < t_hi), t, t_hi)
+            t_lo = np.where(enters & (t > t_lo), t, t_lo)
+            hit &= t_lo < t_hi
+    return t_lo, t_hi, hit
+
+
+def clip_segments(a: np.ndarray, b: np.ndarray, Q: ConvexPolygon):
+    """Sub-segments of each segment a[n] -> b[n] inside and outside Q;
+    inside + outside tile each segment.
+
+    A segment lying on the boundary of Q counts as inside (deterministic
+    tie-break; measure zero for area integrals either way). Returns the
+    inside and the outside pieces, each as (a, b, source row) in (source
+    row, position along the segment) order.
+    """
+    d = b - a
+    length = np.hypot(d[:, 0], d[:, 1])
+    tol = REL_TOL * np.maximum(np.maximum(Q.scale, length), 1e-300)
+    qv = Q.vertices
+    e, norm = edge_vectors(qv)
+    t_lo, t_hi, hit = segment_params(a, b, qv[None], e[None], norm[None], tol)
+    tol_t = tol / np.maximum(length, 1e-300)
+    ins = hit & (t_hi - t_lo > tol_t)
+    pa = a + t_lo[:, None] * d
+    pb = a + t_hi[:, None] * d
+    rows = np.arange(len(a))
+    # outside: the part before t_lo, then the part after t_hi, or all of it
+    before = ~ins | (t_lo > tol_t)
+    after = ins & (t_hi < 1.0 - tol_t)
+    out_a = np.stack([a, pb], axis=1)
+    out_b = np.stack([np.where(ins[:, None], pa, b), b], axis=1)
+    mask = np.stack([before, after], axis=1)
+    return ((pa[ins], pb[ins], rows[ins]),
+            (out_a[mask], out_b[mask], np.repeat(rows, 2).reshape(-1, 2)[mask]))
+
+
+def polygons(verts, counts, areas) -> list[ConvexPolygon]:
+    """The nonempty polygons of a batch as ConvexPolygons, in row order."""
+    out = []
+    for r in np.flatnonzero(counts).tolist():
+        poly = ConvexPolygon.__new__(ConvexPolygon)
+        poly.vertices = verts[r, :counts[r]]
+        poly._area = float(areas[r])
+        poly._scale = None
+        out.append(poly)
+    return out
+
+
+def _batch_of(P: ConvexPolygon):
+    return P.vertices[None], np.array([len(P.vertices)])
 
 
 def convex_intersect(P: ConvexPolygon, Q: ConvexPolygon) -> PolySet:
     """Intersection P ∩ Q as a PolySet with zero or one convex piece."""
-    scale = max(P.scale, Q.scale)
-    tol = REL_TOL * scale
-    cur = _edge_list(P)
-    qv = _edge_list(Q)
-    nq = len(qv)
-    for k in range(nq):
-        a = qv[k]
-        b = qv[k + 1 if k + 1 < nq else 0]
-        cur, _ = _split_by_line(cur, a[0], a[1], b[0], b[1], tol)
-        if len(cur) < 3:
-            return PolySet([])
-    piece = _as_piece(cur, scale)
-    return PolySet([piece] if piece is not None else [])
+    return PolySet(polygons(*clip_polygons(*_batch_of(P), Q.vertices[None], np.zeros(1, int))))
 
 
 def convex_difference(P: ConvexPolygon, Q: ConvexPolygon) -> PolySet:
-    """Difference P \\ Q as a disjoint convex decomposition.
-
-    Successively splits off the part of P outside each edge half-plane of Q;
-    whatever remains after all edges is P ∩ Q and is dropped.
-    """
-    scale = max(P.scale, Q.scale)
-    tol = REL_TOL * scale
-    pieces: list[ConvexPolygon] = []
-    cur = _edge_list(P)
-    qv = _edge_list(Q)
-    nq = len(qv)
-    for k in range(nq):
-        if len(cur) < 3:
-            break
-        a = qv[k]
-        b = qv[k + 1 if k + 1 < nq else 0]
-        cur, outside = _split_by_line(cur, a[0], a[1], b[0], b[1], tol)
-        piece = _as_piece(outside, scale)
-        if piece is not None:
-            pieces.append(piece)
-    return PolySet(pieces)
+    """Difference P \\ Q as a disjoint convex decomposition."""
+    return PolySet(polygons(*subtract_polygon(*_batch_of(P), Q)[:3]))
 
 
 def clip_segment(s: Segment, Q: ConvexPolygon, keep_inside: bool = True) -> list[Segment]:
-    """Sub-segments of s inside (or outside) Q; inside + outside tile s.
-
-    A segment lying on the boundary of Q counts as inside (deterministic
-    tie-break; measure zero for area integrals either way).
-    """
-    scale = max(Q.scale, s.length, 1e-300)
-    tol = REL_TOL * scale
-    t_lo, t_hi = 0.0, 1.0
-    dir_vec = s.b - s.a
-    for p, q in Q.edges():
-        norm = math.hypot(q[0] - p[0], q[1] - p[1])
-        da = ((q[0] - p[0]) * (s.a[1] - p[1]) - (q[1] - p[1]) * (s.a[0] - p[0])) / norm
-        db = ((q[0] - p[0]) * (s.b[1] - p[1]) - (q[1] - p[1]) * (s.b[0] - p[0])) / norm
-        if da >= -tol and db >= -tol:
-            continue
-        if da <= tol and db <= tol:
-            t_lo, t_hi = 1.0, 0.0
-            break
-        t = da / (da - db)
-        if db < da:
-            t_hi = min(t_hi, t)
-        else:
-            t_lo = max(t_lo, t)
-        if t_lo >= t_hi:
-            break
-    tol_t = tol / max(s.length, 1e-300)
-    inside: list[Segment] = []
-    outside: list[Segment] = []
-    if t_hi - t_lo > tol_t:
-        inside.append(Segment(s.a + t_lo * dir_vec, s.a + t_hi * dir_vec))
-        if t_lo > tol_t:
-            outside.append(Segment(s.a, s.a + t_lo * dir_vec))
-        if t_hi < 1.0 - tol_t:
-            outside.append(Segment(s.a + t_hi * dir_vec, s.b))
-    else:
-        outside.append(Segment(s.a, s.b))
-    return inside if keep_inside else outside
+    """Sub-segments of s inside (or outside) Q; inside + outside tile s."""
+    inside, outside = clip_segments(s.a[None], s.b[None], Q)
+    a, b, _ = inside if keep_inside else outside
+    return [Segment(pa, pb) for pa, pb in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

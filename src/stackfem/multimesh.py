@@ -22,14 +22,20 @@ from .geom2d import (
     ConvexPolygon,
     PolySet,
     Segment,
-    clip_segment,
-    convex_difference,
-    convex_intersect,
+    clip_polygons,
+    clip_segments,
+    edge_vectors,
     fan_triangles,
+    polygons,
+    segment_params,
     segments_quadrature,
+    stack_padded,
+    subtract_polygon,
     triangle_rule,
     triangles_quadrature,
 )
+# not called here: perfbench/tracing.py wraps these names of this module
+from .geom2d import clip_segment, convex_difference, convex_intersect  # noqa: F401
 from .mesh import MARKER_OUTER, FeSpace, TriMesh
 
 __all__ = [
@@ -245,6 +251,7 @@ class CutTopology:
     N_O: int
     N_Oi: np.ndarray
     gamma_len: np.ndarray
+    overlap_area: np.ndarray                 # [i, j]: total area of the (i, j) overlap pieces
     grids: list[_CellGrid] = field(repr=False)
     _cache: dict = field(repr=False, compare=False, default_factory=dict)
 
@@ -368,7 +375,11 @@ def _signed_dists(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
 def _visible_regions(config: MultiMeshConfig):
     """Active cell ids and CutCells per mesh, and for each pair i < k the
     cells of mesh i that predomain k cuts: an active cell of mesh i can
-    overlap Q_k with positive area only if it is among them."""
+    overlap Q_k with positive area only if it is among them.
+
+    The cut cells of mesh i lose Q_k in one batched subtraction per k; a
+    cell that nothing is left of counts as covered.
+    """
     nparts = config.nparts
     active: list[np.ndarray] = []
     cut_cells: list[dict[int, CutCell]] = []
@@ -380,7 +391,10 @@ def _visible_regions(config: MultiMeshConfig):
         scale = part.predomain.scale
         tol = REL_TOL * max(scale, 1.0)
         covered = np.zeros(len(mesh.cells), dtype=bool)
-        pieces: dict[int, list[ConvexPolygon]] = {}  # of the cut cells; stale once covered
+        # pieces of the cut cells as a batch, rows ordered by cell (`cell`);
+        # stale once the cell is covered
+        pv, pn, pa = np.zeros((0, 3, 2)), np.zeros(0, dtype=np.int64), np.zeros(0)
+        cell = np.zeros(0, dtype=np.int64)
         for k in range(i + 1, nparts):
             Q = config.parts[k].predomain
             x0, x1, y0, y1 = Q.bounds()
@@ -397,27 +411,34 @@ def _visible_regions(config: MultiMeshConfig):
             fully_in = np.all(d >= -tol, axis=(1, 2))
             separated = np.any(np.all(d < -tol, axis=1), axis=1)
             covered[cand[fully_in]] = True
-            cut_by[i, k] = cand[~fully_in & ~separated]
-            for c in cut_by[i, k].tolist():
-                cur = pieces.get(c) or [ConvexPolygon(verts[c], validate=False)]
-                nxt = [q for p in cur for q in convex_difference(p, Q).pieces]
-                if nxt:
-                    pieces[c] = nxt
-                else:
-                    covered[c] = True
+            cut = cut_by[i, k] = cand[~fully_in & ~separated]
+            # each cut cell's pieces so far, or the whole cell
+            old = np.isin(cell, cut)
+            fresh = cut[~np.isin(cut, cell)]
+            src_cell = np.concatenate([cell[old], fresh])
+            order = np.argsort(src_cell, kind="stable")
+            v, n, a, row = subtract_polygon(
+                stack_padded([pv[old], verts[fresh]])[order],
+                np.concatenate([pn[old], np.full(len(fresh), 3)])[order], Q)
+            new_cell = src_cell[order][row]
+            covered[np.setdiff1d(cut, new_cell)] = True
+            order = np.argsort(np.concatenate([cell[~old], new_cell]), kind="stable")
+            pv = stack_padded([pv[~old], v])[order]
+            pn = np.concatenate([pn[~old], n])[order]
+            pa = np.concatenate([pa[~old], a])[order]
+            cell = np.concatenate([cell[~old], new_cell])[order]
         # a cut cell with a visible area below the floor counts as covered
-        areas = mesh.cell_areas()
-        visible: dict[int, PolySet] = {}
-        for c in sorted(pieces):
-            if covered[c]:
-                continue
-            vis = PolySet(pieces[c])
-            if vis.area <= 1e-14 * areas[c]:
-                covered[c] = True
-            else:
-                visible[c] = vis
+        live = ~covered[cell]
+        vis_area = np.bincount(cell[live], weights=pa[live], minlength=len(mesh.cells))
+        covered |= np.isin(np.arange(len(mesh.cells)), cell[live]) & (
+            vis_area <= 1e-14 * mesh.cell_areas())
+        live = ~covered[cell]
+        pieces = polygons(pv[live], pn[live], pa[live])
+        ids, starts = np.unique(cell[live], return_index=True)
+        bounds = np.append(starts, len(pieces)).tolist()
         active.append(np.flatnonzero(~covered))
-        cut_cells.append({c: CutCell(i, c, vis) for c, vis in visible.items()})
+        cut_cells.append({c: CutCell(i, c, PolySet(pieces[bounds[t]:bounds[t + 1]]))
+                          for t, c in enumerate(ids.tolist())})
     return active, cut_cells, cut_by
 
 
@@ -425,63 +446,41 @@ def _cell_edges(mesh: TriMesh, cells: np.ndarray):
     """Vertices (n, 3, 2), edge vectors v[k+1] - v[k] and edge lengths of
     the given cells.
 
-    The lengths come from `math.hypot`, as in `clip_segment`, so the
-    vectorized segment clip and point-in-cell test below keep the scalar
-    arithmetic bit for bit; each distinct cell is measured once.
+    The lengths come from `math.hypot`, as in the clipping kernels, so the
+    segment clip and point-in-cell test below keep the scalar arithmetic
+    bit for bit; each distinct cell is measured once.
     """
     uniq, inv = np.unique(cells, return_inverse=True)
     v = mesh.nodes[mesh.cells[uniq]]
-    e = np.roll(v, -1, axis=1) - v
-    ln = np.array([math.hypot(x, y) for x, y in e.reshape(-1, 2).tolist()]).reshape(-1, 3)
+    e, ln = edge_vectors(v)
     return v[inv], e[inv], ln[inv]
 
 
-def _segment_cell_params(a: np.ndarray, b: np.ndarray, mesh: TriMesh, cells: np.ndarray,
-                         tol: np.ndarray):
-    """Parameter interval [t_lo, t_hi] of each segment a[n]->b[n] inside the
-    cell cells[n], and whether it is nonempty.
-
-    Clips against the edge half-planes in order with the arithmetic of
-    `clip_segment`: an end within tol of an edge line counts as inside.
-    """
-    tris, e, ln = _cell_edges(mesh, cells)
-    t_lo = np.zeros(len(a))
-    t_hi = np.ones(len(a))
-    hit = np.ones(len(a), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(3):
-            p = tris[:, k]
-            da = (e[:, k, 0] * (a[:, 1] - p[:, 1]) - e[:, k, 1] * (a[:, 0] - p[:, 0])) / ln[:, k]
-            db = (e[:, k, 0] * (b[:, 1] - p[:, 1]) - e[:, k, 1] * (b[:, 0] - p[:, 0])) / ln[:, k]
-            inside = (da >= -tol) & (db >= -tol)
-            hit &= inside | (da > tol) | (db > tol)
-            t = da / (da - db)
-            leaves = hit & ~inside & (db < da)
-            enters = hit & ~inside & ~(db < da)
-            t_hi = np.where(leaves & (t < t_hi), t, t_hi)
-            t_lo = np.where(enters & (t > t_lo), t, t_lo)
-            hit &= t_lo < t_hi
-    return t_lo, t_hi, hit
-
-
-def _predomain_edge_normal(pre: ConvexPolygon, seg: Segment, part: int,
-                           cell: int) -> np.ndarray:
-    """Outward normal of the predomain edge the segment, a boundary facet
-    of the cell of the part's mesh, lies on."""
+def _predomain_edge_normals(pre: ConvexPolygon, a: np.ndarray, b: np.ndarray, part: int,
+                            cells: np.ndarray) -> np.ndarray:
+    """Outward normal (n, 2) of the predomain edge each segment a[n] -> b[n],
+    a boundary facet of cell cells[n] of the part's mesh, lies on: the first
+    edge whose line passes within tol of its midpoint and whose span holds
+    the midpoint."""
     tol = REL_TOL * max(pre.scale, 1.0) * 1e3  # mesh nodes sit on edges up to rounding
-    mid = seg.midpoint()
-    for p, q in pre.edges():
-        e = q - p
-        ln = math.hypot(e[0], e[1])
-        u = e / ln
-        off = abs(u[0] * (mid[1] - p[1]) - u[1] * (mid[0] - p[0]))
-        along = u[0] * (mid[0] - p[0]) + u[1] * (mid[1] - p[1])
-        if off <= tol and -tol <= along <= ln + tol:
-            return np.array([u[1], -u[0]])
-    raise ConfigError(
-        f"boundary facet of part {part}, cell {cell} does not lie on its predomain hull: "
-        f"midpoint ({mid[0]:.17g}, {mid[1]:.17g})"
-    )
+    mid = 0.5 * (a + b)
+    p = pre.vertices
+    e, ln = edge_vectors(p)
+    u = e / ln[:, None]
+    dx = mid[:, None, 0] - p[:, 0]
+    dy = mid[:, None, 1] - p[:, 1]
+    off = np.abs(u[:, 0] * dy - u[:, 1] * dx)
+    along = u[:, 0] * dx + u[:, 1] * dy
+    on = (off <= tol) & (-tol <= along) & (along <= ln + tol)
+    lost = np.flatnonzero(~on.any(axis=1))
+    if len(lost):
+        f = lost[0]
+        raise ConfigError(
+            f"boundary facet of part {part}, cell {cells[f]} does not lie on its predomain "
+            f"hull: midpoint ({mid[f, 0]:.17g}, {mid[f, 1]:.17g})"
+        )
+    u = u[np.argmax(on, axis=1)]
+    return np.stack([u[:, 1], -u[:, 0]], axis=1)
 
 
 def _locate_cells(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray,
@@ -508,75 +507,78 @@ def _locate_cells(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray
 
 
 def _build_facets(config: MultiMeshConfig, active, grids):
-    """Interface facets: the visible part of each active outer boundary
-    facet of mesh i > 0, split among the lower meshes that own it and at
-    every lower cell edge it crosses."""
+    """Interface facets and |Gamma_i| per mesh: the visible part of each
+    active outer boundary facet of mesh i > 0, split among the lower meshes
+    that own it and at every lower cell edge it crosses.
+
+    The facets of mesh i are clipped as one batch per predomain: first the
+    parts under higher predomains go, then each lower predomain, top down,
+    keeps what lies inside it (less its void) and passes the rest on.
+    """
     nparts = config.nparts
     masks = [_mask(active[i], len(p.mesh.cells)) for i, p in enumerate(config.parts)]
-    # owned[j]: (upper mesh, upper cell, normal, tol, segment) per piece
-    # whose topmost visible lower mesh is j
+    # owned[j]: (upper mesh, upper cell, normal, tol, a, b) arrays per upper
+    # mesh, of the pieces whose topmost visible lower mesh is j
     owned: list[list[tuple]] = [[] for _ in range(nparts)]
     for i in range(1, nparts):
         part = config.parts[i]
         mesh = part.mesh
         tol = REL_TOL * max(part.predomain.scale, 1.0)
-        for (cell, ledge), marker in zip(mesh.boundary_facets, mesh.boundary_markers):
-            if marker != MARKER_OUTER or not masks[i][cell]:
-                continue
-            a, b = mesh.facet_endpoints(int(cell), int(ledge))
-            whole = Segment(a, b)
-            normal = _predomain_edge_normal(part.predomain, whole, i, int(cell))
-            # keep only the part of the facet not covered by higher predomains
-            pieces = [whole]
-            for k in range(i + 1, nparts):
-                pieces = [
-                    q
-                    for p in pieces
-                    for q in _clip_outside(p, config.parts[k].predomain)
-                ]
-            # ownership: topmost lower mesh whose visible region holds the piece
-            cur = pieces
-            for m in range(i - 1, -1, -1):
-                if not cur:
-                    break
-                pre_m = config.parts[m].predomain
-                void_m = config.parts[m].void
-                nxt: list[Segment] = []
-                for p in cur:
-                    ins = _clip_inside(p, pre_m)
-                    nxt.extend(_clip_outside(p, pre_m))
-                    if void_m is not None:
-                        ins = [q2 for q in ins for q2 in _clip_outside(q, void_m)]
-                    owned[m].extend((i, int(cell), normal, tol, q) for q in ins if q.length > tol)
-                cur = nxt
-    facets: list[InterfaceFacet] = []
-    for j, segs in enumerate(owned):
-        if segs:
-            facets.extend(_split_owned(config.parts[j].mesh, grids[j], masks[j], j, segs))
-    facets.sort(
-        key=lambda f: (
-            f.upper_mesh,
-            f.upper_cell,
-            f.lower_mesh,
-            f.lower_cell,
-            tuple(f.segment.a),
-            tuple(f.segment.b),
-        )
-    )
-    return facets
+        facets = mesh.boundary_facets[
+            (mesh.boundary_markers == MARKER_OUTER) & masks[i][mesh.boundary_facets[:, 0]]]
+        cell, ledge = facets[:, 0], facets[:, 1]
+        a = mesh.nodes[mesh.cells[cell, ledge]]
+        b = mesh.nodes[mesh.cells[cell, (ledge + 1) % 3]]
+        normal = _predomain_edge_normals(part.predomain, a, b, i, cell)
+        src = np.arange(len(a))  # the facet each piece comes from
+        # keep only the part of the facets not covered by higher predomains
+        for k in range(i + 1, nparts):
+            _, (a, b, s) = clip_segments(a, b, config.parts[k].predomain)
+            src = src[s]
+        # ownership: topmost lower mesh whose visible region holds the piece
+        for m in range(i - 1, -1, -1):
+            if len(a) == 0:
+                break
+            (ia, ib, s), (a, b, out) = clip_segments(a, b, config.parts[m].predomain)
+            ins, src = src[s], src[out]
+            if config.parts[m].void is not None:
+                _, (ia, ib, s) = clip_segments(ia, ib, config.parts[m].void)
+                ins = ins[s]
+            d = ib - ia
+            keep = np.hypot(d[:, 0], d[:, 1]) > tol
+            ins = ins[keep]
+            owned[m].append((np.full(len(ins), i), cell[ins], normal[ins], np.full(len(ins), tol),
+                             ia[keep], ib[keep]))
+    rows = [_split_owned(config.parts[j].mesh, grids[j], masks[j], j,
+                         *(np.concatenate(col) for col in zip(*segs)))
+            for j, segs in enumerate(owned) if segs]
+    if not rows:
+        return [], np.zeros(nparts)
+    upper, ucell, lower, lcell, normal, a, b = (np.concatenate(col) for col in zip(*rows))
+    order = np.lexsort((b[:, 1], b[:, 0], a[:, 1], a[:, 0], lcell, lower, ucell, upper))
+    upper, ucell, lower, lcell, normal, a, b = (
+        x[order] for x in (upper, ucell, lower, lcell, normal, a, b))
+    d = b - a
+    gamma_len = np.bincount(upper, weights=np.hypot(d[:, 0], d[:, 1]), minlength=nparts)
+    upper, ucell, lower, lcell = (x.tolist() for x in (upper, ucell, lower, lcell))
+    facets = [InterfaceFacet(Segment(a[k], b[k]), upper[k], ucell[k], lower[k], lcell[k],
+                             normal[k]) for k in range(len(upper))]
+    return facets, gamma_len
 
 
-def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, j: int,
-                 segs: list) -> list[InterfaceFacet]:
-    """Split the segments owned by mesh j where they cross its cell edges
-    and pair each sub-segment with the active cell holding its midpoint."""
-    n = len(segs)
-    a = np.array([s[4].a for s in segs])
-    b = np.array([s[4].b for s in segs])
-    tol = np.array([s[3] for s in segs])
-    length = np.array([s[4].length for s in segs])
+def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, j: int, upper: np.ndarray,
+                 cell: np.ndarray, normal: np.ndarray, tol: np.ndarray, a: np.ndarray,
+                 b: np.ndarray):
+    """Split the segments a[n] -> b[n] owned by mesh j where they cross its
+    cell edges and pair each sub-segment with the active cell holding its
+    midpoint. Returns per sub-segment: upper mesh and cell, lower mesh and
+    cell, normal and endpoints."""
+    n = len(a)
+    d = b - a
+    length = np.hypot(d[:, 0], d[:, 1])
     q, c = grid.query_bboxes(np.minimum(a, b) - tol[:, None], np.maximum(a, b) + tol[:, None])
-    t_lo, t_hi, hit = _segment_cell_params(a[q], b[q], mesh, c, tol[q])
+    tris, e, ln = _cell_edges(mesh, c)
+    t_lo, t_hi, hit = segment_params(a[q], b[q], tris, e, ln, tol[q])
     # split parameters per segment: both ends and every cell entry and exit,
     # sorted, exact repeats dropped (ends first, so 0.0 beats -0.0)
     seg = np.concatenate([np.arange(n), np.arange(n), q[hit], q[hit]])
@@ -592,19 +594,9 @@ def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, j: int,
     pa = a[s] + ta * (b[s] - a[s])
     pb = a[s] + tb * (b[s] - a[s])
     lower = _locate_cells(mesh, grid, 0.5 * (pa + pb), tol[s], mask)
-    out = []
-    for k in np.flatnonzero(lower >= 0):  # else a rounding sliver outside the lower mesh
-        i, cell, normal, _, _ = segs[s[k]]
-        out.append(InterfaceFacet(Segment(pa[k], pb[k]), i, cell, j, int(lower[k]), normal))
-    return out
-
-
-def _clip_inside(seg: Segment, poly: ConvexPolygon) -> list[Segment]:
-    return clip_segment(seg, poly, keep_inside=True)
-
-
-def _clip_outside(seg: Segment, poly: ConvexPolygon) -> list[Segment]:
-    return clip_segment(seg, poly, keep_inside=False)
+    ok = lower >= 0  # else a rounding sliver outside the lower mesh
+    s = s[ok]
+    return upper[s], cell[s], np.full(len(s), j), lower[ok], normal[s], pa[ok], pb[ok]
 
 
 # Triangle pairs that an edge normal separates by more than SAT_MARGIN times
@@ -619,26 +611,36 @@ def _sat_separated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """True for each triangle pair (a[n], b[n], each (n, 3, 2)) that one of
     the six edge normals separates by more than SAT_MARGIN * REL_TOL times
     the pair's scale (the larger bounding-box extent, as in `convex_intersect`)."""
-    scale = np.maximum(np.ptp(a, axis=1).max(axis=1), np.ptp(b, axis=1).max(axis=1))
-    e = np.concatenate([np.roll(a, -1, axis=1) - a, np.roll(b, -1, axis=1) - b], axis=1)
-    normal = np.stack([e[..., 1], -e[..., 0]], axis=-1)            # (n, 6, 2)
-    pa = np.einsum("nkd,nvd->nkv", normal, a)
-    pb = np.einsum("nkd,nvd->nkv", normal, b)
-    gap = np.maximum(pb.min(axis=2) - pa.max(axis=2), pa.min(axis=2) - pb.max(axis=2))
-    margin = SAT_MARGIN * REL_TOL * scale[:, None] * np.hypot(normal[..., 0], normal[..., 1])
-    return np.any(gap > margin, axis=1)
+    lo_a, hi_a = _cell_boxes(a)
+    lo_b, hi_b = _cell_boxes(b)
+    ext = np.maximum(hi_a - lo_a, hi_b - lo_b)
+    scale = np.maximum(ext[:, 0], ext[:, 1])
+    separated = np.zeros(len(a), dtype=bool)
+    for t in (a, b):
+        for k in range(3):
+            e = t[:, (k + 1) % 3] - t[:, k]
+            nx, ny = e[:, 1], -e[:, 0]
+            pa = nx[:, None] * a[..., 0] + ny[:, None] * a[..., 1]   # (n, 3)
+            pb = nx[:, None] * b[..., 0] + ny[:, None] * b[..., 1]
+            lo_a, hi_a = _cell_boxes(pa[..., None])
+            lo_b, hi_b = _cell_boxes(pb[..., None])
+            gap = np.maximum(lo_b - hi_a, lo_a - hi_b)[:, 0]
+            separated |= gap > SAT_MARGIN * REL_TOL * scale * np.hypot(nx, ny)
+    return separated
 
 
 def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids):
-    """Overlap pieces: each active cell of mesh i that Q_j cuts, intersected
-    with the active cells of mesh j near it, minus all higher predomains.
+    """Overlap pieces and their total area per mesh pair: each active cell
+    of mesh i that Q_j cuts, intersected with the active cells of mesh j
+    near it, minus all higher predomains.
 
     Candidate (lower, upper) pairs come from one bulk grid query per mesh
-    pair; a separating-axis test drops the pairs that cannot intersect, and
-    only the rest are clipped exactly.
+    pair; a separating-axis test drops the pairs that cannot intersect, the
+    rest are clipped as one batch, and each higher predomain is subtracted
+    from all their pieces at once.
     """
     nparts = config.nparts
-    overlaps: list[OverlapPiece] = []
+    rows = []  # per mesh pair: lower mesh and cell, upper mesh and cell, pieces
     for (i, j), cut in sorted(cut_by.items()):
         lmesh, umesh = config.parts[i].mesh, config.parts[j].mesh
         lower = cut[_mask(active[i], len(lmesh.cells))[cut]]
@@ -650,45 +652,45 @@ def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids):
         keep = _mask(active[j], len(umesh.cells))[cu]
         q, cu = q[keep], cu[keep]
         keep = ~_sat_separated(lverts[q], uverts[cu])
-        tri_of = None
-        for qk, ck in zip(q[keep].tolist(), cu[keep].tolist()):
-            if tri_of != qk:
-                tri_of, tri = qk, ConvexPolygon(lverts[qk], validate=False)
-            inter = convex_intersect(tri, ConvexPolygon(uverts[ck], validate=False))
-            if inter.empty:
-                continue
-            pieces = inter.pieces
-            for k in range(j + 1, nparts):
-                pieces = [
-                    pp
-                    for p in pieces
-                    for pp in convex_difference(p, config.parts[k].predomain).pieces
-                ]
-                if not pieces:
-                    break
-            if len(pieces) > 1:
-                pieces.sort(key=lambda p: tuple(p.centroid()))
-            overlaps.extend(OverlapPiece(p, i, int(lower[qk]), j, ck) for p in pieces)
-    # order by (lower mesh, lower cell, upper mesh, upper cell, centroid):
-    # the pieces of one cell pair are already in centroid order, and the
-    # sort is stable
-    overlaps.sort(key=lambda o: (o.lower_mesh, o.lower_cell, o.upper_mesh, o.upper_cell))
-    return overlaps
+        q, cu = q[keep], cu[keep]
+        upper, which = np.unique(cu, return_inverse=True)
+        v, n, a = clip_polygons(lverts[q], np.full(len(q), 3), uverts[upper], which)
+        pair = np.flatnonzero(n)
+        v, n, a = v[pair], n[pair], a[pair]
+        for k in range(j + 1, nparts):
+            if len(pair) == 0:
+                break
+            v, n, a, s = subtract_polygon(v, n, config.parts[k].predomain)
+            pair = pair[s]
+        rows.append((np.full(len(pair), i), lower[q[pair]], np.full(len(pair), j), cu[pair],
+                     v, n, a))
+    if not rows:
+        return [], np.zeros((nparts, nparts))
+    lm, lc, um, uc, n, a = (np.concatenate([r[k] for r in rows]) for k in (0, 1, 2, 3, 5, 6))
+    pieces = polygons(stack_padded([r[4] for r in rows]), n, a)
+    # order by (lower mesh, lower cell, upper mesh, upper cell, centroid);
+    # only the pieces of a cell pair with several need their centroid
+    cent = np.zeros((len(pieces), 2))
+    same = np.flatnonzero((lm[1:] == lm[:-1]) & (lc[1:] == lc[:-1])
+                          & (um[1:] == um[:-1]) & (uc[1:] == uc[:-1]))
+    for k in np.union1d(same, same + 1).tolist():
+        cent[k] = pieces[k].centroid()
+    order = np.lexsort((cent[:, 1], cent[:, 0], uc, um, lc, lm))
+    lm, lc, um, uc, a = (x[order] for x in (lm, lc, um, uc, a))
+    area = np.bincount(lm * nparts + um, weights=a, minlength=nparts * nparts)
+    lm, lc, um, uc = (x.tolist() for x in (lm, lc, um, uc))
+    overlaps = [OverlapPiece(pieces[k], lm[t], lc[t], um[t], uc[t])
+                for t, k in enumerate(order.tolist())]
+    return overlaps, area.reshape(nparts, nparts)
 
 
 def build_cut_topology(config: MultiMeshConfig, quad_order: int = 2) -> CutTopology:
     """Construct the full cut topology of a mesh stack. quad_order is the
     order of the facet and overlap batches and the default cell order."""
-    nparts = config.nparts
     active, cut_cells, cut_by = _visible_regions(config)
     grids = [_CellGrid(p.mesh) for p in config.parts]
-    facets = _build_facets(config, active, grids)
-    overlaps = _build_overlaps(config, active, cut_by, grids)
-
-    gamma_len = np.zeros(nparts)
-    for f in facets:
-        gamma_len[f.upper_mesh] += f.segment.length
-
+    facets, gamma_len = _build_facets(config, active, grids)
+    overlaps, overlap_area = _build_overlaps(config, active, cut_by, grids)
     topo = CutTopology(
         config=config,
         quad_order=quad_order,
@@ -699,6 +701,7 @@ def build_cut_topology(config: MultiMeshConfig, quad_order: int = 2) -> CutTopol
         N_O=0,
         N_Oi=None,
         gamma_len=gamma_len,
+        overlap_area=overlap_area,
         grids=grids,
     )
     _, topo.N_O, topo.N_Oi = compute_delta_NO(topo)
@@ -714,11 +717,8 @@ def compute_delta_NO(topology: CutTopology):
     meshes below i with nonempty overlap against it.
     """
     n = topology.nparts
-    area = np.zeros((n, n))
-    for o in topology.overlaps:
-        area[o.lower_mesh, o.upper_mesh] += o.polygon.area
     delta = np.eye(n, dtype=np.int64)
-    delta[area > 0.0] = 1
+    delta[topology.overlap_area > 0.0] = 1
     row = delta.sum(axis=1)
     col = delta.sum(axis=0)
     N_O = int(max(row.max(), col.max()))

@@ -111,8 +111,9 @@ def classical_p1_system(mesh, f):
 
 def independent_gamma_lengths(config: MultiMeshConfig) -> np.ndarray:
     """|Gamma_i| by clipping each predomain boundary edge against all higher
-    predomains; no facet machinery involved."""
-    from stackfem.geom2d import Segment, clip_segment
+    predomains with the scalar clipper; no facet machinery involved."""
+    from loop_reference import clip_segment
+    from stackfem.geom2d import Segment
 
     n = config.nparts
     out = np.zeros(n)

@@ -27,6 +27,13 @@ one point location per sub-segment. The bulk builder must reproduce them bit
 for bit. `point_locate` is the scalar point location that evaluation used
 before it took arrays: one point, one grid bin and one cell at a time.
 
+The topology oracles clip with the scalar Sutherland-Hodgman code below
+(`_split_by_line`, `_as_piece`, `convex_intersect`, `convex_difference`,
+`clip_segment`): one polygon or segment at a time in pure Python, as
+`stackfem.geom2d` did before it clipped in batches. They share no clipping
+code with the batched kernels, which must match them bit for bit.
+`_predomain_edge_normal` finds the normal of one facet at a time.
+
 `visible_regions` and `grid_table` are the cell bookkeeping of the cut
 topology as loops: a visit to every cell for the active list and a
 `lexsort` of the bin table. The mesh and space builders at the end
@@ -43,16 +50,15 @@ import numpy as np
 from scipy import sparse
 
 from stackfem.geom2d import (
+    AREA_FLOOR,
     REL_TOL,
     ConvexPolygon,
     PolySet,
     Segment,
     QuadRule,
-    clip_segment,
-    convex_difference,
-    convex_intersect,
     fan_triangles,
     offset_polygon,
+    polygon_area,
     triangle_rule,
     triangles_quadrature,
 )
@@ -64,11 +70,11 @@ from stackfem.mesh import (
     ref_basis_grad,
 )
 from stackfem.multimesh import (
+    ConfigError,
     CutCell,
     InterfaceFacet,
     OverlapPiece,
     QuadBatch,
-    _predomain_edge_normal,
     _signed_dists,
 )
 
@@ -366,6 +372,165 @@ def energy_terms(u, topology) -> tuple[float, float, float, float]:
 
 
 # ---------------------------------------------------------------------------
+# Scalar convex clipping: one polygon or segment at a time
+# ---------------------------------------------------------------------------
+
+def _split_by_line(verts: list, px: float, py: float, qx: float, qy: float, tol: float):
+    """Split a convex polygon (list of (x, y)) by the directed line p->q.
+
+    Returns (left, right) vertex lists; either may be empty. Vertices within
+    tol of the line are emitted to both sides, so left + right tile the input
+    and share cut vertices bitwise. Pure Python: the polygons here are tiny
+    and this sits in the innermost cut loops.
+    """
+    ex = qx - px
+    ey = qy - py
+    inv_norm = 1.0 / math.hypot(ex, ey)
+    d = [(ex * (y - py) - ey * (x - px)) * inv_norm for x, y in verts]
+    neg_tol = -tol
+    if all(v >= neg_tol for v in d):
+        return verts, []
+    if all(v <= tol for v in d):
+        return [], verts
+    left: list = []
+    right: list = []
+    n = len(verts)
+    for k in range(n):
+        k2 = k + 1 if k + 1 < n else 0
+        dk = d[k]
+        dk2 = d[k2]
+        vk = verts[k]
+        if dk >= neg_tol:
+            left.append(vk)
+        if dk <= tol:
+            right.append(vk)
+        # genuine sign change: emit the crossing point to both sides
+        if (dk > tol and dk2 < neg_tol) or (dk < neg_tol and dk2 > tol):
+            t = dk / (dk - dk2)
+            vk2 = verts[k2]
+            x = (vk[0] + t * (vk2[0] - vk[0]), vk[1] + t * (vk2[1] - vk[1]))
+            left.append(x)
+            right.append(x)
+    return left, right
+
+
+def _as_piece(verts: list, scale: float) -> ConvexPolygon | None:
+    """Build a polygon from raw split output, or None if below the noise floor."""
+    if len(verts) < 3:
+        return None
+    verts = _dedupe_list(verts, REL_TOL * scale)
+    if len(verts) < 3:
+        return None
+    area = polygon_area(verts)
+    if area <= AREA_FLOOR * scale * scale:
+        return None
+    poly = ConvexPolygon.__new__(ConvexPolygon)
+    poly.vertices = np.array(verts)
+    poly._area = area
+    poly._scale = None
+    return poly
+
+
+def _dedupe_list(verts: list, tol_len: float) -> list:
+    out = []
+    for v in verts:
+        if not out or math.hypot(v[0] - out[-1][0], v[1] - out[-1][1]) > tol_len:
+            out.append(v)
+    if len(out) > 1 and math.hypot(out[-1][0] - out[0][0], out[-1][1] - out[0][1]) <= tol_len:
+        out.pop()
+    return out
+
+
+def _edge_list(poly: ConvexPolygon) -> list:
+    cached = getattr(poly, "_vlist", None)
+    if cached is None:
+        cached = [tuple(v) for v in poly.vertices.tolist()]
+        poly._vlist = cached
+    return cached
+
+
+def convex_intersect(P: ConvexPolygon, Q: ConvexPolygon) -> PolySet:
+    """Intersection P ∩ Q as a PolySet with zero or one convex piece."""
+    scale = max(P.scale, Q.scale)
+    tol = REL_TOL * scale
+    cur = _edge_list(P)
+    qv = _edge_list(Q)
+    nq = len(qv)
+    for k in range(nq):
+        a = qv[k]
+        b = qv[k + 1 if k + 1 < nq else 0]
+        cur, _ = _split_by_line(cur, a[0], a[1], b[0], b[1], tol)
+        if len(cur) < 3:
+            return PolySet([])
+    piece = _as_piece(cur, scale)
+    return PolySet([piece] if piece is not None else [])
+
+
+def convex_difference(P: ConvexPolygon, Q: ConvexPolygon) -> PolySet:
+    """Difference P \\ Q as a disjoint convex decomposition.
+
+    Successively splits off the part of P outside each edge half-plane of Q;
+    whatever remains after all edges is P ∩ Q and is dropped.
+    """
+    scale = max(P.scale, Q.scale)
+    tol = REL_TOL * scale
+    pieces: list[ConvexPolygon] = []
+    cur = _edge_list(P)
+    qv = _edge_list(Q)
+    nq = len(qv)
+    for k in range(nq):
+        if len(cur) < 3:
+            break
+        a = qv[k]
+        b = qv[k + 1 if k + 1 < nq else 0]
+        cur, outside = _split_by_line(cur, a[0], a[1], b[0], b[1], tol)
+        piece = _as_piece(outside, scale)
+        if piece is not None:
+            pieces.append(piece)
+    return PolySet(pieces)
+
+
+def clip_segment(s: Segment, Q: ConvexPolygon, keep_inside: bool = True) -> list[Segment]:
+    """Sub-segments of s inside (or outside) Q; inside + outside tile s.
+
+    A segment lying on the boundary of Q counts as inside (deterministic
+    tie-break; measure zero for area integrals either way).
+    """
+    scale = max(Q.scale, s.length, 1e-300)
+    tol = REL_TOL * scale
+    t_lo, t_hi = 0.0, 1.0
+    dir_vec = s.b - s.a
+    for p, q in Q.edges():
+        norm = math.hypot(q[0] - p[0], q[1] - p[1])
+        da = ((q[0] - p[0]) * (s.a[1] - p[1]) - (q[1] - p[1]) * (s.a[0] - p[0])) / norm
+        db = ((q[0] - p[0]) * (s.b[1] - p[1]) - (q[1] - p[1]) * (s.b[0] - p[0])) / norm
+        if da >= -tol and db >= -tol:
+            continue
+        if da <= tol and db <= tol:
+            t_lo, t_hi = 1.0, 0.0
+            break
+        t = da / (da - db)
+        if db < da:
+            t_hi = min(t_hi, t)
+        else:
+            t_lo = max(t_lo, t)
+        if t_lo >= t_hi:
+            break
+    tol_t = tol / max(s.length, 1e-300)
+    inside: list[Segment] = []
+    outside: list[Segment] = []
+    if t_hi - t_lo > tol_t:
+        inside.append(Segment(s.a + t_lo * dir_vec, s.a + t_hi * dir_vec))
+        if t_lo > tol_t:
+            outside.append(Segment(s.a, s.a + t_lo * dir_vec))
+        if t_hi < 1.0 - tol_t:
+            outside.append(Segment(s.a + t_hi * dir_vec, s.b))
+    else:
+        outside.append(Segment(s.a, s.b))
+    return inside if keep_inside else outside
+
+
+# ---------------------------------------------------------------------------
 # Cut topology: overlap pieces and interface facets
 # ---------------------------------------------------------------------------
 
@@ -494,6 +659,26 @@ def point_locate(topology, x):
         if cell is not None:
             return i, cell
     return None
+
+
+def _predomain_edge_normal(pre: ConvexPolygon, seg: Segment, part: int,
+                           cell: int) -> np.ndarray:
+    """Outward normal of the predomain edge the segment, a boundary facet
+    of the cell of the part's mesh, lies on."""
+    tol = REL_TOL * max(pre.scale, 1.0) * 1e3  # mesh nodes sit on edges up to rounding
+    mid = seg.midpoint()
+    for p, q in pre.edges():
+        e = q - p
+        ln = math.hypot(e[0], e[1])
+        u = e / ln
+        off = abs(u[0] * (mid[1] - p[1]) - u[1] * (mid[0] - p[0]))
+        along = u[0] * (mid[0] - p[0]) + u[1] * (mid[1] - p[1])
+        if off <= tol and -tol <= along <= ln + tol:
+            return np.array([u[1], -u[0]])
+    raise ConfigError(
+        f"boundary facet of part {part}, cell {cell} does not lie on its predomain hull: "
+        f"midpoint ({mid[0]:.17g}, {mid[1]:.17g})"
+    )
 
 
 def interface_facets(config, active, grids):

@@ -7,9 +7,11 @@ loops in `loop_reference` build. So must the active cells, the visible
 regions and the grid bin tables, which the loops build one cell at a time,
 and the cell, facet and overlap batches, which the loops concatenate from
 one rule per entity. The two bulk building blocks are checked on their own
-against brute force with hypothesis.
+against brute force with hypothesis, and the memory peak of one topology
+build is bounded on two stacks.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from conftest import build_stack_config, config_I, config_II
-from stackfem.cli import boundary_layer_stack
+from stackfem.cli import boundary_layer_stack, build_stack, standard_predomains
 from stackfem.geom2d import REL_TOL, ConvexPolygon, convex_intersect, rect_polygon, rotate_rect
 from stackfem.mesh import build_structured_mesh
 from stackfem.multimesh import (
@@ -52,6 +54,15 @@ STACKS = {
     "nested": lambda: build_stack_config(
         [UNIT, rect_polygon(0.2, 0.8, 0.2, 0.8), rect_polygon(0.2, 0.5, 0.2, 0.5)],
         (3, 4, 5)),
+    # parts 1 and 2 leave [0.25, 0.27]^2 of two background cells uncovered,
+    # and the diamond on top covers all of it but a corner triangle with legs
+    # of about 2e-8: a visible area of about 3e-15 times the cell's, under the
+    # visible-area floor
+    "visible-area-floor": lambda: build_stack_config(
+        [UNIT, rect_polygon(0.27, 0.9, 0.1, 0.9), rect_polygon(0.1, 0.9, 0.27, 0.9),
+         ConvexPolygon([[0.27, 0.23 + 2e-8], [0.31 - 2e-8, 0.27], [0.27, 0.31 - 2e-8],
+                        [0.23 + 2e-8, 0.27]])],
+        (2, 3, 3, 6)),
 }
 
 
@@ -108,6 +119,45 @@ def test_visible_regions_match_loop_oracle_bitwise(stack, oracle):
             assert len(got.visible.pieces) == len(exp.visible.pieces)
             for p, q in zip(got.visible.pieces, exp.visible.pieces):
                 assert np.array_equal(p.vertices, q.vertices)
+
+
+def test_visible_area_floor_covers_slivers():
+    config = STACKS["visible-area-floor"]()
+    mesh = config.parts[0].mesh
+    verts = mesh.nodes[mesh.cells]
+    ratio = np.zeros(len(verts))
+    for c in range(len(verts)):
+        pieces = [ConvexPolygon(verts[c], validate=False)]
+        for part in config.parts[1:]:
+            pieces = [q for p in pieces for q in ref.convex_difference(p, part.predomain).pieces]
+        ratio[c] = sum(p.area for p in pieces) / mesh.cell_areas()[c]
+    slivers = np.flatnonzero((ratio > 0.0) & (ratio <= 1e-14))
+    assert len(slivers) == 2
+    active = _visible_regions(config)[0][0]
+    assert not np.isin(slivers, active).any()
+    assert np.isin(np.flatnonzero(ratio > 1e-14), active).all()
+
+
+# tracemalloc peaks of one warm `build_cut_topology`, measured at 6.7 MB
+# (boundary layer, k = 1) and 9.7 MB (config II, k = 7) with numpy 2.4;
+# the bounds leave 2x headroom
+MEMORY_PEAK_MB = {"band-k1": 13.4, "II-k7": 19.4}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_PEAK_MB))
+def test_topology_build_memory_peak(name):
+    if name == "band-k1":
+        config = boundary_layer_stack(1)[0]
+    else:
+        config = build_stack(standard_predomains("II"), [7, 7, 7], 1)
+    build_cut_topology(config)
+    tracemalloc.start()
+    try:
+        build_cut_topology(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= MEMORY_PEAK_MB[name]
 
 
 def _assert_batches_equal(got, want):

@@ -321,6 +321,38 @@ class TestFullRange:
         assert (from_json.k_min, from_json.k_max) == (from_flag.k_min, from_flag.k_max) == (3, 10)
         assert from_json.resolved() == from_flag.resolved()
 
+    @pytest.mark.parametrize("command", ["convergence", "condition"])
+    def test_explicit_k_bounds_win_over_full(self, tmp_path, monkeypatch, command):
+        from stackfem import cli
+
+        ran = []  # the k range each study was asked to run
+        monkeypatch.setattr(cli, "run_permutation_study",
+                            lambda config, k_min, k_max, *a: ran.append((k_min, k_max)) or [])
+        monkeypatch.setattr(cli, "run_condition_study",
+                            lambda config, ks, *a, **kw: ran.append((ks[0], ks[-1])) or ([], 0.0))
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"k_max": 8, "full": True}))
+        cases = [
+            (["--k-min", "5", "--k-max", "6", "--full"], (5, 6)),
+            (["--k-min", "5", "--full"], (5, 10)),
+            (["--full"], (3, 10)),
+            (["--config", str(cfg_path)], (3, 8)),
+            (["--config", str(cfg_path), "--k-min", "4"], (4, 8)),
+        ]
+        for n, (flags, want) in enumerate(cases):
+            out = tmp_path / f"run{n}"
+            assert main([command, "--mm-config", "single", "--out", str(out), *flags]) == 0
+            assert ran[-1] == want, flags
+            meta = json.loads((out / "meta.json").read_text())
+            assert (meta["k_min"], meta["k_max"], meta["full"]) == (*want, True)
+
+    def test_solve_runs_at_an_explicit_k_min_under_full(self, tmp_path):
+        for n, (flags, k) in enumerate([(["--k-min", "2", "--k-max", "2", "--full"], 2),
+                                        (["--full"], 3)]):
+            out = tmp_path / f"run{n}"
+            assert main(["solve", "--mm-config", "single", "--out", str(out), *flags]) == 0
+            assert json.loads((out / "meta.json").read_text())["k"] == k
+
 
 class TestBoundaryLayer:
     def test_stack_geometry(self):

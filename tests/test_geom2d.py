@@ -2,21 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loop_reference as ref
 from conftest import monomial_integral_polygon
+from stackfem import geom2d
 from stackfem.geom2d import (
+    REL_TOL,
     ConvexPolygon,
     GeometryError,
     Segment,
+    clip_polygons,
     clip_segment,
+    clip_segments,
     convex_difference,
     convex_intersect,
     fan_triangles,
+    math_hypot,
     offset_polygon,
+    polygon_area,
     rect_polygon,
     regular_polygon,
     rotate_rect,
     segments_quadrature,
+    split_polygons,
+    subtract_polygon,
     triangles_quadrature,
 )
 
@@ -215,3 +226,298 @@ def _random_convex(rng) -> ConvexPolygon:
         return rotate_rect((cx - hx, cx + hx, cy - hy, cy + hy), rng.uniform(0, 180))
     n = int(rng.integers(3, 8))
     return regular_polygon(n, rng.uniform(0.1, 0.4), rng.uniform(0.2, 0.8, 2))
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against the scalar clipper, bit for bit
+# ---------------------------------------------------------------------------
+
+# offsets off a shared edge, vertex or line, in units of the scale; the
+# clipping tolerance is REL_TOL = 1e-12 of it, so +-5e-13 sits in the band
+OFFSETS = [0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, 3e-12, -3e-12, 1e-9, 1e-3, -1e-3]
+# padding past each polygon's count holds junk that the kernels must ignore
+JUNK = 7.25
+
+
+def _ccw(v: np.ndarray) -> np.ndarray:
+    area = polygon_area(v)
+    return v if area >= 0.0 else v[::-1].copy()
+
+
+def _rotate(v, center, degrees):
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return (v - center) @ np.array([[c, -s], [s, c]]).T + center
+
+
+def _outward(v, k):
+    e = v[(k + 1) % len(v)] - v[k]
+    return np.array([e[1], -e[0]]) / math.hypot(e[0], e[1])
+
+
+@st.composite
+def convex_vertices(draw, scale):
+    """3 to 7 counterclockwise vertices on a rotated ellipse."""
+    n = draw(st.integers(3, 7))
+    # angles at least 0.05 apart: no two vertices coincide
+    angles = 0.05 * np.arange(n) + np.sort(np.array(draw(st.lists(
+        st.floats(0.0, 2 * math.pi - 0.05 * n), min_size=n, max_size=n))))
+    rx, ry = draw(st.floats(0.3, 1.0)), draw(st.floats(0.3, 1.0))
+    phi = draw(st.floats(0.0, math.pi))
+    c = np.array([draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))])
+    v = np.stack([rx * np.cos(angles), ry * np.sin(angles)], axis=1)
+    return (_rotate(v, np.zeros(2), math.degrees(phi)) + c) * scale
+
+
+@st.composite
+def clustered(draw, v, scale):
+    """v, or v with two vertices added on the edge into vertex k, spaced a
+    fraction of the tolerance apart: a chain of vertices that de-duplication
+    must thin against the last vertex kept, and, for k = 0, the last vertex
+    near the first."""
+    if not draw(st.booleans()):
+        return v
+    k = draw(st.integers(0, len(v) - 1))
+    step = draw(st.sampled_from([0.3, 0.6, 0.9])) * REL_TOL * scale
+    u = v[k - 1] - v[k]
+    u = u / math.hypot(u[0], u[1])
+    near = np.array([v[k] + 2 * step * u, v[k] + step * u])
+    return np.concatenate([v[:k], near, v[k:]]) if k else np.concatenate([v, near])
+
+
+@st.composite
+def polygon_pairs(draw):
+    """(P, Q) vertex arrays biased to hard cases: shared edges, vertex
+    contact, near-coincident copies (tiny shifts, 1e-9 degree rotations,
+    scalings by 1 +- 1e-13), nesting, and lines through the tolerance band
+    around a vertex."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    P = draw(convex_vertices(scale))
+    k = draw(st.integers(0, len(P) - 1))
+    p, q = P[k], P[(k + 1) % len(P)]
+    gap = draw(st.sampled_from(OFFSETS)) * scale
+    mode = draw(st.sampled_from(["free", "shared-edge", "vertex", "rotated", "nested",
+                                 "shifted", "band"]))
+    if mode == "free":
+        Q = draw(convex_vertices(scale))
+    elif mode == "shared-edge":
+        n = _outward(P, k)
+        depth = draw(st.floats(0.05, 1.0)) * scale
+        apex = p + draw(st.floats(-0.5, 1.5)) * (q - p) + depth * n
+        Q = np.array([q, p, apex]) + gap * n
+    elif mode == "vertex":
+        turn = draw(st.floats(-1.0, 1.0))
+        d1 = _rotate(_outward(P, k)[None], np.zeros(2), math.degrees(turn))[0]
+        d2 = _rotate(_outward(P, k - 1)[None], np.zeros(2), math.degrees(turn))[0]
+        Q = np.array([q, q + 0.7 * scale * d1, q + 0.7 * scale * d2]) + gap * d1
+    elif mode == "rotated":
+        center = draw(st.sampled_from([P.mean(axis=0), p]))
+        Q = _rotate(P, center, draw(st.sampled_from([1e-9, -1e-9, 1e-6, 30.0])))
+    elif mode == "nested":
+        c = P.mean(axis=0)
+        Q = c + draw(st.sampled_from([0.5, 1 - 1e-13, 1.0, 1 + 1e-13, 2.0])) * (P - c)
+    elif mode == "shifted":
+        Q = P + gap * np.array([math.cos(draw(st.floats(0, 6.3))), 0.5])
+    else:
+        # a big triangle whose first edge passes gap off vertex k of P
+        theta = draw(st.floats(0.0, 2 * math.pi))
+        u = np.array([math.cos(theta), math.sin(theta)])
+        n = np.array([u[1], -u[0]])
+        a = p + gap * n - 3 * scale * u
+        Q = np.array([a, a + 6 * scale * u, p + gap * n - 3 * scale * n])
+    Q = _ccw(Q)
+    if draw(st.booleans()):
+        P, Q = Q, P
+    return draw(clustered(P, scale)), draw(clustered(Q, scale))
+
+
+def _padded(polys: list[np.ndarray], extra: int = 0):
+    width = max((len(v) for v in polys), default=0) + extra
+    out = np.full((len(polys), width, 2), JUNK)
+    for r, v in enumerate(polys):
+        out[r, :len(v)] = v
+    return out, np.array([len(v) for v in polys], dtype=np.int64)
+
+
+def _poly(v) -> ConvexPolygon:
+    return ConvexPolygon(v, validate=False)
+
+
+def _assert_piece(verts, count, area, want):
+    assert count == len(want.vertices)
+    assert np.array_equal(verts[:count], want.vertices)
+    assert area == want.area
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(polygon_pairs(), min_size=1, max_size=5), extra=st.integers(0, 2))
+def test_clip_polygons_match_scalar_intersect(pairs, extra):
+    Ps = [P for P, _ in pairs]
+    # the clip polygons of one call share their vertex count: one call per
+    # count, then every polygon against the first clip polygon alone
+    calls = [(rows, np.stack([pairs[r][1] for r in rows]), np.arange(len(rows)))
+             for m in {len(Q) for _, Q in pairs}
+             for rows in [[r for r, (_, Q) in enumerate(pairs) if len(Q) == m]]]
+    calls.append((list(range(len(Ps))), pairs[0][1][None], np.zeros(len(Ps), dtype=np.int64)))
+    for rows, clip, which in calls:
+        v, n, a = clip_polygons(*_padded([Ps[r] for r in rows], extra), clip, which)
+        assert len(n) == len(rows)
+        for k, r in enumerate(rows):
+            want = ref.convex_intersect(_poly(Ps[r]), _poly(clip[which[k]]))
+            if want.empty:
+                assert n[k] == 0
+            else:
+                _assert_piece(v[k], n[k], a[k], want.pieces[0])
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(polygon_pairs(), min_size=1, max_size=5), extra=st.integers(0, 2))
+def test_subtract_polygon_matches_scalar_difference(pairs, extra):
+    Q = _poly(pairs[0][1])
+    Ps = [P for P, _ in pairs]
+    v, n, a, owner = subtract_polygon(*_padded(Ps, extra), Q)
+    want = [(r, piece) for r, P in enumerate(Ps)
+            for piece in ref.convex_difference(_poly(P), Q).pieces]
+    assert owner.tolist() == [r for r, _ in want]
+    for k, (_, piece) in enumerate(want):
+        _assert_piece(v[k], n[k], a[k], piece)
+
+
+@st.composite
+def segment_batches(draw):
+    """A convex polygon and segments biased to its edges and vertices:
+    along an edge, through a vertex, ending on an edge, offset by the
+    tolerance band, tiny, and free."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    Q = draw(convex_vertices(scale))
+    segs = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(0, len(Q) - 1))
+        p, q = Q[k], Q[(k + 1) % len(Q)]
+        gap = draw(st.sampled_from(OFFSETS)) * scale * _outward(Q, k)
+        t0, t1 = draw(st.floats(-0.5, 1.5)), draw(st.floats(-0.5, 1.5))
+        mode = draw(st.sampled_from(["edge", "vertex", "ends-on-edge", "tiny", "free"]))
+        if mode == "edge":
+            a, b = p + t0 * (q - p) + gap, p + t1 * (q - p) + gap
+        elif mode == "vertex":
+            d = draw(convex_vertices(scale))[0]
+            a, b = p + gap - d, p + gap + d
+        elif mode == "ends-on-edge":
+            a, b = p + t0 * (q - p) + gap, draw(convex_vertices(scale))[0]
+        elif mode == "tiny":
+            a = p + t0 * (q - p)
+            b = a + draw(st.sampled_from([1e-13, 1e-12, 3e-12, 1e-9])) * scale * (q - p)
+        else:
+            a, b = draw(convex_vertices(scale))[:2]
+        segs.append((a, b) if draw(st.booleans()) else (b, a))
+    return Q, np.array([a for a, _ in segs]), np.array([b for _, b in segs])
+
+
+@settings(max_examples=300)
+@given(batch=segment_batches())
+def test_clip_segments_match_scalar_clip(batch):
+    Q, a, b = batch
+    Q = _poly(Q)
+    got = clip_segments(a, b, Q)
+    for side, keep_inside in ((got[0], True), (got[1], False)):
+        want = [(r, s) for r in range(len(a))
+                for s in ref.clip_segment(Segment(a[r], b[r]), Q, keep_inside)]
+        assert side[2].tolist() == [r for r, _ in want]
+        for k, (_, s) in enumerate(want):
+            assert np.array_equal(side[0][k], s.a) and np.array_equal(side[1][k], s.b)
+
+
+@st.composite
+def split_batches(draw):
+    """Polygons and directed lines along their edges, through their
+    vertices and within the tolerance band of a vertex."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        P = draw(convex_vertices(scale))
+        k = draw(st.integers(0, len(P) - 1))
+        theta = draw(st.floats(0.0, 2 * math.pi))
+        mode = draw(st.sampled_from(["edge", "reversed-edge", "through-vertex", "free"]))
+        gap = draw(st.sampled_from(OFFSETS)) * scale
+        if mode == "edge":
+            p, q = P[k], P[(k + 1) % len(P)]
+        elif mode == "reversed-edge":
+            q, p = P[k], P[(k + 1) % len(P)]
+        elif mode == "through-vertex":
+            p = P[k] + gap * np.array([math.sin(theta), -math.cos(theta)])
+            q = p + scale * np.array([math.cos(theta), math.sin(theta)])
+        else:
+            p, q = draw(convex_vertices(scale))[:2]
+        rows.append((draw(clustered(P, scale)), p, q, REL_TOL * scale))
+    return rows
+
+
+@settings(max_examples=300)
+@given(rows=split_batches(), extra=st.integers(0, 2))
+def test_split_polygons_matches_scalar_split(rows, extra):
+    verts, counts = _padded([P for P, *_ in rows], extra)
+    p = np.array([r[1] for r in rows])
+    e = np.array([r[2] for r in rows]) - p
+    inv_norm = np.array([1.0 / math.hypot(x, y) for x, y in e.tolist()])
+    tol = np.array([r[3] for r in rows])
+    (lv, ln), (rv, rn) = split_polygons(verts, counts, p, e, inv_norm, tol)
+    for r, (P, pr, qr, tol_r) in enumerate(rows):
+        left, right = ref._split_by_line([tuple(x) for x in P.tolist()], *pr, *qr, tol_r)
+        assert ln[r] == len(left) and rn[r] == len(right)
+        assert np.array_equal(lv[r, :ln[r]], np.array(left).reshape(-1, 2))
+        assert np.array_equal(rv[r, :rn[r]], np.array(right).reshape(-1, 2))
+
+
+def _hypot_sensitive(n):
+    """n edge vectors whose `np.hypot` and `math.hypot` differ, where this
+    platform has such vectors (else any)."""
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(-1, 1, (2, 20000))
+    differ = np.flatnonzero(np.hypot(x, y) != [math.hypot(a, b) for a, b in zip(x, y)])
+    pick = differ[:n] if len(differ) >= n else np.arange(n)
+    return x[pick], y[pick]
+
+
+def test_edge_lengths_and_dedupe_distances_round_as_math_hypot():
+    x, y = _hypot_sensitive(16)
+    assert math_hypot(x, y).tolist() == [math.hypot(a, b) for a, b in zip(x, y)]
+    # the polygon edge lengths the kernels divide by
+    tri = np.stack([np.zeros((16, 2)), np.stack([x, y], axis=1), np.stack([x - y, y + x], axis=1)],
+                   axis=1)
+    _, lengths = geom2d.edge_vectors(tri)
+    assert lengths[:, 0].tolist() == [math.hypot(a, b) for a, b in zip(x, y)]
+    # the de-duplication test decides a distance equal to tol_len, or one
+    # ulp off it, as math.hypot does
+    for tol_len in (math_hypot(x, y), np.nextafter(math_hypot(x, y), 0.0),
+                    np.nextafter(math_hypot(x, y), 1.0)):
+        want = [math.hypot(a, b) > t for a, b, t in zip(x, y, tol_len)]
+        assert geom2d._farther(x, y, tol_len).tolist() == want
+
+
+def test_kernels_take_empty_batches():
+    empty = np.zeros((0, 3, 2))
+    none = np.zeros(0, dtype=np.int64)
+    v, n, a = clip_polygons(empty, none, UNIT.vertices[None], none)
+    assert v.shape[0] == len(n) == len(a) == 0
+    v, n, a, owner = subtract_polygon(empty, none, UNIT)
+    assert v.shape[0] == len(n) == len(a) == len(owner) == 0
+    (ia, ib, isrc), (oa, ob, osrc) = clip_segments(np.zeros((0, 2)), np.zeros((0, 2)), UNIT)
+    assert len(ia) == len(ib) == len(isrc) == len(oa) == len(ob) == len(osrc) == 0
+    (lv, ln), (rv, rn) = split_polygons(empty, none, np.zeros((0, 2)), np.zeros((0, 2)),
+                                        np.zeros(0), np.zeros(0))
+    assert len(ln) == len(rn) == 0
+
+
+def test_public_clippers_are_single_row_kernels():
+    P = rotate_rect((0.1, 0.7, 0.2, 0.6), 1e-9)
+    Q = regular_polygon(6, 0.25, (0.55, 0.45))
+    for got, want in ((convex_intersect(P, Q), ref.convex_intersect(P, Q)),
+                      (convex_difference(P, Q), ref.convex_difference(P, Q))):
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            _assert_piece(g.vertices, len(g.vertices), g.area, w)
+    s = Segment((0.0, 0.45), (1.0, 0.5))
+    for keep_inside in (True, False):
+        got, want = clip_segment(s, Q, keep_inside), ref.clip_segment(s, Q, keep_inside)
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert np.array_equal(g.a, w.a) and np.array_equal(g.b, w.b)
