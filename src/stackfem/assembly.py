@@ -9,6 +9,7 @@ and tabulated at once, and local matrices are reduced per entity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,13 @@ class FormParams:
     quad_order: int = 2
 
     def __post_init__(self):
-        if self.beta0 <= 0 or self.beta1 <= 0:
-            raise ValueError("beta0 and beta1 must be positive")
+        for name in ("beta0", "beta1", "reaction_eps"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so ask for what is valid
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.stab_variant not in (STAB_GRADIENT, STAB_VALUE):
             raise ValueError(f"unknown stabilization variant {self.stab_variant!r}")
-        if self.reaction_eps is not None and self.reaction_eps <= 0:
-            raise ValueError("reaction_eps must be positive")
 
     @classmethod
     def defaults(cls, degree: int, **overrides) -> "FormParams":

@@ -26,6 +26,7 @@ __all__ = [
     "segment_params",
     "clip_segments",
     "polygons",
+    "centroids",
     "stack_padded",
     "math_hypot",
     "edge_vectors",
@@ -99,13 +100,6 @@ class ConvexPolygon:
             self._scale = s
         return s
 
-    def centroid(self) -> np.ndarray:
-        v = self.vertices
-        v2 = np.roll(v, -1, axis=0)
-        w = v[:, 0] * v2[:, 1] - v[:, 1] * v2[:, 0]
-        c = (v + v2) * w[:, None]
-        return c.sum(axis=0) / (6.0 * self._area)
-
     def _edge_cross(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Cross products e_k x (point - v_k) per point and edge (..., nedges),
         positive inside, and the edge lengths."""
@@ -134,12 +128,6 @@ class ConvexPolygon:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
         return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
-
-    def edges(self):
-        """Yield (a, b) vertex pairs for each directed boundary edge."""
-        v = self.vertices
-        for k in range(len(v)):
-            yield v[k], v[(k + 1) % len(v)]
 
 
 def _validated_convex(verts: np.ndarray) -> np.ndarray:
@@ -178,20 +166,6 @@ class PolySet:
 
     pieces: list[ConvexPolygon]
 
-    @property
-    def area(self) -> float:
-        return float(sum(p.area for p in self.pieces))
-
-    def __len__(self) -> int:
-        return len(self.pieces)
-
-    def __iter__(self):
-        return iter(self.pieces)
-
-    @property
-    def empty(self) -> bool:
-        return not self.pieces
-
 
 @dataclass
 class Segment:
@@ -201,16 +175,6 @@ class Segment:
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
-
-    @property
-    def length(self) -> float:
-        return float(np.hypot(*(self.b - self.a)))
-
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.a + self.b)
-
-    def point_at(self, t: float) -> np.ndarray:
-        return self.a + t * (self.b - self.a)
 
 
 @dataclass
@@ -223,14 +187,6 @@ class QuadRule:
     def __init__(self, points, weights):
         self.points = np.asarray(points, dtype=float).reshape(-1, 2)
         self.weights = np.asarray(weights, dtype=float).reshape(-1)
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-    def integrate(self, f) -> float:
-        vals = f(self.points[:, 0], self.points[:, 1])
-        return float(np.dot(self.weights, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +238,13 @@ def stack_padded(verts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _next_slots(counts: np.ndarray, width: int) -> np.ndarray:
+    """Index (n, width) of the vertex after each slot of a padded batch:
+    k + 1, or 0 after the last vertex."""
+    k = np.arange(1, width + 1)
+    return np.where(k < counts[:, None], k, 0)
+
+
 def _feature_scales(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The larger bounding-box extent of each polygon of a batch, floored
     at 1e-300, as `ConvexPolygon.scale`."""
@@ -312,8 +275,7 @@ def split_polygons(verts, counts, p, e, inv_norm, tol):
     all_left = np.all((d >= neg_tol) | ~valid, axis=1)
     all_right = np.all((d <= tol) | ~valid, axis=1)
     general = (~all_left & ~all_right)[:, None]
-    # index of the vertex after slot k: k + 1, or 0 after the last vertex
-    nxt = np.where(np.arange(1, width + 1) < counts[:, None], np.arange(1, width + 1), 0)
+    nxt = _next_slots(counts, width)
     d2 = np.take_along_axis(d, nxt, axis=1)
     # genuine sign change: the crossing point goes to both sides
     cross = general & valid & (((d > tol) & (d2 < neg_tol)) | ((d < neg_tol) & (d2 > tol)))
@@ -500,6 +462,20 @@ def polygons(verts, counts, areas) -> list[ConvexPolygon]:
     return out
 
 
+def centroids(verts: np.ndarray, counts: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Centroids (n, 2) of the polygons of a padded batch, given their
+    areas: the first moments of the edges summed in vertex order, as for
+    one polygon at a time."""
+    width = verts.shape[1]
+    v2 = np.take_along_axis(verts, _next_slots(counts, width)[..., None], axis=1)
+    w = verts[..., 0] * v2[..., 1] - verts[..., 1] * v2[..., 0]
+    c = (verts + v2) * w[..., None]
+    total = c[:, 0] if width else np.zeros((len(verts), 2))
+    for k in range(1, width):
+        total = np.where((k < counts)[:, None], total + c[:, k], total)
+    return total / (6.0 * areas)[:, None]
+
+
 def _batch_of(P: ConvexPolygon):
     return P.vertices[None], np.array([len(P.vertices)])
 
@@ -574,22 +550,13 @@ def triangle_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _TRI_RULES[order]
 
 
-def fan_triangles(polygons) -> tuple[np.ndarray, np.ndarray]:
-    """Fan triangulation of many convex polygons at once, each from its
-    first vertex: triangles (nt, 3, 2) in polygon order and the index of the
-    polygon each came from. Triangles of zero area are dropped."""
-    sizes = np.array([len(p.vertices) for p in polygons], dtype=np.int64)
-    tris = [np.zeros((0, 3, 2))]
-    owner = [np.zeros(0, dtype=np.int64)]
-    for m in np.unique(sizes):
-        idx = np.flatnonzero(sizes == m)
-        v = np.stack([polygons[k].vertices for k in idx])          # (np, m, 2)
-        apex = np.broadcast_to(v[:, :1], (len(idx), m - 2, 2))
-        tris.append(np.stack([apex, v[:, 1:-1], v[:, 2:]], axis=2).reshape(-1, 3, 2))
-        owner.append(np.repeat(idx, m - 2))
-    order = np.argsort(np.concatenate(owner), kind="stable")
-    tris = np.concatenate(tris)[order]
-    owner = np.concatenate(owner)[order]
+def fan_triangles(verts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fan triangulation of the convex polygons of a padded batch, each from
+    its first vertex: triangles (nt, 3, 2) in polygon order and the row of
+    the polygon each came from. Triangles of zero area are dropped."""
+    # triangle (v[0], v[k + 1], v[k + 2]) for k < counts[r] - 2, by row then k
+    owner, k = np.nonzero(np.arange(verts.shape[1] - 2) < counts[:, None] - 2)
+    tris = verts[owner[:, None], np.stack([np.zeros_like(k), k + 1, k + 2], axis=1)]
     keep = _triangle_areas(tris) > 0.0
     return tris[keep], owner[keep]
 

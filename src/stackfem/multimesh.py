@@ -1,32 +1,33 @@
 """Cut topology of an ordered mesh stack.
 
-Builds, for every mesh in the stack: the active cells and their visible
-regions (cell minus all higher predomains), the interface facets between a
-mesh boundary and the topmost visible mesh below it, the overlap pieces
-where an active cell reaches under a higher mesh, and the combinatorial
-overlap counts driving the conditioning diagnostics.
+Builds, for every mesh in the stack: the active cells and the visible
+regions of the cut ones (cell minus all higher predomains), the interface
+facets between a mesh boundary and the topmost visible mesh below it, the
+overlap pieces where an active cell reaches under a higher mesh, and the
+combinatorial overlap counts driving the conditioning diagnostics.
 
-The topology is geometry only; quadrature batches are built from it on
-first use.
+The topology keeps the arrays the clipping kernels return: convex pieces as
+padded vertex batches, facets as endpoint and normal arrays, and the cells
+of each entity as parallel int arrays. Quadrature batches are built from
+them on first use.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .geom2d import (
     REL_TOL,
     ConvexPolygon,
-    PolySet,
-    Segment,
+    centroids,
     clip_polygons,
     clip_segments,
     edge_vectors,
     fan_triangles,
-    polygons,
     segment_params,
     segments_quadrature,
     stack_padded,
@@ -41,9 +42,9 @@ from .mesh import MARKER_OUTER, FeSpace, TriMesh
 __all__ = [
     "MultiMeshPart",
     "MultiMeshConfig",
-    "CutCell",
-    "InterfaceFacet",
-    "OverlapPiece",
+    "Pieces",
+    "Facets",
+    "Overlaps",
     "QuadBatch",
     "CutTopology",
     "build_cut_topology",
@@ -97,30 +98,50 @@ class MultiMeshConfig:
         return len(self.parts)
 
 
-@dataclass
-class CutCell:
-    mesh_index: int
-    cell: int
-    visible: PolySet
+class Pieces(NamedTuple):
+    """The visible pieces of the cut cells of one mesh as a padded batch,
+    rows ordered by cell: piece r is verts[r, :counts[r]], of area areas[r],
+    in cell cell[r]."""
+
+    verts: np.ndarray   # (n, M, 2)
+    counts: np.ndarray  # (n,)
+    areas: np.ndarray   # (n,)
+    cell: np.ndarray    # (n,)
 
 
 @dataclass
-class InterfaceFacet:
-    segment: Segment
-    upper_mesh: int
-    upper_cell: int
-    lower_mesh: int
-    lower_cell: int
-    normal: np.ndarray  # unit, outward from the upper predomain
+class _CellPairs:
+    """Entities between two meshes as parallel arrays: entity k lies in cell
+    lower_cell[k] of mesh lower_mesh[k] and in cell upper_cell[k] of mesh
+    upper_mesh[k]."""
+
+    lower_mesh: np.ndarray
+    lower_cell: np.ndarray
+    upper_mesh: np.ndarray
+    upper_cell: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lower_mesh)
 
 
 @dataclass
-class OverlapPiece:
-    polygon: ConvexPolygon
-    lower_mesh: int
-    lower_cell: int
-    upper_mesh: int
-    upper_cell: int
+class Facets(_CellPairs):
+    """Interface facets: facet k is the segment a[k] -> b[k] (each (n, 2))
+    with the unit normal normal[k], outward from the upper predomain."""
+
+    a: np.ndarray
+    b: np.ndarray
+    normal: np.ndarray
+
+
+@dataclass
+class Overlaps(_CellPairs):
+    """Overlap pieces as a padded batch: piece k is verts[k, :counts[k]],
+    of area areas[k]."""
+
+    verts: np.ndarray
+    counts: np.ndarray
+    areas: np.ndarray
 
 
 @dataclass
@@ -156,12 +177,11 @@ def _triangle_batch(meshes: tuple[int, ...], cells: np.ndarray, tris: np.ndarray
     return QuadBatch(meshes, cells, starts, quad.points, quad.weights)
 
 
-def _pair_groups(entities):
+def _pair_groups(rec: _CellPairs):
     """Facets or overlap pieces grouped by (lower, upper) mesh pair, pairs
     ascending: yields the pair, the (lower cell, upper cell) rows of its
-    entities and their positions in the list, in list order."""
-    rows = np.array([(e.lower_mesh, e.upper_mesh, e.lower_cell, e.upper_cell)
-                     for e in entities], dtype=np.int64).reshape(-1, 4)
+    entities and their positions in the record, in record order."""
+    rows = np.stack([rec.lower_mesh, rec.upper_mesh, rec.lower_cell, rec.upper_cell], axis=1)
     for pair in np.unique(rows[:, :2], axis=0):
         sel = np.flatnonzero((rows[:, :2] == pair).all(axis=1))
         yield tuple(pair.tolist()), rows[sel, 2:], sel
@@ -245,9 +265,10 @@ class CutTopology:
     config: MultiMeshConfig
     quad_order: int
     active: list[np.ndarray]                 # sorted active cell ids per mesh
-    cut_cells: list[dict[int, CutCell]]      # only cells that are actually cut
-    facets: list[InterfaceFacet]
-    overlaps: list[OverlapPiece]
+    cut_cells: list[np.ndarray]              # sorted ids of the cells actually cut
+    visible: list[Pieces]                    # visible pieces of those cells
+    facets: Facets
+    overlaps: Overlaps
     N_O: int
     N_Oi: np.ndarray
     gamma_len: np.ndarray
@@ -285,17 +306,14 @@ class CutTopology:
         )
 
     def uncut_active(self, i: int) -> np.ndarray:
-        cut = self.cut_cells[i]
-        if not cut:
-            return self.active[i]
-        return self.active[i][~np.isin(self.active[i], np.fromiter(cut, dtype=int))]
+        return self.active[i][~np.isin(self.active[i], self.cut_cells[i])]
 
     def visible_area(self, i: int) -> float:
-        mesh = self.parts[i].mesh
-        areas = mesh.cell_areas()
-        total = float(areas[self.uncut_active(i)].sum())
-        total += sum(cc.visible.area for cc in self.cut_cells[i].values())
-        return total
+        areas = self.parts[i].mesh.cell_areas()
+        p = self.visible[i]
+        # the pieces of each cut cell, then the cut cells, summed in order
+        cut = np.bincount(p.cell, weights=p.areas)[self.cut_cells[i]]
+        return float(areas[self.uncut_active(i)].sum()) + sum(cut.tolist())
 
     def active_dofs(self, i: int) -> np.ndarray:
         space = self.parts[i].space
@@ -314,21 +332,15 @@ class CutTopology:
 
     def _cell_batch(self, i: int, order: int) -> QuadBatch:
         """Entities are the uncut active cells, then the cut cells."""
-        cut = self.cut_cells[i]
-
-        def cut_fan():
-            piece_cell = [k for k, cc in enumerate(cut.values()) for _ in cc.visible]
-            tris, owner = fan_triangles([p for cc in cut.values() for p in cc.visible])
-            return tris, np.array(piece_cell, dtype=np.int64)[owner]
-
-        mesh = self.parts[i].mesh
+        mesh, cut, p = self.parts[i].mesh, self.cut_cells[i], self.visible[i]
         uncut = self.uncut_active(i)
-        cut_tris, cut_owner = self._cached(("fan", i), cut_fan)
+        tris, piece = fan_triangles(p.verts, p.counts)
         return _triangle_batch(
             (i,),
-            np.concatenate([uncut, np.fromiter(cut, dtype=np.int64)])[:, None],
-            np.concatenate([mesh.nodes[mesh.cells[uncut]], cut_tris]),
-            np.concatenate([np.arange(len(uncut)), len(uncut) + cut_owner]),
+            np.concatenate([uncut, cut])[:, None],
+            np.concatenate([mesh.nodes[mesh.cells[uncut]], tris]),
+            np.concatenate([np.arange(len(uncut)),
+                            len(uncut) + np.searchsorted(cut, p.cell[piece])]),
             order,
         )
 
@@ -336,14 +348,13 @@ class CutTopology:
         """Interface facet quadrature, one batch per (lower, upper) mesh pair:
         the Gauss rule of order quad_order on every facet segment."""
         def build():
-            # per facet: its two endpoints and its normal
-            geo = np.array([(f.segment.a, f.segment.b, f.normal) for f in self.facets])
+            f = self.facets
             out = []
-            for meshes, cells, sel in _pair_groups(self.facets):
-                quad = segments_quadrature(geo[sel, 0], geo[sel, 1], self.quad_order)
+            for meshes, cells, sel in _pair_groups(f):
+                quad = segments_quadrature(f.a[sel], f.b[sel], self.quad_order)
                 nq = len(quad.weights) // len(sel)
                 out.append(QuadBatch(meshes, cells, np.arange(len(sel) + 1) * nq,
-                                     quad.points, quad.weights, geo[sel, 2]))
+                                     quad.points, quad.weights, f.normal[sel]))
             return out
 
         return self._cached("facets", build)
@@ -351,10 +362,11 @@ class CutTopology:
     def overlap_batches(self) -> list[QuadBatch]:
         """Overlap piece quadrature, one batch per (lower, upper) mesh pair:
         the triangle rule of order quad_order on the fan of every piece."""
+        o = self.overlaps
         return self._cached("overlaps", lambda: [
-            _triangle_batch(meshes, cells, *fan_triangles([self.overlaps[k].polygon for k in sel]),
+            _triangle_batch(meshes, cells, *fan_triangles(o.verts[sel], o.counts[sel]),
                             self.quad_order)
-            for meshes, cells, sel in _pair_groups(self.overlaps)
+            for meshes, cells, sel in _pair_groups(o)
         ])
 
 
@@ -373,16 +385,17 @@ def _signed_dists(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
 
 
 def _visible_regions(config: MultiMeshConfig):
-    """Active cell ids and CutCells per mesh, and for each pair i < k the
-    cells of mesh i that predomain k cuts: an active cell of mesh i can
-    overlap Q_k with positive area only if it is among them.
+    """Active cell ids and the visible pieces of the cut cells per mesh,
+    and for each pair i < k the cells of mesh i that predomain k cuts: an
+    active cell of mesh i can overlap Q_k with positive area only if it is
+    among them.
 
     The cut cells of mesh i lose Q_k in one batched subtraction per k; a
     cell that nothing is left of counts as covered.
     """
     nparts = config.nparts
     active: list[np.ndarray] = []
-    cut_cells: list[dict[int, CutCell]] = []
+    visible: list[Pieces] = []
     cut_by: dict[tuple[int, int], np.ndarray] = {}
     for i, part in enumerate(config.parts):
         mesh = part.mesh
@@ -391,10 +404,10 @@ def _visible_regions(config: MultiMeshConfig):
         scale = part.predomain.scale
         tol = REL_TOL * max(scale, 1.0)
         covered = np.zeros(len(mesh.cells), dtype=bool)
-        # pieces of the cut cells as a batch, rows ordered by cell (`cell`);
-        # stale once the cell is covered
-        pv, pn, pa = np.zeros((0, 3, 2)), np.zeros(0, dtype=np.int64), np.zeros(0)
-        cell = np.zeros(0, dtype=np.int64)
+        # the pieces of the cut cells, rows ordered by cell; stale once the
+        # cell is covered
+        p = Pieces(np.zeros((0, 3, 2)), np.zeros(0, dtype=np.int64), np.zeros(0),
+                   np.zeros(0, dtype=np.int64))
         for k in range(i + 1, nparts):
             Q = config.parts[k].predomain
             x0, x1, y0, y1 = Q.bounds()
@@ -413,33 +426,26 @@ def _visible_regions(config: MultiMeshConfig):
             covered[cand[fully_in]] = True
             cut = cut_by[i, k] = cand[~fully_in & ~separated]
             # each cut cell's pieces so far, or the whole cell
-            old = np.isin(cell, cut)
-            fresh = cut[~np.isin(cut, cell)]
-            src_cell = np.concatenate([cell[old], fresh])
+            old = np.isin(p.cell, cut)
+            fresh = cut[~np.isin(cut, p.cell)]
+            src_cell = np.concatenate([p.cell[old], fresh])
             order = np.argsort(src_cell, kind="stable")
             v, n, a, row = subtract_polygon(
-                stack_padded([pv[old], verts[fresh]])[order],
-                np.concatenate([pn[old], np.full(len(fresh), 3)])[order], Q)
+                stack_padded([p.verts[old], verts[fresh]])[order],
+                np.concatenate([p.counts[old], np.full(len(fresh), 3)])[order], Q)
             new_cell = src_cell[order][row]
             covered[np.setdiff1d(cut, new_cell)] = True
-            order = np.argsort(np.concatenate([cell[~old], new_cell]), kind="stable")
-            pv = stack_padded([pv[~old], v])[order]
-            pn = np.concatenate([pn[~old], n])[order]
-            pa = np.concatenate([pa[~old], a])[order]
-            cell = np.concatenate([cell[~old], new_cell])[order]
+            order = np.argsort(np.concatenate([p.cell[~old], new_cell]), kind="stable")
+            p = Pieces(stack_padded([p.verts[~old], v])[order], *(
+                np.concatenate([x[~old], y])[order] for x, y in zip(p[1:], (n, a, new_cell))))
         # a cut cell with a visible area below the floor counts as covered
-        live = ~covered[cell]
-        vis_area = np.bincount(cell[live], weights=pa[live], minlength=len(mesh.cells))
-        covered |= np.isin(np.arange(len(mesh.cells)), cell[live]) & (
+        live = ~covered[p.cell]
+        vis_area = np.bincount(p.cell[live], weights=p.areas[live], minlength=len(mesh.cells))
+        covered |= np.isin(np.arange(len(mesh.cells)), p.cell[live]) & (
             vis_area <= 1e-14 * mesh.cell_areas())
-        live = ~covered[cell]
-        pieces = polygons(pv[live], pn[live], pa[live])
-        ids, starts = np.unique(cell[live], return_index=True)
-        bounds = np.append(starts, len(pieces)).tolist()
         active.append(np.flatnonzero(~covered))
-        cut_cells.append({c: CutCell(i, c, PolySet(pieces[bounds[t]:bounds[t + 1]]))
-                          for t, c in enumerate(ids.tolist())})
-    return active, cut_cells, cut_by
+        visible.append(Pieces(*(x[~covered[p.cell]] for x in p)))
+    return active, visible, cut_by
 
 
 def _cell_edges(mesh: TriMesh, cells: np.ndarray):
@@ -553,17 +559,15 @@ def _build_facets(config: MultiMeshConfig, active, grids):
                          *(np.concatenate(col) for col in zip(*segs)))
             for j, segs in enumerate(owned) if segs]
     if not rows:
-        return [], np.zeros(nparts)
+        none = np.zeros(0, dtype=np.int64)
+        return Facets(none, none, none, none, *np.zeros((3, 0, 2))), np.zeros(nparts)
     upper, ucell, lower, lcell, normal, a, b = (np.concatenate(col) for col in zip(*rows))
     order = np.lexsort((b[:, 1], b[:, 0], a[:, 1], a[:, 0], lcell, lower, ucell, upper))
     upper, ucell, lower, lcell, normal, a, b = (
         x[order] for x in (upper, ucell, lower, lcell, normal, a, b))
     d = b - a
     gamma_len = np.bincount(upper, weights=np.hypot(d[:, 0], d[:, 1]), minlength=nparts)
-    upper, ucell, lower, lcell = (x.tolist() for x in (upper, ucell, lower, lcell))
-    facets = [InterfaceFacet(Segment(a[k], b[k]), upper[k], ucell[k], lower[k], lcell[k],
-                             normal[k]) for k in range(len(upper))]
-    return facets, gamma_len
+    return Facets(lower, lcell, upper, ucell, a, b, normal), gamma_len
 
 
 def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, j: int, upper: np.ndarray,
@@ -665,29 +669,28 @@ def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids):
         rows.append((np.full(len(pair), i), lower[q[pair]], np.full(len(pair), j), cu[pair],
                      v, n, a))
     if not rows:
-        return [], np.zeros((nparts, nparts))
+        none = np.zeros(0, dtype=np.int64)
+        return (Overlaps(none, none, none, none, np.zeros((0, 0, 2)), none, np.zeros(0)),
+                np.zeros((nparts, nparts)))
     lm, lc, um, uc, n, a = (np.concatenate([r[k] for r in rows]) for k in (0, 1, 2, 3, 5, 6))
-    pieces = polygons(stack_padded([r[4] for r in rows]), n, a)
+    v = stack_padded([r[4] for r in rows])
     # order by (lower mesh, lower cell, upper mesh, upper cell, centroid);
     # only the pieces of a cell pair with several need their centroid
-    cent = np.zeros((len(pieces), 2))
+    cent = np.zeros((len(n), 2))
     same = np.flatnonzero((lm[1:] == lm[:-1]) & (lc[1:] == lc[:-1])
                           & (um[1:] == um[:-1]) & (uc[1:] == uc[:-1]))
-    for k in np.union1d(same, same + 1).tolist():
-        cent[k] = pieces[k].centroid()
+    tied = np.union1d(same, same + 1)
+    cent[tied] = centroids(v[tied], n[tied], a[tied])
     order = np.lexsort((cent[:, 1], cent[:, 0], uc, um, lc, lm))
-    lm, lc, um, uc, a = (x[order] for x in (lm, lc, um, uc, a))
+    lm, lc, um, uc, v, n, a = (x[order] for x in (lm, lc, um, uc, v, n, a))
     area = np.bincount(lm * nparts + um, weights=a, minlength=nparts * nparts)
-    lm, lc, um, uc = (x.tolist() for x in (lm, lc, um, uc))
-    overlaps = [OverlapPiece(pieces[k], lm[t], lc[t], um[t], uc[t])
-                for t, k in enumerate(order.tolist())]
-    return overlaps, area.reshape(nparts, nparts)
+    return Overlaps(lm, lc, um, uc, v, n, a), area.reshape(nparts, nparts)
 
 
 def build_cut_topology(config: MultiMeshConfig, quad_order: int = 2) -> CutTopology:
     """Construct the full cut topology of a mesh stack. quad_order is the
     order of the facet and overlap batches and the default cell order."""
-    active, cut_cells, cut_by = _visible_regions(config)
+    active, visible, cut_by = _visible_regions(config)
     grids = [_CellGrid(p.mesh) for p in config.parts]
     facets, gamma_len = _build_facets(config, active, grids)
     overlaps, overlap_area = _build_overlaps(config, active, cut_by, grids)
@@ -695,7 +698,8 @@ def build_cut_topology(config: MultiMeshConfig, quad_order: int = 2) -> CutTopol
         config=config,
         quad_order=quad_order,
         active=active,
-        cut_cells=cut_cells,
+        cut_cells=[np.unique(p.cell) for p in visible],
+        visible=visible,
         facets=facets,
         overlaps=overlaps,
         N_O=0,
@@ -759,20 +763,15 @@ def point_locate(topology: CutTopology, xy) -> tuple[np.ndarray, np.ndarray]:
 
 def dump_topology_csv(topology: CutTopology, facet_path, overlap_path) -> None:
     """Geometric regression dump: one row per facet and per overlap piece."""
-    with open(facet_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "ax", "ay", "bx", "by", "nx", "ny"])
-        for f in topology.facets:
-            w.writerow(
-                [f.upper_mesh, f.lower_mesh]
-                + [f"{v:.17g}" for v in (*f.segment.a, *f.segment.b, *f.normal)]
-            )
-    with open(overlap_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "area", "cx", "cy"])
-        for o in topology.overlaps:
-            c = o.polygon.centroid()
-            w.writerow(
-                [o.lower_mesh, o.upper_mesh]
-                + [f"{v:.17g}" for v in (o.polygon.area, c[0], c[1])]
-            )
+    f, o = topology.facets, topology.overlaps
+    for path, header, i, j, values in [
+        (facet_path, ["i", "j", "ax", "ay", "bx", "by", "nx", "ny"], f.upper_mesh, f.lower_mesh,
+         np.hstack([f.a, f.b, f.normal])),
+        (overlap_path, ["i", "j", "area", "cx", "cy"], o.lower_mesh, o.upper_mesh,
+         np.column_stack([o.areas, centroids(o.verts, o.counts, o.areas)])),
+    ]:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([mi, mj] + [f"{v:.17g}" for v in row]
+                        for mi, mj, row in zip(i.tolist(), j.tolist(), values.tolist()))

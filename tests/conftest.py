@@ -112,13 +112,13 @@ def classical_p1_system(mesh, f):
 def independent_gamma_lengths(config: MultiMeshConfig) -> np.ndarray:
     """|Gamma_i| by clipping each predomain boundary edge against all higher
     predomains with the scalar clipper; no facet machinery involved."""
-    from loop_reference import clip_segment
+    from loop_reference import clip_segment, edges, length
     from stackfem.geom2d import Segment
 
     n = config.nparts
     out = np.zeros(n)
     for i in range(1, n):
-        for a, b in config.parts[i].predomain.edges():
+        for a, b in edges(config.parts[i].predomain):
             pieces = [Segment(a, b)]
             for k in range(i + 1, n):
                 pieces = [
@@ -126,7 +126,7 @@ def independent_gamma_lengths(config: MultiMeshConfig) -> np.ndarray:
                     for p in pieces
                     for q in clip_segment(p, config.parts[k].predomain, keep_inside=False)
                 ]
-            out[i] += sum(p.length for p in pieces)
+            out[i] += sum(length(p) for p in pieces)
     return out
 
 

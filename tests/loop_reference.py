@@ -1,14 +1,21 @@
 """Per-entity reference evaluators of the cut integrals and of the cut
 topology (test oracles).
 
-The per-entity rules come first: `triangle_quadrature` on one cell,
+The oracles work on one cut entity at a time, held in their own records:
+a `CutCell` with the convex pieces of its visible region, an
+`InterfaceFacet` with its segment and an `OverlapPiece` with its polygon.
+`cut_cells_of`, `facets_of` and `overlaps_of` read them off the arrays of a
+`stackfem.multimesh.CutTopology` one entity at a time; `visible_arrays`,
+`facet_arrays` and `overlap_arrays` go the other way, so the oracles'
+own topology can be compared with the bulk one field by field.
+
+The per-entity rules come next: `triangle_quadrature` on one cell,
 `polyset_quadrature` on one visible region or overlap polygon (a fan of
-each convex piece from its first vertex) and `segment_quadrature` on one
-facet segment. Each is built from the entity's own geometry (`cc.visible`,
-`o.polygon`, `f.segment`), one entity at a time. `cell_batches`,
+each convex piece from its first vertex, `polygon_fan`) and
+`segment_quadrature` on one facet segment. Each is built from the entity's
+own geometry (`cc.visible`, `o.polygon`, `f.segment`). `cell_batches`,
 `facet_batches` and `overlap_batches` concatenate them into the flat
-batches that `stackfem.multimesh.CutTopology` builds in bulk, which must
-match bit for bit.
+batches that `CutTopology` builds in bulk, which must match bit for bit.
 
 Each integral evaluator visits one cut cell, interface facet or overlap piece at a
 time, lays its own per-entity rule on it, maps the points into the owning
@@ -45,6 +52,7 @@ sorted node pairs and `np.unique(axis=0)`.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -56,7 +64,6 @@ from stackfem.geom2d import (
     PolySet,
     Segment,
     QuadRule,
-    fan_triangles,
     offset_polygon,
     polygon_area,
     triangle_rule,
@@ -71,14 +78,123 @@ from stackfem.mesh import (
 )
 from stackfem.multimesh import (
     ConfigError,
-    CutCell,
-    InterfaceFacet,
-    OverlapPiece,
+    Facets,
+    Overlaps,
+    Pieces,
     QuadBatch,
     _signed_dists,
 )
 
 STAB_GRADIENT = "gradient-jump"
+
+
+# ---------------------------------------------------------------------------
+# Cut entities one at a time
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CutCell:
+    mesh_index: int
+    cell: int
+    visible: PolySet
+
+
+@dataclass
+class InterfaceFacet:
+    segment: Segment
+    upper_mesh: int
+    upper_cell: int
+    lower_mesh: int
+    lower_cell: int
+    normal: np.ndarray  # unit, outward from the upper predomain
+
+
+@dataclass
+class OverlapPiece:
+    polygon: ConvexPolygon
+    lower_mesh: int
+    lower_cell: int
+    upper_mesh: int
+    upper_cell: int
+
+
+def length(seg: Segment) -> float:
+    return float(np.hypot(*(seg.b - seg.a)))
+
+
+def edges(poly: ConvexPolygon):
+    """(a, b) vertex pairs of each directed boundary edge."""
+    return zip(poly.vertices, np.roll(poly.vertices, -1, axis=0))
+
+
+def centroid(poly: ConvexPolygon) -> np.ndarray:
+    """Centroid of one polygon from the first moments of its edges."""
+    v = poly.vertices
+    v2 = np.roll(v, -1, axis=0)
+    w = v[:, 0] * v2[:, 1] - v[:, 1] * v2[:, 0]
+    return ((v + v2) * w[:, None]).sum(axis=0) / (6.0 * poly.area)
+
+
+def cut_cells_of(topology, i) -> dict[int, CutCell]:
+    """The cut cells of mesh i, read from the topology one piece at a time."""
+    p = topology.visible[i]
+    pieces = {int(c): [] for c in topology.cut_cells[i]}
+    for r in range(len(p.cell)):
+        pieces[int(p.cell[r])].append(ConvexPolygon(p.verts[r, :p.counts[r]], validate=False))
+    return {c: CutCell(i, c, PolySet(ps)) for c, ps in pieces.items()}
+
+
+def facets_of(topology) -> list[InterfaceFacet]:
+    """The topology's interface facets, one record per facet."""
+    f = topology.facets
+    return [InterfaceFacet(Segment(f.a[k], f.b[k]), int(f.upper_mesh[k]), int(f.upper_cell[k]),
+                           int(f.lower_mesh[k]), int(f.lower_cell[k]), f.normal[k])
+            for k in range(len(f))]
+
+
+def overlaps_of(topology) -> list[OverlapPiece]:
+    """The topology's overlap pieces, one record per piece."""
+    o = topology.overlaps
+    return [OverlapPiece(ConvexPolygon(o.verts[k, :o.counts[k]], validate=False),
+                         int(o.lower_mesh[k]), int(o.lower_cell[k]), int(o.upper_mesh[k]),
+                         int(o.upper_cell[k]))
+            for k in range(len(o))]
+
+
+def _padded(polys):
+    """Vertices (n, M, 2), zero padded to the largest count, counts and
+    areas of a list of polygons."""
+    counts = np.array([len(p.vertices) for p in polys], dtype=np.int64)
+    verts = np.zeros((len(polys), counts.max(initial=0), 2))
+    for r, p in enumerate(polys):
+        verts[r, :counts[r]] = p.vertices
+    return verts, counts, np.array([p.area for p in polys], dtype=float)
+
+
+def visible_arrays(cut_cells: dict[int, CutCell]) -> Pieces:
+    """One mesh's cut cells in the layout of `CutTopology.visible`."""
+    cells = [c for c, cc in cut_cells.items() for _ in cc.visible.pieces]
+    return Pieces(*_padded([p for cc in cut_cells.values() for p in cc.visible.pieces]),
+                  np.array(cells, dtype=np.int64))
+
+
+def _ints(entities, name):
+    return np.array([getattr(e, name) for e in entities], dtype=np.int64)
+
+
+def facet_arrays(facets: list[InterfaceFacet]) -> Facets:
+    """Facets in the layout of `CutTopology.facets`."""
+    points = np.array([(f.segment.a, f.segment.b, f.normal) for f in facets]).reshape(-1, 3, 2)
+    return Facets(*(_ints(facets, name) for name in
+                    ("lower_mesh", "lower_cell", "upper_mesh", "upper_cell")),
+                  points[:, 0], points[:, 1], points[:, 2])
+
+
+def overlap_arrays(overlaps: list[OverlapPiece]) -> Overlaps:
+    """Overlap pieces in the layout of `CutTopology.overlaps`."""
+    return Overlaps(*(_ints(overlaps, name) for name in
+                      ("lower_mesh", "lower_cell", "upper_mesh", "upper_cell")),
+                    *_padded([o.polygon for o in overlaps]))
 
 
 class _Blocks:
@@ -114,17 +230,25 @@ def triangle_quadrature(tri_verts, order) -> QuadRule:
     return triangles_quadrature(np.asarray(tri_verts, dtype=float)[None], order)
 
 
+def polygon_fan(v) -> np.ndarray:
+    """Triangles (t, 3, 2) of the fan of one convex polygon from its first
+    vertex, but those of zero area."""
+    tris = np.array([(v[0], v[k], v[k + 1]) for k in range(1, len(v) - 1)]).reshape(-1, 3, 2)
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    return tris[0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) > 0.0]
+
+
 def polyset_quadrature(S, order) -> QuadRule:
     """Rule over one PolySet: each convex piece fan-triangulated from its
     first vertex, the mapped rule on every triangle."""
-    return triangles_quadrature(fan_triangles(S.pieces)[0], order)
+    return triangles_quadrature(np.concatenate([polygon_fan(p.vertices) for p in S.pieces]), order)
 
 
 def segment_quadrature(seg, order) -> QuadRule:
     """Gauss rule along one segment, exact for degree <= order."""
     x, w = np.polynomial.legendre.leggauss(max(1, (order + 2) // 2))
     t = 0.5 * (x + 1.0)
-    return QuadRule(seg.a[None, :] + t[:, None] * (seg.b - seg.a)[None, :], 0.5 * w * seg.length)
+    return QuadRule(seg.a[None, :] + t[:, None] * (seg.b - seg.a)[None, :], 0.5 * w * length(seg))
 
 
 def _batch(meshes, cells, rules, normals=None) -> QuadBatch:
@@ -154,7 +278,7 @@ def _pair_batches(entities, rules, with_normals=False) -> list[QuadBatch]:
     """Entities with positive weight, grouped by (lower, upper) mesh pair."""
     groups = {}
     for e, r in zip(entities, rules):
-        if r.total > 0.0:
+        if r.weights.sum() > 0.0:
             groups.setdefault((e.lower_mesh, e.upper_mesh), []).append((e, r))
     return [
         _batch(meshes, [(e.lower_cell, e.upper_cell) for e, _ in ents], [r for _, r in ents],
@@ -182,10 +306,10 @@ def _ref_rule(order):
     return bary, bary[:, 1:], w
 
 
-def _visible_quadrature(topology, i, cell, order):
-    cc = topology.cut_cells[i].get(cell)
+def _visible_quadrature(mesh, cut_cells, cell, order):
+    cc = cut_cells.get(cell)
     if cc is None:
-        return triangle_quadrature(topology.parts[i].mesh.cell_vertices(cell), order)
+        return triangle_quadrature(mesh.cell_vertices(cell), order)
     return polyset_quadrature(cc.visible, order)
 
 
@@ -219,9 +343,9 @@ def volume_matrix(topology, params) -> sparse.csr_matrix:
                 K = K + eps2 * mass_ref[None, :, :]
             K *= areas[:, None, None]
             out.add_many(offsets[i] + space.cell_dofs[cells], K)
-        for cell, cc in topology.cut_cells[i].items():
+        for cell, cc in cut_cells_of(topology, i).items():
             quad = polyset_quadrature(cc.visible, params.quad_order)
-            if quad.total <= 0.0:
+            if quad.weights.sum() <= 0.0:
                 continue
             pts, wq = quad.points, quad.weights
             ph, g, dofs = _trace(space, cell, pts, offsets[i])
@@ -237,7 +361,7 @@ def interface_matrix(topology, params) -> sparse.csr_matrix:
     out = _Blocks(topology.total_dim)
     offsets = topology.block_offsets()
     h = topology.mesh_sizes()
-    for f in topology.facets:
+    for f in facets_of(topology):
         i, j = f.upper_mesh, f.lower_mesh
         ki = h[i] / (h[i] + h[j])
         kj = 1.0 - ki
@@ -259,7 +383,7 @@ def stabilization_matrix(topology, params) -> sparse.csr_matrix:
     out = _Blocks(topology.total_dim)
     offsets = topology.block_offsets()
     h = topology.mesh_sizes()
-    for o in topology.overlaps:
+    for o in overlaps_of(topology):
         i, j = o.lower_mesh, o.upper_mesh
         quad = polyset_quadrature(PolySet([o.polygon]), topology.quad_order)
         pts, wq = quad.points, quad.weights
@@ -294,7 +418,7 @@ def load_vector(topology, f, params) -> np.ndarray:
             areas = part.mesh.cell_areas()[cells]
             loc = np.einsum("q,cq,qa->ca", w, fv, phi) * areas[:, None]
             np.add.at(b, offsets[i] + space.cell_dofs[cells], loc)
-        for cell, cc in topology.cut_cells[i].items():
+        for cell, cc in cut_cells_of(topology, i).items():
             quad = polyset_quadrature(cc.visible, params.quad_order)
             pts = quad.points
             if not len(pts):
@@ -314,8 +438,9 @@ def error_norms(u_h, topology, u_exact, grad_exact, order=None) -> tuple[float, 
     for i, part in enumerate(topology.parts):
         space = part.space
         ci = u_h.coeffs[i]
+        cut = cut_cells_of(topology, i)
         for cell in topology.active[i]:
-            quad = _visible_quadrature(topology, i, int(cell), order)
+            quad = _visible_quadrature(part.mesh, cut, int(cell), order)
             if not len(quad.points):
                 continue
             pts, wq = quad.points, quad.weights
@@ -334,15 +459,16 @@ def energy_terms(u, topology) -> tuple[float, float, float, float]:
     term_I = 0.0
     for i, part in enumerate(topology.parts):
         space = part.space
+        cut = cut_cells_of(topology, i)
         for cell in topology.active[i]:
-            quad = _visible_quadrature(topology, i, int(cell), topology.quad_order)
+            quad = _visible_quadrature(part.mesh, cut, int(cell), topology.quad_order)
             if not len(quad.points):
                 continue
             g = space.grad_in_cell(u.coeffs[i], int(cell), quad.points)
             term_I += float(np.dot(quad.weights, (g ** 2).sum(axis=1)))
 
     term_II = 0.0
-    for o in topology.overlaps:
+    for o in overlaps_of(topology):
         quad = polyset_quadrature(PolySet([o.polygon]), topology.quad_order)
         gl = topology.parts[o.lower_mesh].space.grad_in_cell(
             u.coeffs[o.lower_mesh], o.lower_cell, quad.points
@@ -354,7 +480,7 @@ def energy_terms(u, topology) -> tuple[float, float, float, float]:
 
     term_III = 0.0
     term_IV = 0.0
-    for f in topology.facets:
+    for f in facets_of(topology):
         i, j = f.upper_mesh, f.lower_mesh
         su = topology.parts[i].space
         sl = topology.parts[j].space
@@ -496,11 +622,11 @@ def clip_segment(s: Segment, Q: ConvexPolygon, keep_inside: bool = True) -> list
     A segment lying on the boundary of Q counts as inside (deterministic
     tie-break; measure zero for area integrals either way).
     """
-    scale = max(Q.scale, s.length, 1e-300)
+    scale = max(Q.scale, length(s), 1e-300)
     tol = REL_TOL * scale
     t_lo, t_hi = 0.0, 1.0
     dir_vec = s.b - s.a
-    for p, q in Q.edges():
+    for p, q in edges(Q):
         norm = math.hypot(q[0] - p[0], q[1] - p[1])
         da = ((q[0] - p[0]) * (s.a[1] - p[1]) - (q[1] - p[1]) * (s.a[0] - p[0])) / norm
         db = ((q[0] - p[0]) * (s.b[1] - p[1]) - (q[1] - p[1]) * (s.b[0] - p[0])) / norm
@@ -516,7 +642,7 @@ def clip_segment(s: Segment, Q: ConvexPolygon, keep_inside: bool = True) -> list
             t_lo = max(t_lo, t)
         if t_lo >= t_hi:
             break
-    tol_t = tol / max(s.length, 1e-300)
+    tol_t = tol / max(length(s), 1e-300)
     inside: list[Segment] = []
     outside: list[Segment] = []
     if t_hi - t_lo > tol_t:
@@ -584,7 +710,7 @@ def overlap_pieces(config, active, grids):
                         continue
                     utri = ConvexPolygon(umesh.nodes[umesh.cells[cu]], validate=False)
                     inter = convex_intersect(tri, utri)
-                    if inter.empty:
+                    if not inter.pieces:
                         continue
                     pieces = inter.pieces
                     for k in range(j + 1, nparts):
@@ -594,7 +720,7 @@ def overlap_pieces(config, active, grids):
                             break
                     overlaps.extend(OverlapPiece(p, i, int(c), j, int(cu)) for p in pieces)
     overlaps.sort(key=lambda o: (o.lower_mesh, o.lower_cell, o.upper_mesh, o.upper_cell,
-                                 tuple(o.polygon.centroid())))
+                                 tuple(centroid(o.polygon))))
     return overlaps
 
 
@@ -666,8 +792,8 @@ def _predomain_edge_normal(pre: ConvexPolygon, seg: Segment, part: int,
     """Outward normal of the predomain edge the segment, a boundary facet
     of the cell of the part's mesh, lies on."""
     tol = REL_TOL * max(pre.scale, 1.0) * 1e3  # mesh nodes sit on edges up to rounding
-    mid = seg.midpoint()
-    for p, q in pre.edges():
+    mid = 0.5 * (seg.a + seg.b)
+    for p, q in edges(pre):
         e = q - p
         ln = math.hypot(e[0], e[1])
         u = e / ln
@@ -721,7 +847,7 @@ def interface_facets(config, active, grids):
                 cur = nxt
             for j, seg in owned:
                 lmesh = config.parts[j].mesh
-                if seg.length <= tol:
+                if length(seg) <= tol:
                     continue
                 x0, x1 = sorted((seg.a[0], seg.b[0]))
                 y0, y1 = sorted((seg.a[1], seg.b[1]))
@@ -730,13 +856,14 @@ def interface_facets(config, active, grids):
                     iv = _segment_poly_params(seg.a, seg.b, lmesh.nodes[lmesh.cells[c]], tol)
                     if iv is not None:
                         params.update(iv)
-                tol_t = tol / seg.length
+                tol_t = tol / length(seg)
                 ts = sorted(params)
                 for ta, tb in zip(ts[:-1], ts[1:]):
                     if tb - ta <= tol_t:
                         continue
-                    sub = Segment(seg.point_at(ta), seg.point_at(tb))
-                    lower = locate_cell(lmesh, grids[j], sub.midpoint(), tol, masks[j])
+                    d = seg.b - seg.a
+                    sub = Segment(seg.a + ta * d, seg.a + tb * d)
+                    lower = locate_cell(lmesh, grids[j], 0.5 * (sub.a + sub.b), tol, masks[j])
                     if lower is None:
                         continue
                     facets.append(InterfaceFacet(sub, i, int(cell), j, lower, normal))
@@ -794,11 +921,10 @@ def visible_regions(config):
             if ps is None:
                 act.append(c)
                 continue
-            vis = PolySet(ps)
-            if vis.area <= 1e-14 * areas[c]:
+            if sum(p.area for p in ps) <= 1e-14 * areas[c]:
                 continue
             act.append(c)
-            visible[c] = vis
+            visible[c] = PolySet(ps)
         active.append(np.array(act, dtype=np.int64))
         cut_cells.append({c: CutCell(i, c, vis) for c, vis in visible.items()})
     return active, cut_cells, cut_by

@@ -298,7 +298,7 @@ def _energy_error(u, topo, f, gf) -> float:
     _, h1 = error_norms(u, topo, f, gf)
     e = energy_norm(u, topo)
     term_III = 0.0
-    for fac in topo.facets:
+    for fac in ref.facets_of(topo):
         i, j = fac.upper_mesh, fac.lower_mesh
         quad = ref.segment_quadrature(fac.segment, topo.quad_order)
         pts, wq = quad.points, quad.weights

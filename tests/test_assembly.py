@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.io import mmread
@@ -122,7 +124,7 @@ class TestStabilization:
         v = np.zeros(topo.total_dim)
         coords = topo.parts[0].space.dof_coords
         v[off[0]:off[1]] = coords[:, 0]
-        area01 = sum(o.polygon.area for o in topo.overlaps if o.lower_mesh == 0)
+        area01 = topo.overlaps.areas[topo.overlaps.lower_mesh == 0].sum()
         assert v @ S.matvec(v) == pytest.approx(params.beta1 * area01, rel=1e-12)
 
     def test_value_variant_closed_form(self):
@@ -133,11 +135,8 @@ class TestStabilization:
         v = np.zeros(topo.total_dim)
         v[off[2]:off[3]] = 1.0
         h = topo.mesh_sizes()
-        area12 = sum(
-            o.polygon.area
-            for o in topo.overlaps
-            if o.lower_mesh == 1 and o.upper_mesh == 2
-        )
+        o = topo.overlaps
+        area12 = o.areas[(o.lower_mesh == 1) & (o.upper_mesh == 2)].sum()
         expected = params.beta1 * area12 / (h[1] + h[2]) ** 2
         assert v @ S.matvec(v) == pytest.approx(expected, rel=1e-12)
 
@@ -297,3 +296,14 @@ class TestFormParams:
             FormParams(stab_variant="bogus")
         with pytest.raises(ValueError):
             FormParams(reaction_eps=0.0)
+
+    @pytest.mark.parametrize("name", ["beta0", "beta1", "reaction_eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_nonpositive_and_nonfinite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+            FormParams(**{name: value})
+
+    def test_accepts_positive_finite(self):
+        p = FormParams(beta0=1e-3, beta1=1e3, reaction_eps=1e-8)
+        assert (p.beta0, p.beta1, p.reaction_eps) == (1e-3, 1e3, 1e-8)
+        assert FormParams().reaction_eps is None

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from stackfem.cli import (
     run_equal_refinement,
     standard_predomains,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestExperimentConfig:
@@ -86,6 +89,20 @@ class TestSolveCommand:
         topo = build_cut_topology(build_stack(standard_predomains("II"), [3] * 3, 1))
         assert len(facets) - 1 == len(topo.facets) > 0
         assert len(overlaps) - 1 == len(topo.overlaps) > 0
+        # the rows themselves, byte for byte as recorded before the topology
+        # kept its entities as arrays
+        for name in ("facets", "overlaps"):
+            assert ((out / f"{name}.csv").read_bytes()
+                    == (DATA / f"topology_II_k3_{name}.csv").read_bytes()), name
+
+    @pytest.mark.parametrize("flag", ["--beta0", "--beta1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_penalty_flags_are_rejected(self, tmp_path, flag, value):
+        name = flag[2:]
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+            main(["solve", "--mm-config", "single", "--k", "2", f"{flag}={value}",
+                  "--out", str(tmp_path / "run")])
+        assert not (tmp_path / "run" / "results.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["solve", "--mm-config", "I", "--k", "3"]

@@ -10,7 +10,7 @@ from conftest import (
     random_rect_stack,
     single_config,
 )
-from stackfem.geom2d import rect_polygon, regular_polygon
+from stackfem.geom2d import centroids, rect_polygon, regular_polygon
 from stackfem.mesh import FeSpace, build_band_mesh, build_structured_mesh
 from stackfem.multimesh import (
     ConfigError,
@@ -61,10 +61,10 @@ class TestConfigI:
         assert topo.gamma_len[1] == pytest.approx(2.4, abs=1e-12)
         assert topo.gamma_len[2] == pytest.approx(0.8, abs=1e-12)
         # the boundary of part 2 is strictly inside part 1's predomain
-        g20 = sum(f.segment.length for f in topo.facets
-                  if f.upper_mesh == 2 and f.lower_mesh == 0)
-        g21 = sum(f.segment.length for f in topo.facets
-                  if f.upper_mesh == 2 and f.lower_mesh == 1)
+        f = topo.facets
+        length = np.hypot(*(f.b - f.a).T)
+        g20 = length[(f.upper_mesh == 2) & (f.lower_mesh == 0)].sum()
+        g21 = length[(f.upper_mesh == 2) & (f.lower_mesh == 1)].sum()
         assert g20 == 0.0
         assert g21 == pytest.approx(0.8, abs=1e-12)
 
@@ -96,28 +96,27 @@ class TestConfigI:
         assert cell[3] == -1 and (cell[:3] >= 0).all()
 
     def test_pairing_correctness(self, topo):
-        for f in topo.facets:
-            mid = f.segment.midpoint()
-            assert _in_cell(topo.parts[f.upper_mesh].mesh, f.upper_cell, mid)
-            assert _in_cell(topo.parts[f.lower_mesh].mesh, f.lower_cell, mid)
-        for o in topo.overlaps:
-            c = o.polygon.centroid()
-            assert _in_cell(topo.parts[o.lower_mesh].mesh, o.lower_cell, c)
-            assert _in_cell(topo.parts[o.upper_mesh].mesh, o.upper_cell, c)
+        f, o = topo.facets, topo.overlaps
+        for k, mid in enumerate(0.5 * (f.a + f.b)):
+            assert _in_cell(topo.parts[f.upper_mesh[k]].mesh, f.upper_cell[k], mid)
+            assert _in_cell(topo.parts[f.lower_mesh[k]].mesh, f.lower_cell[k], mid)
+        for k, c in enumerate(centroids(o.verts, o.counts, o.areas)):
+            assert _in_cell(topo.parts[o.lower_mesh[k]].mesh, o.lower_cell[k], c)
+            assert _in_cell(topo.parts[o.upper_mesh[k]].mesh, o.upper_cell[k], c)
 
     def test_facets_on_predomain_hull(self, topo):
-        for f in topo.facets:
-            pre = topo.parts[f.upper_mesh].predomain
-            for pt in (f.segment.a, f.segment.b):
+        f = topo.facets
+        for k in range(len(f)):
+            pre = topo.parts[f.upper_mesh[k]].predomain
+            for pt in (f.a[k], f.b[k]):
                 assert pre.contains(pt, tol=1e-9)
                 assert not pre.contains_strict(pt, tol=1e-9)
-            assert np.hypot(*f.normal) == pytest.approx(1.0, abs=1e-14)
+            assert np.hypot(*f.normal[k]) == pytest.approx(1.0, abs=1e-14)
 
     def test_normals_point_outward(self, topo):
-        for f in topo.facets:
-            pre = topo.parts[f.upper_mesh].predomain
-            probe = f.segment.midpoint() + 1e-6 * f.normal
-            assert not pre.contains_strict(probe)
+        f = topo.facets
+        for k, probe in enumerate(0.5 * (f.a + f.b) + 1e-6 * f.normal):
+            assert not topo.parts[f.upper_mesh[k]].predomain.contains_strict(probe)
 
     def test_csv_dump(self, topo, tmp_path):
         fpath = tmp_path / "facets.csv"
@@ -171,13 +170,11 @@ class TestRandomStacks:
         for _ in range(20):
             topo = build_cut_topology(random_rect_stack(rng), quad_order=1)
             delta, _, _ = compute_delta_NO(topo)
-            lengths = {}
-            for f in topo.facets:
-                key = (f.upper_mesh, f.lower_mesh)
-                lengths[key] = lengths.get(key, 0.0) + f.segment.length
-            for (i, j), ln in lengths.items():
-                if ln > 1e-10:
-                    assert delta[j, i] == 1
+            f = topo.facets
+            lengths = np.zeros((topo.nparts, topo.nparts))
+            np.add.at(lengths, (f.upper_mesh, f.lower_mesh), np.hypot(*(f.b - f.a).T))
+            for i, j in zip(*np.nonzero(lengths > 1e-10)):
+                assert delta[j, i] == 1
 
     def test_point_locate_brute_force(self, rng):
         config = random_rect_stack(rng)
@@ -214,8 +211,7 @@ class TestVoids:
     def test_inner_loop_is_not_an_interface(self, topo):
         hexa = regular_polygon(6, 0.15, (0.5, 0.5))
         hull = topo.parts[1].predomain
-        for f in topo.facets:
-            mid = f.segment.midpoint()
+        for mid in 0.5 * (topo.facets.a + topo.facets.b):
             # facets come from the outer hull only, never the hole loop
             assert not hexa.contains(mid, tol=1e-9)
             assert hull.contains(mid, tol=1e-9) and not hull.contains_strict(mid, tol=1e-9)
