@@ -10,7 +10,6 @@ that keeps the formulation stable for arbitrary mesh-size ratios.
 from .geom2d import (
     ConvexPolygon,
     PolySet,
-    QuadRule,
     Segment,
     clip_segment,
     convex_difference,

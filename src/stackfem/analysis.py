@@ -11,7 +11,6 @@ from .multimesh import CutTopology, QuadBatch, point_locate
 __all__ = [
     "MultimeshFunction",
     "EnergyBreakdown",
-    "Diagnostics",
     "ErrorReport",
     "eval_or_nan",
     "error_norms",
@@ -109,10 +108,6 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.term_I + self.term_II + self.term_III + self.term_IV
 
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.total))
-
 
 def energy_norm(u: MultimeshFunction, topology: CutTopology) -> EnergyBreakdown:
     """Energy norm breakdown; all terms are beta-independent."""
@@ -151,22 +146,14 @@ def global_interpolant(topology: CutTopology, f) -> MultimeshFunction:
 # Diagnostics and reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Diagnostics:
-    N_O: int
-    N_Oi: np.ndarray
-    C_hN: float
-    C_P: float
-    gamma_len: np.ndarray
-
-
-def diagnostics(topology: CutTopology) -> Diagnostics:
-    """Overlap counts and the interpolation/conditioning constants (d = 2)."""
+def diagnostics(topology: CutTopology) -> tuple[float, float]:
+    """The interpolation and conditioning constants (C_hN, C_P) in 2D, from
+    the overlap counts N_Oi and the interface lengths gamma_len of the topology."""
     h = topology.mesh_sizes()
     n_oi = topology.N_Oi.astype(float)
     c_hn = 1.0 + float(np.max(h ** 2 * n_oi)) + float(np.max(h * topology.gamma_len))
     c_p = 1.0 + float(np.max(h * n_oi)) + float(np.max(h ** 2 * n_oi))
-    return Diagnostics(topology.N_O, topology.N_Oi.copy(), c_hn, c_p, topology.gamma_len.copy())
+    return c_hn, c_p
 
 
 @dataclass

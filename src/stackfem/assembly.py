@@ -37,6 +37,8 @@ __all__ = [
 STAB_GRADIENT = "gradient-jump"
 STAB_VALUE = "scaled-value-jump"
 
+Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]  # COO (rows, cols, vals)
+
 
 @dataclass
 class FormParams:
@@ -77,34 +79,14 @@ def kappa_weights(h_i: float, h_j: float) -> tuple[float, float]:
     return kappa_i, 1.0 - kappa_i
 
 
-class _Triplets:
-    def __init__(self):
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-
-    def add_dense(self, dofs_row: np.ndarray, dofs_col: np.ndarray, block: np.ndarray):
-        """Scatter local blocks: dofs (., nr), (., nc), block (., nr, nc)."""
-        r = np.broadcast_to(dofs_row[..., :, None], block.shape)
-        c = np.broadcast_to(dofs_col[..., None, :], block.shape)
-        self.rows.append(r.reshape(-1))
-        self.cols.append(c.reshape(-1))
-        self.vals.append(block.reshape(-1))
-
-    def arrays(self):
-        if not self.rows:
-            z = np.zeros(0)
-            return z.astype(np.int64), z.astype(np.int64), z
-        return (
-            np.concatenate(self.rows),
-            np.concatenate(self.cols),
-            np.concatenate(self.vals),
-        )
-
-    def extend(self, other: "_Triplets"):
-        self.rows.extend(other.rows)
-        self.cols.extend(other.cols)
-        self.vals.extend(other.vals)
+def _scatter(blocks) -> Triplets:
+    """Triplets (rows, cols, vals) of local matrices, given as a list of
+    pairs of dofs (ne, nd) and matrices (ne, nd, nd), in list order."""
+    rows = [np.broadcast_to(d[:, :, None], m.shape).ravel() for d, m in blocks]
+    cols = [np.broadcast_to(d[:, None, :], m.shape).ravel() for d, m in blocks]
+    empty = np.zeros(0, dtype=np.int64)
+    return (np.concatenate([empty, *rows]), np.concatenate([empty, *cols]),
+            np.concatenate([np.zeros(0), *(m.ravel() for _, m in blocks)]))
 
 
 @dataclass
@@ -116,12 +98,6 @@ class SystemMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.dim
-
-    def symmetry_defect(self) -> float:
-        return self.matrix.symmetry_defect()
-
-    def max_abs(self) -> float:
-        return self.matrix.max_abs()
 
 
 def _tabulate(topology: CutTopology, batch: QuadBatch, m: int, offsets: np.ndarray):
@@ -152,26 +128,26 @@ def _entity_blocks(batch: QuadBatch, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return out
 
 
-def assemble_volume(topology: CutTopology, params: FormParams) -> _Triplets:
+def assemble_volume(topology: CutTopology, params: FormParams) -> Triplets:
     """Stiffness (plus optional reaction mass) over every visible region."""
-    trip = _Triplets()
+    blocks = []
     offsets = topology.block_offsets()
     for batch in topology.cell_batches(params.quad_order):
         phi, grad, dofs = _tabulate(topology, batch, 0, offsets)
         if params.reaction_eps is not None:
             grad = np.concatenate([grad, phi[:, :, None] / params.reaction_eps], axis=2)
-        trip.add_dense(dofs, dofs, _entity_blocks(batch, grad, grad))
-    return trip
+        blocks.append((dofs, _entity_blocks(batch, grad, grad)))
+    return _scatter(blocks)
 
 
-def assemble_interface(topology: CutTopology, params: FormParams) -> _Triplets:
+def assemble_interface(topology: CutTopology, params: FormParams) -> Triplets:
     """Nitsche coupling on interface facets.
 
     Per facet with upper mesh i and lower mesh j: consistency, symmetry and
     penalty terms built from the jump v_i - v_j and the kappa-weighted
     normal-flux average in the upper predomain's outward normal.
     """
-    trip = _Triplets()
+    blocks = []
     offsets = topology.block_offsets()
     h = topology.mesh_sizes()
     for batch in topology.facet_batches():
@@ -188,14 +164,13 @@ def assemble_interface(topology: CutTopology, params: FormParams) -> _Triplets:
         local = _entity_blocks(
             batch, np.stack([jump, avg], axis=2), np.stack([pen * jump - avg, -jump], axis=2)
         )
-        dofs = np.concatenate([dofs_u, dofs_l], axis=1)
-        trip.add_dense(dofs, dofs, local)
-    return trip
+        blocks.append((np.concatenate([dofs_u, dofs_l], axis=1), local))
+    return _scatter(blocks)
 
 
-def assemble_stabilization(topology: CutTopology, params: FormParams) -> _Triplets:
+def assemble_stabilization(topology: CutTopology, params: FormParams) -> Triplets:
     """Overlap stabilization: gradient-jump (default) or scaled value-jump."""
-    trip = _Triplets()
+    blocks = []
     offsets = topology.block_offsets()
     h = topology.mesh_sizes()
     for batch in topology.overlap_batches():
@@ -208,9 +183,9 @@ def assemble_stabilization(topology: CutTopology, params: FormParams) -> _Triple
         else:
             D = np.concatenate([phi_l, -phi_u], axis=1)[:, :, None]
             scale = params.beta1 / (h[i] + h[j]) ** 2
-        dofs = np.concatenate([dofs_l, dofs_u], axis=1)
-        trip.add_dense(dofs, dofs, scale * _entity_blocks(batch, D, D))
-    return trip
+        blocks.append((np.concatenate([dofs_l, dofs_u], axis=1),
+                       scale * _entity_blocks(batch, D, D)))
+    return _scatter(blocks)
 
 
 def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
@@ -230,12 +205,12 @@ def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
 
 def assemble_system(topology: CutTopology, params: FormParams) -> SystemMatrix:
     """Full coupled matrix: volume + interface + stabilization."""
-    trip = assemble_volume(topology, params)
-    trip.extend(assemble_interface(topology, params))
-    trip.extend(assemble_stabilization(topology, params))
-    rows, cols, vals = trip.arrays()
-    mat = CsrMatrix.from_triplets(rows, cols, vals, topology.total_dim)
-    return SystemMatrix(mat)
+    rows, cols, vals = map(np.concatenate, zip(
+        assemble_volume(topology, params),
+        assemble_interface(topology, params),
+        assemble_stabilization(topology, params),
+    ))
+    return SystemMatrix(CsrMatrix.from_triplets(rows, cols, vals, topology.total_dim))
 
 
 # ---------------------------------------------------------------------------

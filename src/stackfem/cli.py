@@ -151,7 +151,7 @@ def _error_report(name: str, degree: int, res: SolveResult, u_exact, grad_exact,
         [a - b for a, b in zip(res.u.coeffs, diff.coeffs)]
     )
     energy = analysis.energy_norm(err, res.topology)
-    diag = analysis.diagnostics(res.topology)
+    c_hn, c_p = analysis.diagnostics(res.topology)
     return analysis.ErrorReport(
         config=name,
         degree=degree,
@@ -160,9 +160,9 @@ def _error_report(name: str, degree: int, res: SolveResult, u_exact, grad_exact,
         l2_err=l2,
         h1_err=h1,
         energy=energy,
-        N_O=diag.N_O,
-        C_hN=diag.C_hN,
-        C_P=diag.C_P,
+        N_O=res.topology.N_O,
+        C_hN=c_hn,
+        C_P=c_p,
         kappa=kappa,
     )
 
@@ -535,6 +535,14 @@ def _cmd_boundary_layer(args) -> int:
     return 0
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of the penalty weights: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", dest="config_file", default=None,
                         help="JSON experiment config file")
@@ -542,8 +550,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=["I", "II", "single", "custom"],
                         help="mesh stack configuration")
     parser.add_argument("--p", dest="degree", type=int, default=None, choices=[1, 2])
-    parser.add_argument("--beta0", type=float, default=None)
-    parser.add_argument("--beta1", type=float, default=None)
+    parser.add_argument("--beta0", type=_positive_float, default=None)
+    parser.add_argument("--beta1", type=_positive_float, default=None)
     parser.add_argument("--stab", default=None, choices=["grad", "l2"])
     parser.add_argument("--k-min", dest="k_min", type=int, default=None)
     parser.add_argument("--k-max", dest="k_max", type=int, default=None)

@@ -16,7 +16,6 @@ __all__ = [
     "ConvexPolygon",
     "PolySet",
     "Segment",
-    "QuadRule",
     "convex_intersect",
     "convex_difference",
     "clip_segment",
@@ -175,18 +174,6 @@ class Segment:
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
-
-
-@dataclass
-class QuadRule:
-    """Quadrature points in physical coordinates with positive weights."""
-
-    points: np.ndarray   # (n, 2)
-    weights: np.ndarray  # (n,), sums to the measure of the region
-
-    def __init__(self, points, weights):
-        self.points = np.asarray(points, dtype=float).reshape(-1, 2)
-        self.weights = np.asarray(weights, dtype=float).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -568,22 +555,23 @@ def _triangle_areas(tris: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
 
 
-def triangles_quadrature(tris: np.ndarray, order: int) -> QuadRule:
-    """One reference rule mapped onto every triangle of (nt, 3, 2); the
-    points of triangle t are rows t*nq .. (t+1)*nq - 1."""
+def triangles_quadrature(tris: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """One reference rule mapped onto every triangle of (nt, 3, 2): points
+    (nt*nq, 2) and weights (nt*nq,), those of triangle t in rows
+    t*nq .. (t+1)*nq - 1."""
     bary, w = triangle_rule(order)
     pts = np.einsum("qv,tvk->tqk", bary, tris)
-    return QuadRule(pts, np.outer(_triangle_areas(tris), w))
+    return pts.reshape(-1, 2), np.outer(_triangle_areas(tris), w).ravel()
 
 
-def segments_quadrature(a: np.ndarray, b: np.ndarray, order: int) -> QuadRule:
+def segments_quadrature(a: np.ndarray, b: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule exact for degree <= order mapped onto every segment
-    a[s] -> b[s] (each (ns, 2)); the points of segment s are rows
-    s*nq .. (s+1)*nq - 1."""
+    a[s] -> b[s] (each (ns, 2)): points (ns*nq, 2) and weights (ns*nq,),
+    those of segment s in rows s*nq .. (s+1)*nq - 1."""
     x, w = np.polynomial.legendre.leggauss(max(1, (order + 2) // 2))
     d = b - a
     pts = a[:, None, :] + 0.5 * (x + 1.0)[None, :, None] * d[:, None, :]
-    return QuadRule(pts, np.outer(np.hypot(d[:, 0], d[:, 1]), 0.5 * w))
+    return pts.reshape(-1, 2), np.outer(np.hypot(d[:, 0], d[:, 1]), 0.5 * w).ravel()
 
 
 # ---------------------------------------------------------------------------

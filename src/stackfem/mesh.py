@@ -358,15 +358,9 @@ def build_band_mesh(inner: ConvexPolygon, width: float, target_h: float) -> TriM
     c00 = (L * M + R).ravel()
     c10 = (L * M + (R + 1) % M).ravel()
     c01, c11 = c00 + M, c10 + M
-    cells = np.stack([c00, c10, c11, c00, c11, c01], axis=1).reshape(-1, 3)
-
-    # ensure positive orientation regardless of ring direction
-    v = nodes[cells]
-    cross = (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1]) - (
-        v[:, 1, 1] - v[:, 0, 1]
-    ) * (v[:, 2, 0] - v[:, 0, 0])
-    flip = cross < 0
-    cells[flip] = cells[flip][:, [0, 2, 1]]
+    # the loops of a ConvexPolygon run counterclockwise and the layers go
+    # outward, so these orders are counterclockwise
+    cells = np.stack([c00, c11, c10, c00, c01, c11], axis=1).reshape(-1, 3)
 
     mesh = TriMesh(nodes, cells)
     # the nodes of the inner loop are the first M

@@ -171,10 +171,10 @@ def _triangle_batch(meshes: tuple[int, ...], cells: np.ndarray, tris: np.ndarray
     """The rule of the given order mapped onto triangles tris (nt, 3, 2),
     triangle t belonging to entity owner[t] (ascending) with cells
     cells[owner[t]]."""
-    quad = triangles_quadrature(tris, order)
+    points, weights = triangles_quadrature(tris, order)
     nq = len(triangle_rule(order)[1])
     starts = np.searchsorted(owner, np.arange(len(cells) + 1)) * nq
-    return QuadBatch(meshes, cells, starts, quad.points, quad.weights)
+    return QuadBatch(meshes, cells, starts, points, weights)
 
 
 def _pair_groups(rec: _CellPairs):
@@ -351,10 +351,10 @@ class CutTopology:
             f = self.facets
             out = []
             for meshes, cells, sel in _pair_groups(f):
-                quad = segments_quadrature(f.a[sel], f.b[sel], self.quad_order)
-                nq = len(quad.weights) // len(sel)
+                points, weights = segments_quadrature(f.a[sel], f.b[sel], self.quad_order)
+                nq = len(weights) // len(sel)
                 out.append(QuadBatch(meshes, cells, np.arange(len(sel) + 1) * nq,
-                                     quad.points, quad.weights, f.normal[sel]))
+                                     points, weights, f.normal[sel]))
             return out
 
         return self._cached("facets", build)
@@ -373,16 +373,6 @@ class CutTopology:
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
-
-def _signed_dists(points: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
-    """Distances of points (..., 2) to each polygon edge line, positive inside."""
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    ln = np.hypot(e[:, 0], e[:, 1])
-    px = points[..., 0][..., None] - v[:, 0]
-    py = points[..., 1][..., None] - v[:, 1]
-    return (e[:, 0] * py - e[:, 1] * px) / ln
-
 
 def _visible_regions(config: MultiMeshConfig):
     """Active cell ids and the visible pieces of the cut cells per mesh,
@@ -420,7 +410,8 @@ def _visible_regions(config: MultiMeshConfig):
             )
             if len(cand) == 0:
                 continue
-            d = _signed_dists(verts[cand], Q)  # (nc, 3, nedges)
+            cross, ln = Q._edge_cross(verts[cand])
+            d = cross / ln  # signed distances to the edge lines (nc, 3, nedges)
             fully_in = np.all(d >= -tol, axis=(1, 2))
             separated = np.any(np.all(d < -tol, axis=1), axis=1)
             covered[cand[fully_in]] = True

@@ -85,13 +85,13 @@ def cg_solve(
     b: np.ndarray,
     tol: float = 1e-10,
     maxit: int | None = None,
-    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+    """Jacobi-preconditioned conjugate gradients for SPD systems, from x = 0.
 
     Stops when the true residual satisfies ||b - Ax|| <= tol * ||b||.
-    Raises NotSPDError on a nonpositive-curvature direction, which flags an
-    indefinite (or unpinned) system.
+    Raises ValueError, naming the first dof at fault, on a non-finite entry
+    of b or A, and NotSPDError on a nonpositive-curvature direction, which
+    flags an indefinite (or unpinned) system.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -99,6 +99,13 @@ def cg_solve(
     if maxit is None:
         maxit = max(10 * n, 100)
     b = np.asarray(b, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(b))
+    if len(bad):
+        raise ValueError(f"right-hand side entry {b[bad[0]]} at dof {bad[0]} is not finite")
+    bad = np.flatnonzero(~np.isfinite(A.csr.data))
+    if len(bad):
+        dof = int(np.searchsorted(A.csr.indptr, bad[0], side="right")) - 1
+        raise ValueError(f"matrix entry {A.csr.data[bad[0]]} in the row of dof {dof} is not finite")
     normb = float(np.linalg.norm(b))
     if normb == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True, np.zeros(1))
@@ -107,7 +114,7 @@ def cg_solve(
         bad = int(np.argmin(diag))
         raise NotSPDError(f"nonpositive diagonal entry {diag[bad]:.3e} at dof {bad}")
     inv_diag = 1.0 / diag
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     r = b - A.matvec(x)
     z = inv_diag * r
     p = z.copy()

@@ -63,7 +63,6 @@ from stackfem.geom2d import (
     ConvexPolygon,
     PolySet,
     Segment,
-    QuadRule,
     offset_polygon,
     polygon_area,
     triangle_rule,
@@ -82,7 +81,6 @@ from stackfem.multimesh import (
     Overlaps,
     Pieces,
     QuadBatch,
-    _signed_dists,
 )
 
 STAB_GRADIENT = "gradient-jump"
@@ -225,8 +223,9 @@ class _Blocks:
 # Per-entity rules and the batches they make
 # ---------------------------------------------------------------------------
 
-def triangle_quadrature(tri_verts, order) -> QuadRule:
-    """Mapped rule on one physical triangle given as a (3, 2) array."""
+def triangle_quadrature(tri_verts, order):
+    """Mapped rule (points, weights) on one physical triangle given as a
+    (3, 2) array."""
     return triangles_quadrature(np.asarray(tri_verts, dtype=float)[None], order)
 
 
@@ -238,26 +237,26 @@ def polygon_fan(v) -> np.ndarray:
     return tris[0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) > 0.0]
 
 
-def polyset_quadrature(S, order) -> QuadRule:
-    """Rule over one PolySet: each convex piece fan-triangulated from its
+def polyset_quadrature(S, order):
+    """Rule (points, weights) over one PolySet: each convex piece fan-triangulated from its
     first vertex, the mapped rule on every triangle."""
     return triangles_quadrature(np.concatenate([polygon_fan(p.vertices) for p in S.pieces]), order)
 
 
-def segment_quadrature(seg, order) -> QuadRule:
-    """Gauss rule along one segment, exact for degree <= order."""
+def segment_quadrature(seg, order):
+    """Gauss rule (points, weights) along one segment, exact for degree <= order."""
     x, w = np.polynomial.legendre.leggauss(max(1, (order + 2) // 2))
     t = 0.5 * (x + 1.0)
-    return QuadRule(seg.a[None, :] + t[:, None] * (seg.b - seg.a)[None, :], 0.5 * w * length(seg))
+    return seg.a[None, :] + t[:, None] * (seg.b - seg.a)[None, :], 0.5 * w * length(seg)
 
 
 def _batch(meshes, cells, rules, normals=None) -> QuadBatch:
     return QuadBatch(
         meshes,
         np.array(cells, dtype=np.int64).reshape(len(rules), len(meshes)),
-        np.concatenate([[0], np.cumsum([len(r.weights) for r in rules])]).astype(np.int64),
-        np.concatenate([r.points for r in rules]),
-        np.concatenate([r.weights for r in rules]),
+        np.concatenate([[0], np.cumsum([len(w) for _, w in rules])]).astype(np.int64),
+        np.concatenate([p for p, _ in rules]),
+        np.concatenate([w for _, w in rules]),
         None if normals is None else np.array(normals),
     )
 
@@ -277,9 +276,9 @@ def cell_batches(config, active, cut_cells, order) -> list[QuadBatch]:
 def _pair_batches(entities, rules, with_normals=False) -> list[QuadBatch]:
     """Entities with positive weight, grouped by (lower, upper) mesh pair."""
     groups = {}
-    for e, r in zip(entities, rules):
-        if r.weights.sum() > 0.0:
-            groups.setdefault((e.lower_mesh, e.upper_mesh), []).append((e, r))
+    for e, (pts, w) in zip(entities, rules):
+        if w.sum() > 0.0:
+            groups.setdefault((e.lower_mesh, e.upper_mesh), []).append((e, (pts, w)))
     return [
         _batch(meshes, [(e.lower_cell, e.upper_cell) for e, _ in ents], [r for _, r in ents],
                [e.normal for e, _ in ents] if with_normals else None)
@@ -344,10 +343,9 @@ def volume_matrix(topology, params) -> sparse.csr_matrix:
             K *= areas[:, None, None]
             out.add_many(offsets[i] + space.cell_dofs[cells], K)
         for cell, cc in cut_cells_of(topology, i).items():
-            quad = polyset_quadrature(cc.visible, params.quad_order)
-            if quad.weights.sum() <= 0.0:
+            pts, wq = polyset_quadrature(cc.visible, params.quad_order)
+            if wq.sum() <= 0.0:
                 continue
-            pts, wq = quad.points, quad.weights
             ph, g, dofs = _trace(space, cell, pts, offsets[i])
             K = np.einsum("q,qal,qbl->ab", wq, g, g)
             if eps2:
@@ -366,8 +364,7 @@ def interface_matrix(topology, params) -> sparse.csr_matrix:
         ki = h[i] / (h[i] + h[j])
         kj = 1.0 - ki
         pen = params.beta0 / (h[i] + h[j])
-        quad = segment_quadrature(f.segment, topology.quad_order)
-        pts, wq = quad.points, quad.weights
+        pts, wq = segment_quadrature(f.segment, topology.quad_order)
         phi_u, grad_u, dofs_u = _trace(topology.parts[i].space, f.upper_cell, pts, offsets[i])
         phi_l, grad_l, dofs_l = _trace(topology.parts[j].space, f.lower_cell, pts, offsets[j])
         jump = np.concatenate([phi_u, -phi_l], axis=1)
@@ -385,8 +382,7 @@ def stabilization_matrix(topology, params) -> sparse.csr_matrix:
     h = topology.mesh_sizes()
     for o in overlaps_of(topology):
         i, j = o.lower_mesh, o.upper_mesh
-        quad = polyset_quadrature(PolySet([o.polygon]), topology.quad_order)
-        pts, wq = quad.points, quad.weights
+        pts, wq = polyset_quadrature(PolySet([o.polygon]), topology.quad_order)
         if wq.sum() <= 0.0:
             continue
         phi_l, grad_l, dofs_l = _trace(topology.parts[i].space, o.lower_cell, pts, offsets[i])
@@ -419,13 +415,12 @@ def load_vector(topology, f, params) -> np.ndarray:
             loc = np.einsum("q,cq,qa->ca", w, fv, phi) * areas[:, None]
             np.add.at(b, offsets[i] + space.cell_dofs[cells], loc)
         for cell, cc in cut_cells_of(topology, i).items():
-            quad = polyset_quadrature(cc.visible, params.quad_order)
-            pts = quad.points
+            pts, wq = polyset_quadrature(cc.visible, params.quad_order)
             if not len(pts):
                 continue
             fv = np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float), len(pts))
             ph, _, dofs = _trace(space, cell, pts, offsets[i])
-            np.add.at(b, dofs, np.einsum("q,q,qa->a", quad.weights, fv, ph))
+            np.add.at(b, dofs, np.einsum("q,q,qa->a", wq, fv, ph))
     return b
 
 
@@ -440,10 +435,9 @@ def error_norms(u_h, topology, u_exact, grad_exact, order=None) -> tuple[float, 
         ci = u_h.coeffs[i]
         cut = cut_cells_of(topology, i)
         for cell in topology.active[i]:
-            quad = _visible_quadrature(part.mesh, cut, int(cell), order)
-            if not len(quad.points):
+            pts, wq = _visible_quadrature(part.mesh, cut, int(cell), order)
+            if not len(pts):
                 continue
-            pts, wq = quad.points, quad.weights
             uh = space.eval_in_cell(ci, int(cell), pts)
             guh = space.grad_in_cell(ci, int(cell), pts)
             ue = np.broadcast_to(np.asarray(u_exact(pts[:, 0], pts[:, 1]), dtype=float), uh.shape)
@@ -461,22 +455,22 @@ def energy_terms(u, topology) -> tuple[float, float, float, float]:
         space = part.space
         cut = cut_cells_of(topology, i)
         for cell in topology.active[i]:
-            quad = _visible_quadrature(part.mesh, cut, int(cell), topology.quad_order)
-            if not len(quad.points):
+            pts, wq = _visible_quadrature(part.mesh, cut, int(cell), topology.quad_order)
+            if not len(pts):
                 continue
-            g = space.grad_in_cell(u.coeffs[i], int(cell), quad.points)
-            term_I += float(np.dot(quad.weights, (g ** 2).sum(axis=1)))
+            g = space.grad_in_cell(u.coeffs[i], int(cell), pts)
+            term_I += float(np.dot(wq, (g ** 2).sum(axis=1)))
 
     term_II = 0.0
     for o in overlaps_of(topology):
-        quad = polyset_quadrature(PolySet([o.polygon]), topology.quad_order)
+        pts, wq = polyset_quadrature(PolySet([o.polygon]), topology.quad_order)
         gl = topology.parts[o.lower_mesh].space.grad_in_cell(
-            u.coeffs[o.lower_mesh], o.lower_cell, quad.points
+            u.coeffs[o.lower_mesh], o.lower_cell, pts
         )
         gu = topology.parts[o.upper_mesh].space.grad_in_cell(
-            u.coeffs[o.upper_mesh], o.upper_cell, quad.points
+            u.coeffs[o.upper_mesh], o.upper_cell, pts
         )
-        term_II += float(np.dot(quad.weights, ((gl - gu) ** 2).sum(axis=1)))
+        term_II += float(np.dot(wq, ((gl - gu) ** 2).sum(axis=1)))
 
     term_III = 0.0
     term_IV = 0.0
@@ -484,8 +478,7 @@ def energy_terms(u, topology) -> tuple[float, float, float, float]:
         i, j = f.upper_mesh, f.lower_mesh
         su = topology.parts[i].space
         sl = topology.parts[j].space
-        quad = segment_quadrature(f.segment, topology.quad_order)
-        pts, wq = quad.points, quad.weights
+        pts, wq = segment_quadrature(f.segment, topology.quad_order)
         gu = su.grad_in_cell(u.coeffs[i], f.upper_cell, pts)
         gl = sl.grad_in_cell(u.coeffs[j], f.lower_cell, pts)
         vu = su.eval_in_cell(u.coeffs[i], f.upper_cell, pts)
@@ -875,6 +868,16 @@ def interface_facets(config, active, grids):
 # ---------------------------------------------------------------------------
 # Cut topology: visible regions and the grid table
 # ---------------------------------------------------------------------------
+
+def _signed_dists(points, poly):
+    """Distances of points (..., 2) to each polygon edge line, positive inside."""
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    ln = np.hypot(e[:, 0], e[:, 1])
+    px = points[..., 0][..., None] - v[:, 0]
+    py = points[..., 1][..., None] - v[:, 1]
+    return (e[:, 0] * py - e[:, 1] * px) / ln
+
 
 def visible_regions(config):
     """Active cells, cut cells and the cells each higher predomain cuts,

@@ -25,7 +25,7 @@ from stackfem.solver import CsrMatrix, cg_solve
 
 
 def _matrix_from(trip, dim) -> CsrMatrix:
-    rows, cols, vals = trip.arrays()
+    rows, cols, vals = trip
     return CsrMatrix.from_triplets(rows, cols, vals, dim)
 
 
@@ -204,7 +204,7 @@ class TestSystemProperties:
         topo = build_cut_topology(builder(), 2)
         params = FormParams.defaults(1)
         system = assemble_system(topo, params)
-        assert system.symmetry_defect() <= 1e-12 * system.max_abs()
+        assert system.matrix.symmetry_defect() <= 1e-12 * system.matrix.max_abs()
         load = assemble_load(topo, lambda x, y: np.ones_like(x), params)
         bc = build_dirichlet(topo, lambda x, y: np.zeros_like(x))
         red = apply_dirichlet(system, load, bc, topo)

@@ -53,7 +53,7 @@ def case(request):
 
 
 def _matrix(trip, dim):
-    rows, cols, vals = trip.arrays()
+    rows, cols, vals = trip
     return CsrMatrix.from_triplets(rows, cols, vals, dim).csr
 
 

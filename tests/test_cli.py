@@ -96,13 +96,23 @@ class TestSolveCommand:
                     == (DATA / f"topology_II_k3_{name}.csv").read_bytes()), name
 
     @pytest.mark.parametrize("flag", ["--beta0", "--beta1"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_nonfinite_penalty_flags_are_rejected(self, tmp_path, flag, value):
-        name = flag[2:]
-        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_nonfinite_penalty_flags_are_rejected(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
             main(["solve", "--mm-config", "single", "--k", "2", f"{flag}={value}",
                   "--out", str(tmp_path / "run")])
-        assert not (tmp_path / "run" / "results.csv").exists()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stackfem solve")
+        assert f"argument {flag}: must be positive and finite, got '{value}'" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_unparsable_penalty_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--beta0", "big"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --beta0: invalid" in err and "'big'" in err
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["solve", "--mm-config", "I", "--k", "3"]
@@ -214,6 +224,18 @@ class TestConvergenceCommand:
         rate_h1 = np.polyfit(np.log(hs), np.log([r.h1_err for r in reports]), 1)[0]
         assert 2.7 <= rate_l2 <= 3.2
         assert 1.8 <= rate_h1 <= 2.2
+
+    def test_equal_refinement_rows_are_permutation_endpoints(self):
+        from stackfem.analysis import csv_row
+        from stackfem.cli import run_permutation_study
+
+        coarse, fine = (csv_row(r)[1:] for r in run_equal_refinement("I", [2, 3], 2))
+        curves: dict[str, list] = {}
+        for r in run_permutation_study("I", 2, 3, 2):
+            curves.setdefault(r.config.split(":")[1], []).append(csv_row(r)[1:])
+        assert len(curves) == 6
+        for rows in curves.values():
+            assert rows[0] == coarse and rows[-1] == fine
 
     def test_permutation_endpoints_config_II(self):
         from stackfem.cli import run_permutation_study

@@ -36,13 +36,14 @@ UNIT = rect_polygon(0.0, 1.0, 0.0, 1.0)
 
 
 def _polygon_rule(P, order):
-    """The triangle rule on the fan of one convex polygon."""
+    """The triangle rule (points, weights) on the fan of one convex polygon."""
     return triangles_quadrature(fan_triangles(P.vertices[None], np.array([len(P.vertices)]))[0],
                                 order)
 
 
 def _integrate(q, f) -> float:
-    return float(np.dot(q.weights, f(q.points[:, 0], q.points[:, 1])))
+    pts, w = q
+    return float(np.dot(w, f(pts[:, 0], pts[:, 1])))
 
 
 def _area(S) -> float:
@@ -132,9 +133,9 @@ class TestClipSegment:
 
 class TestQuadrature:
     def test_unit_square_weight_sum(self):
-        q = _polygon_rule(UNIT, 2)
-        assert q.weights.sum() == pytest.approx(1.0, rel=1e-12)
-        assert np.all(q.weights > 0)
+        _, w = _polygon_rule(UNIT, 2)
+        assert w.sum() == pytest.approx(1.0, rel=1e-12)
+        assert np.all(w > 0)
 
     def test_linear_exact(self):
         q = _polygon_rule(UNIT, 2)
@@ -148,7 +149,7 @@ class TestQuadrature:
     def test_monomial_exactness_reference_triangle(self, order):
         tri = ConvexPolygon([[0, 0], [1, 0], [0, 1]])
         q = _polygon_rule(tri, order)
-        assert np.all(q.weights > 0)
+        assert np.all(q[1] > 0)
         for a in range(order + 1):
             for b in range(order + 1 - a):
                 exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
@@ -173,18 +174,19 @@ class TestQuadrature:
     def test_segment_rule(self):
         s = Segment((0.0, 0.0), (2.0, 0.0))
         q = segments_quadrature(s.a[None], s.b[None], 4)
-        assert q.weights.sum() == pytest.approx(2.0, rel=1e-14)
+        assert q[1].sum() == pytest.approx(2.0, rel=1e-14)
         assert _integrate(q, lambda x, y: x ** 4) == pytest.approx(32 / 5, rel=1e-12)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
     def test_segments_rule_exact_per_segment(self, order, rng):
         a = rng.uniform(-1.0, 1.0, (7, 2))
         b = a + rng.uniform(0.1, 1.0, (7, 2))
-        q = segments_quadrature(a, b, order)
-        nq = len(q.weights) // len(a)
-        assert len(q.weights) == nq * len(a) and np.all(q.weights > 0)
+        points, weights = segments_quadrature(a, b, order)
+        nq = len(weights) // len(a)
+        assert points.shape == (nq * len(a), 2)
+        assert len(weights) == nq * len(a) and np.all(weights > 0)
         for s in range(len(a)):
-            pts, w = q.points[s * nq:(s + 1) * nq], q.weights[s * nq:(s + 1) * nq]
+            pts, w = points[s * nq:(s + 1) * nq], weights[s * nq:(s + 1) * nq]
             length = math.hypot(*(b[s] - a[s]))
             for k in range(order + 1):
                 # x runs linearly from a_x to b_x along the segment

@@ -281,11 +281,11 @@ def _interp_errors(space: FeSpace, coeffs, f, gf):
     l2 = 0.0
     h1 = 0.0
     for c in range(len(mesh.cells)):
-        q = triangles_quadrature(mesh.cell_vertices(c)[None], 6)
-        vals = space.eval_in_cell(coeffs, c, q.points)
-        grads = space.grad_in_cell(coeffs, c, q.points)
-        fe = f(q.points[:, 0], q.points[:, 1])
-        ge = gf(q.points[:, 0], q.points[:, 1])
-        l2 += float(np.dot(q.weights, (vals - fe) ** 2))
-        h1 += float(np.dot(q.weights, ((grads - ge) ** 2).sum(axis=1)))
+        pts, w = triangles_quadrature(mesh.cell_vertices(c)[None], 6)
+        vals = space.eval_in_cell(coeffs, c, pts)
+        grads = space.grad_in_cell(coeffs, c, pts)
+        fe = f(pts[:, 0], pts[:, 1])
+        ge = gf(pts[:, 0], pts[:, 1])
+        l2 += float(np.dot(w, (vals - fe) ** 2))
+        h1 += float(np.dot(w, ((grads - ge) ** 2).sum(axis=1)))
     return math.sqrt(l2), math.sqrt(h1)

@@ -92,6 +92,44 @@ class TestCG:
             h = rep.residual_history
             assert np.all(h[1:] <= h[:-1] * (1.0 + 1e-8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rhs_names_first_dof(self, bad):
+        b = np.ones(5)
+        b[[2, 4]] = bad
+        with pytest.raises(ValueError, match=f"right-hand side entry {bad} at dof 2 is not finite"):
+            cg_solve(_csr(np.eye(5)), b)
+
+    @pytest.mark.parametrize("entries", [[(2, 2)], [(2, 3), (3, 2)]])
+    def test_nonfinite_matrix_entry_names_its_row(self, entries):
+        dense = np.eye(4)
+        dense[tuple(np.transpose(entries))] = np.nan
+        with pytest.raises(ValueError, match="matrix entry nan in the row of dof 2 is not finite"):
+            cg_solve(_csr(dense), np.ones(4))
+
+    def test_nan_load_raises_before_iterating(self, monkeypatch):
+        from stackfem.cli import solve_poisson
+
+        params = FormParams.defaults(1)
+        config = config_I()
+        f = lambda x, y: np.where(x > 0.7, np.nan, 1.0)
+        zero = lambda x, y: np.zeros_like(x)
+        # the first free dof with a NaN load, found without the solver
+        topo = build_cut_topology(config, params.quad_order)
+        red = apply_dirichlet(assemble_system(topo, params), assemble_load(topo, f, params),
+                              build_dirichlet(topo, zero), topo)
+        dof = int(np.flatnonzero(np.isnan(red.rhs))[0])
+        assert dof > 0
+        matvecs = []
+
+        def counted(A, x):
+            matvecs.append(1)
+            return A.csr @ x
+
+        monkeypatch.setattr(CsrMatrix, "matvec", counted)
+        with pytest.raises(ValueError, match=f"right-hand side entry nan at dof {dof} "):
+            solve_poisson(config, params, f, zero)
+        assert matvecs == []
+
 
 class TestExtremeEigs:
     def test_diagonal(self):
