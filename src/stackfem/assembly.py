@@ -189,13 +189,19 @@ def assemble_stabilization(topology: CutTopology, params: FormParams) -> Triplet
 
 
 def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
-    """Load vector: f integrated against each basis over visible regions only."""
+    """Load vector: f integrated against each basis over visible regions only.
+    A non-finite value of f raises a ValueError naming its part, cell and point."""
     offsets = topology.block_offsets()
     b = np.zeros(topology.total_dim)
     for batch in topology.cell_batches(params.quad_order):
         phi, _, dofs = _tabulate(topology, batch, 0, offsets)
         x, y = batch.points.T
-        fw = batch.weights * np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
+        fx = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
+        if not np.isfinite(fx).all():
+            q = np.argmin(np.isfinite(fx))
+            raise ValueError(f"load f is {fx[q]} at ({x[q]}, {y[q]}) in cell "
+                             f"{batch.per_point(batch.cells[:, 0])[q]} of part {batch.meshes[0]}")
+        fw = batch.weights * fx
         b += np.bincount(
             batch.per_point(dofs).ravel(), weights=(fw[:, None] * phi).ravel(),
             minlength=len(b),
@@ -242,30 +248,34 @@ def flagged_boundary_dofs(topology: CutTopology, marker: int) -> np.ndarray:
     return np.unique(np.concatenate(out)) if out else np.zeros(0, dtype=np.int64)
 
 
+def _boundary_values(g, name: str, topology: CutTopology, i: int,
+                     dofs: np.ndarray) -> np.ndarray:
+    """g at the part-local dofs of part i; a non-finite value raises a
+    ValueError naming the part and the dof."""
+    x, y = topology.parts[i].space.dof_coords[dofs].T
+    vals = np.broadcast_to(np.asarray(g(x, y), dtype=float), len(dofs))
+    if not np.isfinite(vals).all():
+        j = np.argmin(np.isfinite(vals))
+        raise ValueError(f"{name} is {vals[j]} at dof {dofs[j]} of part {i}, "
+                         f"located at ({x[j]}, {y[j]})")
+    return vals
+
+
 def build_dirichlet(topology: CutTopology, g_outer, g_inner=None) -> DirichletBC:
     """Dirichlet data: g_outer on the background boundary, g_inner on
     marker-1 (hole) loops of any part."""
     offsets = topology.block_offsets()
-    dofs = []
-    vals = []
-    bg = topology.parts[0].space
-    d0 = bg.boundary_dofs(marker=0)
-    coords = bg.dof_coords[d0]
-    dofs.append(offsets[0] + d0)
-    vals.append(np.broadcast_to(
-        np.asarray(g_outer(coords[:, 0], coords[:, 1]), dtype=float), len(d0)
-    ))
+    d0 = topology.parts[0].space.boundary_dofs(marker=0)
+    dofs = [offsets[0] + d0]
+    vals = [_boundary_values(g_outer, "g_outer", topology, 0, d0)]
     for i, part in enumerate(topology.parts):
         d1 = part.space.boundary_dofs(marker=1)
         if len(d1) == 0:
             continue
         if g_inner is None:
             raise ValueError(f"part {i} has inner boundary facets but no g_inner given")
-        coords = part.space.dof_coords[d1]
         dofs.append(offsets[i] + d1)
-        vals.append(np.broadcast_to(
-            np.asarray(g_inner(coords[:, 0], coords[:, 1]), dtype=float), len(d1)
-        ))
+        vals.append(_boundary_values(g_inner, "g_inner", topology, i, d1))
     return DirichletBC(np.concatenate(dofs), np.concatenate(vals))
 
 

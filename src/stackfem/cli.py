@@ -143,8 +143,8 @@ def solve_poisson(
     return SolveResult(u, topology, system, reduced, report)
 
 
-def _error_report(name: str, degree: int, res: SolveResult, u_exact, grad_exact,
-                  kappa: float | None = None) -> analysis.ErrorReport:
+def _error_report(name: str, degree: int, res: SolveResult, u_exact,
+                  grad_exact) -> analysis.ErrorReport:
     l2, h1 = analysis.error_norms(res.u, res.topology, u_exact, grad_exact)
     diff = analysis.global_interpolant(res.topology, u_exact)
     err = analysis.MultimeshFunction(
@@ -163,7 +163,6 @@ def _error_report(name: str, degree: int, res: SolveResult, u_exact, grad_exact,
         N_O=res.topology.N_O,
         C_hN=c_hn,
         C_P=c_p,
-        kappa=kappa,
     )
 
 
@@ -171,59 +170,57 @@ class SolveDidNotConverge(RuntimeError):
     """Raised when a study solve fails to reach the CG tolerance."""
 
 
-def _require_converged(res: SolveResult, tag: str) -> None:
-    if not res.report.converged:
-        raise SolveDidNotConverge(
-            f"{tag}: residual {res.report.relative_residual:.3e} "
-            f"after {res.report.iterations} iterations"
-        )
-
-
-def run_equal_refinement(
-    name: str, k_values, degree: int = 1, params: FormParams | None = None,
-    cg_tol: float = 1e-10,
-) -> list[analysis.ErrorReport]:
-    """All parts share the mesh size 2^-k for each k: the rate study."""
-    predomains = standard_predomains(name)
+def _solve_stacks(predomains, stacks, degree: int, params: FormParams | None,
+                  cg_tol: float) -> list[analysis.ErrorReport]:
+    """One error report per (tag, ks) stack, in order. Each distinct ks is
+    solved once; a repeat gets that solve's report under its own tag. Only
+    the reports are kept, so memory does not grow with the number of stacks."""
+    params = params if params is not None else FormParams.defaults(degree)
     u_exact, f, grad_u = poisson_fields()
+    solved: dict[tuple, analysis.ErrorReport] = {}
     reports = []
-    for k in k_values:
-        p = params if params is not None else FormParams.defaults(degree)
-        config = build_stack(predomains, [k] * len(predomains), degree)
-        res = solve_poisson(config, p, f, u_exact, cg_tol=cg_tol)
-        _require_converged(res, f"{name}:k{k}")
-        reports.append(_error_report(f"{name}:k{k}", degree, res, u_exact, grad_u))
+    for tag, ks in stacks:
+        if ks not in solved:
+            res = solve_poisson(build_stack(predomains, ks, degree), params, f, u_exact,
+                                cg_tol=cg_tol)
+            if not res.report.converged:
+                raise SolveDidNotConverge(
+                    f"{tag} (k = {ks}): residual {res.report.relative_residual:.3e} "
+                    f"after {res.report.iterations} iterations"
+                )
+            solved[ks] = _error_report(tag, degree, res, u_exact, grad_u)
+        reports.append(replace(solved[ks], config=tag))
     return reports
 
 
+def run_equal_refinement(
+    name: str, predomains, k_values, degree: int = 1, params: FormParams | None = None,
+    cg_tol: float = 1e-10,
+) -> list[analysis.ErrorReport]:
+    """All parts share the mesh size 2^-k for each k: the rate study."""
+    stacks = [(f"{name}:k{k}", (k,) * len(predomains)) for k in k_values]
+    return _solve_stacks(predomains, stacks, degree, params, cg_tol)
+
+
 def run_permutation_study(
-    name: str, k_min: int, k_max: int, degree: int = 1,
+    name: str, predomains, k_min: int, k_max: int, degree: int = 1,
     params: FormParams | None = None, cg_tol: float = 1e-10,
 ) -> list[analysis.ErrorReport]:
     """Sequential refinement: each part ordering refines one part at a time
     through the k range, holding the others fixed; all orderings share the
     all-coarse start and the all-fine end."""
-    predomains = standard_predomains(name)
     nparts = len(predomains)
-    u_exact, f, grad_u = poisson_fields()
-    reports = []
+    stacks = []
     for perm in itertools.permutations(range(nparts)):
-        tag = "".join(str(i) for i in perm)
+        tag = f"{name}:perm{''.join(str(i) for i in perm)}"
         ks = [k_min] * nparts
         states = [tuple(ks)]
         for part in perm:
             for k in range(k_min + 1, k_max + 1):
                 ks[part] = k
                 states.append(tuple(ks))
-        for step, state in enumerate(states):
-            p = params if params is not None else FormParams.defaults(degree)
-            config = build_stack(predomains, list(state), degree)
-            res = solve_poisson(config, p, f, u_exact, cg_tol=cg_tol)
-            _require_converged(res, f"{name}:perm{tag}:step{step} (k = {state})")
-            reports.append(
-                _error_report(f"{name}:perm{tag}:step{step}", degree, res, u_exact, grad_u)
-            )
-    return reports
+        stacks += [(f"{tag}:step{step}", state) for step, state in enumerate(states)]
+    return _solve_stacks(predomains, stacks, degree, params, cg_tol)
 
 
 def _reduced_matrix(predomains, k: int, degree: int, params: FormParams):
@@ -239,7 +236,7 @@ def _reduced_matrix(predomains, k: int, degree: int, params: FormParams):
 
 
 def run_condition_study(
-    name: str, k_values, degree: int = 1, params: FormParams | None = None,
+    predomains, k_values, degree: int = 1, params: FormParams | None = None,
     seed: int = DEFAULT_SEED,
 ) -> tuple[list[tuple[float, float]], float]:
     """Condition number of the reduced matrix per common mesh size, with the
@@ -247,11 +244,10 @@ def run_condition_study(
     NaN and are excluded from the fit."""
     from .solver import EigenEstimationError, NotSPDError
 
-    predomains = standard_predomains(name)
+    params = params if params is not None else FormParams.defaults(degree)
     rows = []
     for k in k_values:
-        p = params if params is not None else FormParams.defaults(degree)
-        h, matrix = _reduced_matrix(predomains, k, degree, p)
+        h, matrix = _reduced_matrix(predomains, k, degree, params)
         try:
             kappa = condition_number(matrix, seed=seed)
         except (EigenEstimationError, NotSPDError) as exc:
@@ -416,15 +412,16 @@ def _load_experiment(args, k_range: tuple[int, int] = (3, 6),
     return cfg
 
 
-def _write_reports(path: Path, reports: list[analysis.ErrorReport], nparts: int,
-                   footer: list[list[str]] | None = None) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(analysis.csv_header(nparts))
-        for rep in reports:
-            w.writerow(analysis.csv_row(rep))
-        for row in footer or []:
-            w.writerow(row)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _g17(*values) -> list[str]:
+    """Floats with 17 significant digits, enough to read each back exactly."""
+    return [f"{v:.17g}" for v in values]
 
 
 def _write_meta(outdir: Path, cfg: ExperimentConfig, extra: dict | None = None,
@@ -449,7 +446,8 @@ def _cmd_solve(args) -> int:
                      cfg.config, k, res.report.relative_residual)
         return 1
     rep = _error_report(f"{cfg.config}:k{k}", cfg.degree, res, u_exact, grad_u)
-    _write_reports(outdir / "results.csv", [rep], len(predomains))
+    _write_csv(outdir / "results.csv", analysis.csv_header(len(predomains)),
+               [analysis.csv_row(rep)])
     # one level runs, recorded as k: the k range, --full and --seed do not reach it
     _write_meta(outdir, cfg, {"command": "solve", "k": k,
                               "residual": res.report.relative_residual},
@@ -467,21 +465,20 @@ def _cmd_convergence(args) -> int:
     cfg = _load_experiment(args)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    params = cfg.form_params()
+    predomains = cfg.predomains()
+    mode = "equal" if args.equal else "permutations"
     if args.equal:
-        reports = run_equal_refinement(
-            cfg.config, range(cfg.k_min, cfg.k_max + 1), cfg.degree, params
-        )
-        mode = "equal"
+        reports = run_equal_refinement(cfg.config, predomains, range(cfg.k_min, cfg.k_max + 1),
+                                       cfg.degree, cfg.form_params())
     else:
-        reports = run_permutation_study(cfg.config, cfg.k_min, cfg.k_max, cfg.degree, params)
-        mode = "permutations"
-    nparts = len(cfg.predomains())
-    _write_reports(outdir / "results.csv", reports, nparts)
+        reports = run_permutation_study(cfg.config, predomains, cfg.k_min, cfg.k_max,
+                                        cfg.degree, cfg.form_params())
+    _write_csv(outdir / "results.csv", analysis.csv_header(len(predomains)),
+               map(analysis.csv_row, reports))
     # --seed does not reach the run
     _write_meta(outdir, cfg, {"command": "convergence", "mode": mode,
                               "rotation_center": "rectangle centroid"}, omit=("seed",))
-    print(f"convergence ({mode}): {len(reports)} solves -> {outdir / 'results.csv'}")
+    print(f"convergence ({mode}): {len(reports)} rows -> {outdir / 'results.csv'}")
     return 0
 
 
@@ -490,15 +487,11 @@ def _cmd_condition(args) -> int:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, slope = run_condition_study(
-        cfg.config, range(cfg.k_min, cfg.k_max + 1), cfg.degree,
+        cfg.predomains(), range(cfg.k_min, cfg.k_max + 1), cfg.degree,
         cfg.form_params(), seed=cfg.seed,
     )
-    with open(outdir / "results.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["h", "kappa"])
-        for h, kappa in rows:
-            w.writerow([f"{h:.17g}", f"{kappa:.17g}"])
-        w.writerow(["slope", f"{slope:.17g}"])
+    _write_csv(outdir / "results.csv", ["h", "kappa"],
+               [_g17(h, kappa) for h, kappa in rows] + [["slope", *_g17(slope)]])
     _write_meta(outdir, cfg, {"command": "condition", "slope": slope})
     print(f"condition study: slope {slope:.3f} -> {outdir / 'results.csv'}")
     return 0
@@ -512,18 +505,11 @@ def _cmd_boundary_layer(args) -> int:
     for k in range(cfg.k_min, cfg.k_max + 1):
         result = run_boundary_layer(k, cfg.degree, params=cfg.form_params())
         rows.append(result)
-        probe_path = outdir / f"probe_k{k}.csv"
-        with open(probe_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "y", "u"])
-            for x, y, u in result.probe:
-                w.writerow([f"{x:.17g}", f"{y:.17g}", f"{u:.17g}"])
-    with open(outdir / "results.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "eps", "layer_halfwidth", "corner_value", "dofs"])
-        for r in rows:
-            w.writerow([r.k, f"{r.eps:.17g}", f"{r.layer_halfwidth:.17g}",
-                        f"{r.corner_value:.17g}", len(r.solve.reduced.free)])
+        _write_csv(outdir / f"probe_k{k}.csv", ["x", "y", "u"],
+                   (_g17(*point) for point in result.probe))
+    _write_csv(outdir / "results.csv", ["k", "eps", "layer_halfwidth", "corner_value", "dofs"],
+               [[r.k, *_g17(r.eps, r.layer_halfwidth, r.corner_value),
+                 len(r.solve.reduced.free)] for r in rows])
     # the stack, the reaction term and the k range are fixed: --mm-config,
     # --seed and --full do not reach the run
     _write_meta(outdir, cfg, {"command": "boundary-layer",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,25 @@ class TestDirichlet:
         )[0]
         with pytest.raises(ValueError, match="flagged"):
             apply_dirichlet(system, load, DirichletBC([interior], [0.0]), topo)
+
+    @pytest.mark.parametrize("side, part, marker", [("g_outer", 0, 0), ("g_inner", 1, 1)])
+    def test_nonfinite_data_names_part_and_dof(self, side, part, marker):
+        from stackfem.cli import boundary_layer_stack
+
+        topo = build_cut_topology(boundary_layer_stack(0)[0], 2)
+        data = {"g_outer": lambda x, y: np.zeros_like(x),
+                "g_inner": lambda x, y: np.ones_like(x)}
+        data[side] = lambda x, y: np.where(x > 0.6, np.nan, 1.0)
+        with pytest.raises(ValueError) as exc:
+            build_dirichlet(topo, data["g_outer"], data["g_inner"])
+        m = re.fullmatch(rf"{side} is nan at dof (\d+) of part {part}, "
+                         r"located at \((\S+), (\S+)\)", str(exc.value))
+        assert m, str(exc.value)
+        dof = int(m.group(1))
+        space = topo.parts[part].space
+        assert dof in space.boundary_dofs(marker)
+        assert tuple(space.dof_coords[dof]) == (float(m.group(2)), float(m.group(3)))
+        assert space.dof_coords[dof, 0] > 0.6
 
 
 class TestSystemProperties:

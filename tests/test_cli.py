@@ -126,8 +126,8 @@ class TestSolveCommand:
         from stackfem.cli import SolveDidNotConverge, run_equal_refinement
 
         with pytest.raises(SolveDidNotConverge, match="single:k3"):
-            run_equal_refinement("single", [3], 1, FormParams.defaults(1),
-                                 cg_tol=1e-16)  # unreachable tolerance
+            run_equal_refinement("single", standard_predomains("single"), [3], 1,
+                                 FormParams.defaults(1), cg_tol=1e-16)  # unreachable tolerance
 
     def test_nonconvergence_is_logged_with_exit_code_1(self, tmp_path, monkeypatch, capsys,
                                                        caplog):
@@ -204,7 +204,7 @@ class TestConvergenceCommand:
         assert res.report.relative_residual <= 1e-10
 
     def test_single_mesh_classical_rates(self):
-        reports = run_equal_refinement("single", range(3, 7), 1)
+        reports = run_equal_refinement("single", standard_predomains("single"), range(3, 7), 1)
         hs = [r.h[0] for r in reports]
         l2 = [r.l2_err for r in reports]
         h1 = [r.h1_err for r in reports]
@@ -217,7 +217,7 @@ class TestConvergenceCommand:
     def test_quadratic_elements_rates(self, name):
         from stackfem.assembly import FormParams
 
-        reports = run_equal_refinement(name, range(3, 6), 2,
+        reports = run_equal_refinement(name, standard_predomains(name), range(3, 6), 2,
                                        FormParams.defaults(2), cg_tol=1e-12)
         hs = [max(r.h) for r in reports]
         rate_l2 = np.polyfit(np.log(hs), np.log([r.l2_err for r in reports]), 1)[0]
@@ -229,9 +229,10 @@ class TestConvergenceCommand:
         from stackfem.analysis import csv_row
         from stackfem.cli import run_permutation_study
 
-        coarse, fine = (csv_row(r)[1:] for r in run_equal_refinement("I", [2, 3], 2))
+        coarse, fine = (csv_row(r)[1:] for r in
+                        run_equal_refinement("I", standard_predomains("I"), [2, 3], 2))
         curves: dict[str, list] = {}
-        for r in run_permutation_study("I", 2, 3, 2):
+        for r in run_permutation_study("I", standard_predomains("I"), 2, 3, 2):
             curves.setdefault(r.config.split(":")[1], []).append(csv_row(r)[1:])
         assert len(curves) == 6
         for rows in curves.values():
@@ -240,7 +241,7 @@ class TestConvergenceCommand:
     def test_permutation_endpoints_config_II(self):
         from stackfem.cli import run_permutation_study
 
-        reports = run_permutation_study("II", 3, 4, 1)
+        reports = run_permutation_study("II", standard_predomains("II"), 3, 4, 1)
         curves: dict[str, list] = {}
         for r in reports:
             curves.setdefault(r.config.split(":")[1], []).append(r)
@@ -249,6 +250,16 @@ class TestConvergenceCommand:
         ends = [c[-1].l2_err for c in curves.values()]
         assert max(starts) / min(starts) - 1.0 <= 0.01
         assert max(ends) / min(ends) - 1.0 <= 0.01
+
+    def test_permutation_study_solves_each_stack_once(self, monkeypatch):
+        from stackfem import cli
+
+        real, calls = cli.solve_poisson, []
+        monkeypatch.setattr(cli, "solve_poisson",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        reports = cli.run_permutation_study("I", standard_predomains("I"), 2, 3, 2)
+        assert len(reports) == 24  # 6 orderings x 4 states
+        assert len(calls) == 8     # the distinct states: k in {2, 3} per part
 
 
 class TestConditionCommand:
@@ -271,16 +282,16 @@ class TestConditionCommand:
         assert got.csr.shape == want.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got.csr, attr), getattr(want, attr))
-        rows, _ = cli.run_condition_study("I", [4], 1)
+        rows, _ = cli.run_condition_study(pres, [4], 1)
         assert rows[0][1] == pytest.approx(195.45174264295414, rel=1e-12)
 
     def test_larger_penalty_raises_kappa_keeps_slope(self):
         from stackfem.assembly import FormParams
         from stackfem.cli import run_condition_study
 
-        rows_def, slope_def = run_condition_study("I", range(2, 5), 1)
+        rows_def, slope_def = run_condition_study(standard_predomains("I"), range(2, 5), 1)
         rows_big, slope_big = run_condition_study(
-            "I", range(2, 5), 1, FormParams.defaults(1, beta0=100.0)
+            standard_predomains("I"), range(2, 5), 1, FormParams.defaults(1, beta0=100.0)
         )
         assert all(kb > kd for (_, kd), (_, kb) in zip(rows_def, rows_big))
         assert -2.3 <= slope_big <= -1.5
@@ -314,7 +325,7 @@ class TestConditionCommand:
 
         monkeypatch.setattr(cli, "condition_number", fail_second)
         with caplog.at_level("WARNING", logger="stackfem.cli"):
-            rows, slope = cli.run_condition_study("single", range(2, 5), 1)
+            rows, slope = cli.run_condition_study(standard_predomains("single"), range(2, 5), 1)
         assert len(calls) == 3
         assert [r.getMessage() for r in caplog.records] == [
             "condition estimation failed at k=3: no convergence"
@@ -343,6 +354,34 @@ class TestConditionCommand:
         assert len(list(csv.reader(open(out / "results.csv")))) == 4  # header, 2 levels, slope
 
 
+class TestCustomStack:
+    def test_every_study_runs_on_a_json_custom_stack(self, tmp_path):
+        """`custom` reaches convergence and condition, not only solve, and the
+        equal-refinement row at k = 3 is the row `solve --k 3` writes."""
+        cfg_path = tmp_path / "custom.json"
+        cfg_path.write_text(json.dumps({
+            "config": "custom", "parts": [{"bounds": [0.2, 0.6, 0.25, 0.7], "angle": 15.0}],
+        }))
+
+        def run(name, *argv):
+            out = tmp_path / name
+            assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
+            return list(csv.reader(open(out / "results.csv")))
+
+        solve = run("solve", "solve", "--k", "3")
+        equal = run("equal", "convergence", "--equal", "--k-min", "2", "--k-max", "3")
+        perms = run("perms", "convergence", "--k-min", "2", "--k-max", "3")
+        cond = run("cond", "condition", "--k-min", "2", "--k-max", "3")
+        assert solve[0] == equal[0] == perms[0] and "h1" in solve[0] and "h2" not in solve[0]
+        assert [r[0] for r in equal[1:]] == ["custom:k2", "custom:k3"]
+        assert equal[2] == solve[1]
+        assert [r[0] for r in perms[1:]] == [f"custom:perm{p}:step{s}"
+                                             for p in ("01", "10") for s in (0, 1, 2)]
+        assert perms[1][1:] == equal[1][1:] and perms[-1][1:] == equal[2][1:]
+        assert cond[0] == ["h", "kappa"] and cond[-1][0] == "slope" and len(cond) == 4
+        assert all(float(r[1]) > 1.0 for r in cond[1:-1])
+
+
 class TestFullRange:
     @staticmethod
     def _args(**kw):
@@ -366,9 +405,11 @@ class TestFullRange:
 
         ran = []  # the k range each study was asked to run
         monkeypatch.setattr(cli, "run_permutation_study",
-                            lambda config, k_min, k_max, *a: ran.append((k_min, k_max)) or [])
+                            lambda config, predomains, k_min, k_max, *a:
+                            ran.append((k_min, k_max)) or [])
         monkeypatch.setattr(cli, "run_condition_study",
-                            lambda config, ks, *a, **kw: ran.append((ks[0], ks[-1])) or ([], 0.0))
+                            lambda predomains, ks, *a, **kw:
+                            ran.append((ks[0], ks[-1])) or ([], 0.0))
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"k_max": 8, "full": True}))
         cases = [

@@ -88,3 +88,21 @@ def test_boundary_layer_matches_golden(tmp_path):
     hole = np.isnan(u_want)
     assert hole.any() and np.array_equal(np.isnan(u_got), hole)
     assert np.max(np.abs(u_got[~hole] - u_want[~hole])) <= 1e-14
+
+
+def test_condition_matches_golden(tmp_path):
+    """`stackfem condition --mm-config I --k-min 2 --k-max 4`, recorded before
+    the study drivers shared one solve loop. h exactly: it is geometry only.
+    kappa and the slope to relative 1e-9: ARPACK converges both extreme
+    eigenvalues to machine precision, and entries that move by an ulp with
+    the summation order move lambda_min by about kappa * 1e-16 relative
+    (2e-14 at kappa = 195), so 1e-9 leaves room for that and no more."""
+    assert main(["condition", "--mm-config", "I", "--k-min", "2", "--k-max", "4",
+                 "--out", str(tmp_path)]) == 0
+    want = _rows(DATA / "condition_I_k2_4.csv")
+    got = _rows(tmp_path / "results.csv")
+    assert got[0] == want[0] == ["h", "kappa"]
+    assert [r[0] for r in got[1:]] == [r[0] for r in want[1:]]
+    assert got[-1][0] == "slope" and len(got) == len(want) == 5
+    for row_got, row_want in zip(got[1:], want[1:]):
+        assert float(row_got[1]) == pytest.approx(float(row_want[1]), rel=1e-9, abs=0)

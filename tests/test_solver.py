@@ -113,12 +113,6 @@ class TestCG:
         config = config_I()
         f = lambda x, y: np.where(x > 0.7, np.nan, 1.0)
         zero = lambda x, y: np.zeros_like(x)
-        # the first free dof with a NaN load, found without the solver
-        topo = build_cut_topology(config, params.quad_order)
-        red = apply_dirichlet(assemble_system(topo, params), assemble_load(topo, f, params),
-                              build_dirichlet(topo, zero), topo)
-        dof = int(np.flatnonzero(np.isnan(red.rhs))[0])
-        assert dof > 0
         matvecs = []
 
         def counted(A, x):
@@ -126,9 +120,19 @@ class TestCG:
             return A.csr @ x
 
         monkeypatch.setattr(CsrMatrix, "matvec", counted)
-        with pytest.raises(ValueError, match=f"right-hand side entry nan at dof {dof} "):
+        with pytest.raises(ValueError, match=r"^load f is nan at \(") as exc:
             solve_poisson(config, params, f, zero)
         assert matvecs == []
+        # the message names a point where f is NaN, inside the cell and part it names
+        x, y, cell, part = re.fullmatch(
+            r"load f is nan at \((\S+), (\S+)\) in cell (\d+) of part (\d+)", str(exc.value)
+        ).groups()
+        point = np.array([float(x), float(y)])
+        assert point[0] > 0.7
+        mesh = config.parts[int(part)].mesh
+        a, b, c = mesh.nodes[mesh.cells[int(cell)]]
+        lam = np.linalg.solve(np.column_stack([b - a, c - a]), point - a)
+        assert lam.min() >= -1e-12 and lam.sum() <= 1.0 + 1e-12
 
 
 class TestExtremeEigs:
