@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import nodal_interpolate
-from .multimesh import CutTopology, QuadBatch, point_locate
+from .multimesh import CutTopology, QuadBatch, UncutCells, point_locate
 
 __all__ = [
     "MultimeshFunction",
@@ -70,6 +70,25 @@ def _values(u: MultimeshFunction, topology: CutTopology, batch: QuadBatch, m: in
                       batch.points)
 
 
+def _uncut_values(u: MultimeshFunction, uncut: UncutCells, order: int):
+    """u, its gradient and the weights at the points of the order's rule in
+    every uncut cell, cell by cell: (n,), (n, 2) and (n,)."""
+    _, w, phi, grad = uncut.rule(order)
+    dofs, invJ, area = uncut.gather()
+    c = u.coeffs[uncut.mesh][dofs]                                   # (nc, nd)
+    g = np.tensordot(c, grad, axes=(1, 1)) @ invJ                    # (nc, nq, 2)
+    return (c @ phi.T).ravel(), g.reshape(-1, 2), np.outer(area, w).ravel()
+
+
+def _cell_values(u: MultimeshFunction, topology: CutTopology, order: int, with_points: bool):
+    """u, its gradient, the weights and, if asked, the points of the order's
+    rule over the visible region of every active cell: per mesh, its uncut
+    cells, then the pieces of its cut cells."""
+    for uncut, batch in topology.cell_quadrature(order):
+        yield (*_uncut_values(u, uncut, order), uncut.points(order) if with_points else None)
+        yield (*_values(u, topology, batch, 0), batch.weights, batch.points)
+
+
 def error_norms(
     u_h: MultimeshFunction,
     topology: CutTopology,
@@ -83,13 +102,12 @@ def error_norms(
         order = 2 * max(p.space.degree for p in topology.parts) + 2
     l2 = 0.0
     h1 = 0.0
-    for batch in topology.cell_batches(order):
-        uh, guh = _values(u_h, topology, batch, 0)
-        x, y = batch.points.T
+    for uh, guh, wq, points in _cell_values(u_h, topology, order, with_points=True):
+        x, y = points.T
         ue = np.broadcast_to(np.asarray(u_exact(x, y), dtype=float), uh.shape)
         ge = np.asarray(grad_exact(x, y), dtype=float).reshape(guh.shape)
-        l2 += float(np.dot(batch.weights, (uh - ue) ** 2))
-        h1 += float(np.dot(batch.weights, ((guh - ge) ** 2).sum(axis=1)))
+        l2 += float(np.dot(wq, (uh - ue) ** 2))
+        h1 += float(np.dot(wq, ((guh - ge) ** 2).sum(axis=1)))
     return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
@@ -113,9 +131,8 @@ def energy_norm(u: MultimeshFunction, topology: CutTopology) -> EnergyBreakdown:
     """Energy norm breakdown; all terms are beta-independent."""
     h = topology.mesh_sizes()
     term_I = 0.0
-    for batch in topology.cell_batches():
-        _, g = _values(u, topology, batch, 0)
-        term_I += float(np.dot(batch.weights, (g ** 2).sum(axis=1)))
+    for _, g, wq, _ in _cell_values(u, topology, topology.quad_order, with_points=False):
+        term_I += float(np.dot(wq, (g ** 2).sum(axis=1)))
 
     term_II = 0.0
     for batch in topology.overlap_batches():

@@ -3,9 +3,12 @@
 Volume terms integrate over each cell's visible region only; interface
 facets contribute the symmetric Nitsche consistency terms plus a penalty
 weighted by beta0 / (h_i + h_j); overlap pieces contribute the jump
-stabilization in one of two variants. Every integral runs on the flat
-quadrature batches of the cut topology: all points of a batch are mapped
-and tabulated at once, and local matrices are reduced per entity.
+stabilization in one of two variants. Uncut cells are integrated on the
+reference triangle: their local matrices are one product of per-cell
+geometry with sums tabulated once per degree and order. Every cut integral
+runs on the flat quadrature batches of the cut topology: all points of a
+batch are mapped and tabulated at once, and local matrices are reduced per
+entity.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import io as scipy_io
 
-from .multimesh import CutTopology, QuadBatch
+from .multimesh import CutTopology, QuadBatch, UncutCells
 from .solver import CsrMatrix
 
 __all__ = [
@@ -82,11 +85,15 @@ def kappa_weights(h_i: float, h_j: float) -> tuple[float, float]:
 def _scatter(blocks) -> Triplets:
     """Triplets (rows, cols, vals) of local matrices, given as a list of
     pairs of dofs (ne, nd) and matrices (ne, nd, nd), in list order."""
-    rows = [np.broadcast_to(d[:, :, None], m.shape).ravel() for d, m in blocks]
-    cols = [np.broadcast_to(d[:, None, :], m.shape).ravel() for d, m in blocks]
-    empty = np.zeros(0, dtype=np.int64)
-    return (np.concatenate([empty, *rows]), np.concatenate([empty, *cols]),
-            np.concatenate([np.zeros(0), *(m.ravel() for _, m in blocks)]))
+    n = sum(m.size for _, m in blocks)
+    rows, cols, vals = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n)
+    k = 0
+    for d, m in blocks:
+        rows[k:k + m.size].reshape(m.shape)[...] = d[:, :, None]
+        cols[k:k + m.size].reshape(m.shape)[...] = d[:, None, :]
+        vals[k:k + m.size] = m.ravel()
+        k += m.size
+    return rows, cols, vals
 
 
 @dataclass
@@ -128,11 +135,30 @@ def _entity_blocks(batch: QuadBatch, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return out
 
 
+def _uncut_volume(uncut: UncutCells, params: FormParams, offset: int):
+    """Global dofs (nc, nd) and local stiffness (plus reaction mass)
+    matrices (nc, nd, nd) of the uncut cells. The stiffness of a cell is
+    area * sum_kl M[k, l] S[k, l] with M = invJ invJ^T and the reference
+    sums S[k, l] = sum_q w_q g_q[:, k] g_q[:, l]^T of the basis gradients."""
+    _, w, phi, grad = uncut.rule(params.quad_order)
+    nd = phi.shape[1]
+    dofs, invJ, area = uncut.gather()
+    ref = np.einsum("q,qak,qbl->klab", w, grad, grad).reshape(4, nd * nd)
+    a, b, c, d = invJ.reshape(-1, 4).T                               # invJ = [[a, b], [c, d]]
+    off = (a * c + b * d) * area
+    local = np.stack([(a * a + b * b) * area, off, off, (c * c + d * d) * area], axis=1) @ ref
+    if params.reaction_eps is not None:
+        mass = np.einsum("q,qa,qb->ab", w, phi, phi) / params.reaction_eps ** 2
+        local += area[:, None] * mass.ravel()
+    return offset + dofs, local.reshape(-1, nd, nd)
+
+
 def assemble_volume(topology: CutTopology, params: FormParams) -> Triplets:
     """Stiffness (plus optional reaction mass) over every visible region."""
     blocks = []
     offsets = topology.block_offsets()
-    for batch in topology.cell_batches(params.quad_order):
+    for uncut, batch in topology.cell_quadrature(params.quad_order):
+        blocks.append(_uncut_volume(uncut, params, offsets[uncut.mesh]))
         phi, grad, dofs = _tabulate(topology, batch, 0, offsets)
         if params.reaction_eps is not None:
             grad = np.concatenate([grad, phi[:, :, None] / params.reaction_eps], axis=2)
@@ -188,24 +214,35 @@ def assemble_stabilization(topology: CutTopology, params: FormParams) -> Triplet
     return _scatter(blocks)
 
 
+def _load_values(f, points: np.ndarray, part: int, cell_of) -> np.ndarray:
+    """f at the points (n, 2) of a part; a non-finite value raises a
+    ValueError naming the point, its cell cell_of(q) and the part."""
+    x, y = points.T
+    fx = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
+    if not np.isfinite(fx).all():
+        q = np.argmin(np.isfinite(fx))
+        raise ValueError(f"load f is {fx[q]} at ({x[q]}, {y[q]}) in cell {cell_of(q)} "
+                         f"of part {part}")
+    return fx
+
+
 def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
     """Load vector: f integrated against each basis over visible regions only.
     A non-finite value of f raises a ValueError naming its part, cell and point."""
+    order = params.quad_order
     offsets = topology.block_offsets()
     b = np.zeros(topology.total_dim)
-    for batch in topology.cell_batches(params.quad_order):
+    for uncut, batch in topology.cell_quadrature(order):
+        i = uncut.mesh
+        _, w, phi, _ = uncut.rule(order)
+        dofs, _, area = uncut.gather()
+        fx = _load_values(f, uncut.points(order), i, lambda q: uncut.cells[q // len(w)])
+        local = (fx.reshape(-1, len(w)) * w) @ phi * area[:, None]
+        b += np.bincount((offsets[i] + dofs).ravel(), weights=local.ravel(), minlength=len(b))
         phi, _, dofs = _tabulate(topology, batch, 0, offsets)
-        x, y = batch.points.T
-        fx = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
-        if not np.isfinite(fx).all():
-            q = np.argmin(np.isfinite(fx))
-            raise ValueError(f"load f is {fx[q]} at ({x[q]}, {y[q]}) in cell "
-                             f"{batch.per_point(batch.cells[:, 0])[q]} of part {batch.meshes[0]}")
-        fw = batch.weights * fx
-        b += np.bincount(
-            batch.per_point(dofs).ravel(), weights=(fw[:, None] * phi).ravel(),
-            minlength=len(b),
-        )
+        fx = _load_values(f, batch.points, i, lambda q: batch.per_point(batch.cells[:, 0])[q])
+        b += np.bincount(batch.per_point(dofs).ravel(),
+                         weights=((batch.weights * fx)[:, None] * phi).ravel(), minlength=len(b))
     return b
 
 

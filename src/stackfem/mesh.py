@@ -1,13 +1,14 @@
 """Triangular meshes, structured generators, and Lagrange P1/P2 spaces."""
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom2d import ConvexPolygon, GeometryError, offset_polygon
+from .geom2d import ConvexPolygon, GeometryError, offset_polygon, triangle_rule
 
 __all__ = [
     "TriMesh",
@@ -15,6 +16,7 @@ __all__ = [
     "build_structured_mesh",
     "build_band_mesh",
     "nodal_interpolate",
+    "reference_rule",
     "MARKER_OUTER",
     "MARKER_INNER",
 ]
@@ -56,6 +58,7 @@ class TriMesh:
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise MeshError(f"cells must be (m, 3), got {self.cells.shape}")
+        self._geom_cache = None
         self._check_orientation()
         self.boundary_facets = self._extract_boundary()
         if boundary_markers is None:
@@ -66,7 +69,6 @@ class TriMesh:
                 raise MeshError("boundary marker count does not match facet count")
         diam = self.cell_diameters()
         self.h = float(diam.max())
-        self._geom_cache = None
 
     # -- structure ---------------------------------------------------------
 
@@ -106,11 +108,8 @@ class TriMesh:
         return np.maximum(e0, np.maximum(e1, e2))
 
     def cell_areas(self) -> np.ndarray:
-        v = self.nodes[self.cells]
-        return 0.5 * (
-            (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-            - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0])
-        )
+        """Signed cell areas, half the cached Jacobian determinants."""
+        return 0.5 * self.geometry()[3]
 
     @property
     def area(self) -> float:
@@ -130,10 +129,12 @@ class TriMesh:
             J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)  # (m, 2, 2) columns
             det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
             invJ = np.empty_like(J)
-            invJ[:, 0, 0] = J[:, 1, 1] / det
-            invJ[:, 0, 1] = -J[:, 0, 1] / det
-            invJ[:, 1, 0] = -J[:, 1, 0] / det
-            invJ[:, 1, 1] = J[:, 0, 0] / det
+            # a cell with det <= 0 fails the orientation check of __init__
+            with np.errstate(divide="ignore", invalid="ignore"):
+                invJ[:, 0, 0] = J[:, 1, 1] / det
+                invJ[:, 0, 1] = -J[:, 0, 1] / det
+                invJ[:, 1, 0] = -J[:, 1, 0] / det
+                invJ[:, 1, 1] = J[:, 0, 0] / det
             self._geom_cache = (v0, J, invJ, det)
         return self._geom_cache
 
@@ -196,6 +197,19 @@ def ref_basis_grad(degree: int, ref_pts: np.ndarray) -> np.ndarray:
             g[:, 3 + k] = 4 * (lam[:, i, None] * dlam[j] + lam[:, j, None] * dlam[i])
         return g
     raise ValueError(f"unsupported degree {degree}")
+
+
+@functools.cache
+def reference_rule(degree: int, order: int):
+    """The triangle rule of the given order on the reference element,
+    tabulated once per degree and order: barycentric points (nq, 3),
+    unit-sum weights (nq,), basis values (nq, nd) and reference gradients
+    (nq, nd, 2). The arrays are shared by every caller and read-only."""
+    bary, w = triangle_rule(order)
+    phi, grad = ref_basis(degree, bary[:, 1:]), ref_basis_grad(degree, bary[:, 1:])
+    phi.setflags(write=False)
+    grad.setflags(write=False)
+    return bary, w, phi, grad
 
 
 @dataclass

@@ -9,7 +9,9 @@ combinatorial overlap counts driving the conditioning diagnostics.
 The topology keeps the arrays the clipping kernels return: convex pieces as
 padded vertex batches, facets as endpoint and normal arrays, and the cells
 of each entity as parallel int arrays. Quadrature batches are built from
-them on first use.
+them on first use: the uncut active cells of a mesh, almost all of them,
+are integrated on the reference triangle, and only the visible pieces of
+the cut cells get mapped rules.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .geom2d import (
 )
 # not called here: perfbench/tracing.py wraps these names of this module
 from .geom2d import clip_segment, convex_difference, convex_intersect  # noqa: F401
-from .mesh import MARKER_OUTER, FeSpace, TriMesh
+from .mesh import MARKER_OUTER, FeSpace, TriMesh, reference_rule
 
 __all__ = [
     "MultiMeshPart",
@@ -46,6 +48,7 @@ __all__ = [
     "Facets",
     "Overlaps",
     "QuadBatch",
+    "UncutCells",
     "CutTopology",
     "build_cut_topology",
     "compute_delta_NO",
@@ -146,8 +149,8 @@ class Overlaps(_CellPairs):
 
 @dataclass
 class QuadBatch:
-    """Flat quadrature over a group of entities (visible regions of cells,
-    interface facets or overlap pieces) that share their meshes.
+    """Flat quadrature over a group of entities (visible regions of cut
+    cells, interface facets or overlap pieces) that share their meshes.
 
     Entity e owns the points starts[e]:starts[e + 1]; its cell in mesh
     meshes[m] is cells[e, m]. Facet batches carry one unit normal per
@@ -164,6 +167,33 @@ class QuadBatch:
     def per_point(self, values: np.ndarray) -> np.ndarray:
         """Repeat per-entity values once for each of the entity's points."""
         return np.repeat(values, np.diff(self.starts), axis=0)
+
+
+class UncutCells(NamedTuple):
+    """The uncut active cells (nc,) of mesh `mesh`, integrated on the
+    reference triangle. The basis at the rule points is the same in every
+    cell and is tabulated once per degree and order; each cell adds only its
+    inverse Jacobian and area, read off the mesh's cached affine maps."""
+
+    mesh: int
+    space: FeSpace
+    cells: np.ndarray
+
+    def rule(self, order: int):
+        """Barycentric points (nq, 3), unit-sum weights (nq,), basis values
+        (nq, nd) and reference gradients (nq, nd, 2) of the order's rule."""
+        return reference_rule(self.space.degree, order)
+
+    def gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Part-local dofs (nc, nd), inverse Jacobians (nc, 2, 2) and areas
+        (nc,) of the cells."""
+        _, _, invJ, det = self.space.mesh.geometry()
+        return self.space.cell_dofs[self.cells], invJ[self.cells], 0.5 * det[self.cells]
+
+    def points(self, order: int) -> np.ndarray:
+        """Physical points (nc * nq, 2) of the order's rule, cell by cell."""
+        mesh = self.space.mesh
+        return (self.rule(order)[0] @ mesh.nodes[mesh.cells[self.cells]]).reshape(-1, 2)
 
 
 def _triangle_batch(meshes: tuple[int, ...], cells: np.ndarray, tris: np.ndarray,
@@ -306,7 +336,9 @@ class CutTopology:
         )
 
     def uncut_active(self, i: int) -> np.ndarray:
-        return self.active[i][~np.isin(self.active[i], self.cut_cells[i])]
+        return self._cached(
+            ("uncut", i), lambda: self.active[i][~np.isin(self.active[i], self.cut_cells[i])]
+        )
 
     def visible_area(self, i: int) -> float:
         areas = self.parts[i].mesh.cell_areas()
@@ -321,28 +353,27 @@ class CutTopology:
             return np.zeros(0, dtype=np.int64)
         return np.unique(space.cell_dofs[self.active[i]].ravel())
 
+    def cell_quadrature(self, order: int | None = None) -> list[tuple[UncutCells, QuadBatch]]:
+        """Quadrature over the visible region of every active cell, per mesh:
+        its uncut active cells, on the reference triangle, and the batch
+        over the visible pieces of its cut cells."""
+        return [(UncutCells(i, part.space, self.uncut_active(i)), batch)
+                for i, (part, batch) in enumerate(zip(self.parts, self.cell_batches(order)))]
+
     def cell_batches(self, order: int | None = None) -> list[QuadBatch]:
-        """Quadrature over the visible region of every active cell, one batch
-        per mesh: the mapped rule of the given order on each uncut cell and
-        on each fan triangle of a cut cell's visible pieces."""
+        """Quadrature over the visible pieces of the cut cells, one batch per
+        mesh: the mapped rule of the given order on each fan triangle."""
         order = self.quad_order if order is None else order
         return self._cached(
             ("cells", order), lambda: [self._cell_batch(i, order) for i in range(self.nparts)]
         )
 
     def _cell_batch(self, i: int, order: int) -> QuadBatch:
-        """Entities are the uncut active cells, then the cut cells."""
-        mesh, cut, p = self.parts[i].mesh, self.cut_cells[i], self.visible[i]
-        uncut = self.uncut_active(i)
+        """Entities are the cut cells."""
+        cut, p = self.cut_cells[i], self.visible[i]
         tris, piece = fan_triangles(p.verts, p.counts)
-        return _triangle_batch(
-            (i,),
-            np.concatenate([uncut, cut])[:, None],
-            np.concatenate([mesh.nodes[mesh.cells[uncut]], tris]),
-            np.concatenate([np.arange(len(uncut)),
-                            len(uncut) + np.searchsorted(cut, p.cell[piece])]),
-            order,
-        )
+        return _triangle_batch((i,), cut[:, None], tris, np.searchsorted(cut, p.cell[piece]),
+                               order)
 
     def facet_batches(self) -> list[QuadBatch]:
         """Interface facet quadrature, one batch per (lower, upper) mesh pair:

@@ -15,11 +15,17 @@ each convex piece from its first vertex, `polygon_fan`) and
 `segment_quadrature` on one facet segment. Each is built from the entity's
 own geometry (`cc.visible`, `o.polygon`, `f.segment`). `cell_batches`,
 `facet_batches` and `overlap_batches` concatenate them into the flat
-batches that `CutTopology` builds in bulk, which must match bit for bit.
+batches that `CutTopology` builds in bulk, which must match bit for bit;
+the cell batches hold the cut cells only, since `CutTopology` integrates
+the uncut cells on the reference triangle.
 
 Each integral evaluator visits one cut cell, interface facet or overlap piece at a
 time, lays its own per-entity rule on it, maps the points into the owning
 cells one cell at a time and sums the local contributions in plain loops.
+Uncut cells go one at a time too in `error_norms` and `energy_terms`
+(the mapped rule of the cell); `volume_matrix` and `load_vector` take them
+all at once on the reference element, with per-point einsums rather than
+the batched kernel's precomputed reference sums.
 They share no code with the batched kernel in `stackfem.assembly` /
 `stackfem.analysis` beyond the reference basis functions, the cut topology
 geometry and the reference rules of `stackfem.geom2d`, so agreement between
@@ -47,7 +53,8 @@ topology as loops: a visit to every cell for the active list and a
 (`structured_mesh`, `band_mesh`, `boundary_facets`, `band_markers`,
 `p2_numbering`, `boundary_dofs`) make the cells, boundary facets, markers and dof numbering
 one grid square, ring position or facet at a time, with the edges keyed as
-sorted node pairs and `np.unique(axis=0)`.
+sorted node pairs and `np.unique(axis=0)`; `cell_areas` computes the
+areas straight from the nodes.
 """
 from __future__ import annotations
 
@@ -255,22 +262,17 @@ def _batch(meshes, cells, rules, normals=None) -> QuadBatch:
         meshes,
         np.array(cells, dtype=np.int64).reshape(len(rules), len(meshes)),
         np.concatenate([[0], np.cumsum([len(w) for _, w in rules])]).astype(np.int64),
-        np.concatenate([p for p, _ in rules]),
-        np.concatenate([w for _, w in rules]),
+        np.concatenate([np.zeros((0, 2)), *(p for p, _ in rules)]),
+        np.concatenate([np.zeros(0), *(w for _, w in rules)]),
         None if normals is None else np.array(normals),
     )
 
 
-def cell_batches(config, active, cut_cells, order) -> list[QuadBatch]:
-    """Per mesh: the uncut active cells with the rule of their triangle,
-    then the cut cells with the rule of their visible region."""
-    out = []
-    for i, part in enumerate(config.parts):
-        uncut = [int(c) for c in active[i] if int(c) not in cut_cells[i]]
-        rules = [triangle_quadrature(part.mesh.cell_vertices(c), order) for c in uncut]
-        rules += [polyset_quadrature(cc.visible, order) for cc in cut_cells[i].values()]
-        out.append(_batch((i,), uncut + list(cut_cells[i]), rules))
-    return out
+def cell_batches(config, cut_cells, order) -> list[QuadBatch]:
+    """Per mesh: the cut cells with the rule of their visible region."""
+    return [_batch((i,), list(cut_cells[i]),
+                   [polyset_quadrature(cc.visible, order) for cc in cut_cells[i].values()])
+            for i in range(config.nparts)]
 
 
 def _pair_batches(entities, rules, with_normals=False) -> list[QuadBatch]:
@@ -1053,3 +1055,13 @@ def boundary_dofs(space, marker=None):
         a, b = ledge, (ledge + 1) % 3
         out += [tri[a], tri[b]] if space.degree == 1 else [tri[a], tri[b], tri[6 - a - b]]
     return np.unique(np.array(out, dtype=np.int64)) if out else np.zeros(0, dtype=np.int64)
+
+
+def cell_areas(mesh):
+    """Signed cell areas from the nodes, as `TriMesh.cell_areas` made them
+    on every call before it read them off the cached affine maps."""
+    v = mesh.nodes[mesh.cells]
+    return 0.5 * (
+        (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
+        - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0])
+    )

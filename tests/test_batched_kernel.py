@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import config_I, config_II
+from conftest import build_stack_config, config_I, config_II, single_config
 from stackfem.analysis import MultimeshFunction, energy_norm, error_norms
 from stackfem.assembly import (
     STAB_VALUE,
@@ -20,6 +20,7 @@ from stackfem.assembly import (
     assemble_volume,
 )
 from stackfem.cli import boundary_layer_stack, poisson_fields
+from stackfem.geom2d import rect_polygon
 from stackfem.multimesh import build_cut_topology
 from stackfem.solver import CsrMatrix
 
@@ -32,6 +33,14 @@ def _band():
     return config, FormParams.defaults(1, reaction_eps=eps)
 
 
+def _cell_pair_under_top():
+    """Part 1 is one cell pair and the smaller top part cuts both cells, so
+    mesh 1 has no uncut active cell."""
+    pres = [rect_polygon(0.0, 1.0, 0.0, 1.0), rect_polygon(0.25, 0.5, 0.25, 0.5),
+            rect_polygon(0.3, 0.45, 0.3, 0.45)]
+    return build_stack_config(pres, (3, 2, 4)), FormParams.defaults(1)
+
+
 CASES = {
     "I-p1-gradient": lambda: (config_I((3, 4, 5), 1), FormParams.defaults(1)),
     "I-p2-value": lambda: (config_I((3, 3, 4), 2),
@@ -41,7 +50,19 @@ CASES = {
     "II-p2-gradient": lambda: (config_II((3, 3, 4), 2), FormParams.defaults(2)),
     "II-p1-reaction": lambda: (config_II((4, 3, 3), 1), FormParams.defaults(1, reaction_eps=0.05)),
     "band-void-p1": _band,
+    "I-p2-reaction": lambda: (config_I((3, 3, 4), 2), FormParams.defaults(2, reaction_eps=0.05)),
+    "single-p1": lambda: (single_config(4, 1), FormParams.defaults(1)),
+    "cell-pair-under-top-p1": _cell_pair_under_top,
 }
+
+
+def test_cases_reach_the_empty_blocks():
+    """Mesh 1 of one case has no uncut active cell; the single mesh of
+    another has no cut cell."""
+    topo = build_cut_topology(_cell_pair_under_top()[0])
+    assert len(topo.uncut_active(1)) == 0 and len(topo.cut_cells[1]) == 2
+    topo = build_cut_topology(single_config(4, 1))
+    assert len(topo.cut_cells[0]) == 0 and len(topo.uncut_active(0)) == len(topo.active[0]) > 0
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
@@ -77,6 +98,10 @@ def test_matrices_match_oracle(case, batched, oracle):
     got = _matrix(batched(topo, params), topo.total_dim)
     want = oracle(topo, params)
     assert got.nnz == want.nnz
+    if want.nnz == 0:
+        # a single mesh has no interface facet and no overlap piece
+        assert topo.nparts == 1 and batched is not assemble_volume
+        return
     _assert_entries_close(got, want)
 
 

@@ -7,8 +7,9 @@ loops in `loop_reference` build. So must the active cells, the visible
 regions and the grid bin tables, which the loops build one cell at a time,
 and the cell, facet and overlap batches, which the loops concatenate from
 one rule per entity. The two bulk building blocks are checked on their own
-against brute force with hypothesis, and the memory peak of one topology
-build is bounded on two stacks.
+against brute force with hypothesis, and the memory peaks of one topology
+build, on two stacks, and of the cell integrals of volume and error norms
+are bounded.
 """
 import math
 import tracemalloc
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from conftest import build_stack_config, config_I, config_II
-from stackfem.cli import boundary_layer_stack, build_stack, standard_predomains
+from stackfem.analysis import MultimeshFunction, error_norms
+from stackfem.assembly import FormParams, assemble_volume
+from stackfem.cli import boundary_layer_stack, build_stack, poisson_fields, standard_predomains
 from stackfem.geom2d import REL_TOL, ConvexPolygon, convex_intersect, rect_polygon, rotate_rect
 from stackfem.mesh import build_structured_mesh
 from stackfem.multimesh import (
@@ -163,6 +166,31 @@ def test_topology_build_memory_peak(name):
     assert peak / 1e6 <= MEMORY_PEAK_MB[name]
 
 
+# tracemalloc peaks of a cold `assemble_volume` and `error_norms` (a fresh
+# topology, no quadrature built yet) on config II, k = 7, P1, measured at
+# 10.8 MB and 13.2 MB with numpy 2.4; the bounds leave 2x headroom. Mapping
+# and tabulating the points of every uncut cell peaked at 27.7 MB and
+# 33.5 MB in this test, 23.8 MB and 29.6 MB with the affine maps cached.
+INTEGRAL_PEAK_MB = {"assemble_volume": 21.6, "error_norms": 26.3}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_PEAK_MB))
+def test_cell_integral_memory_peak(name):
+    config = build_stack(standard_predomains("II"), [7, 7, 7], 1)
+    topo = build_cut_topology(config)
+    u = MultimeshFunction.from_global(topo, np.ones(topo.total_dim))
+    u_exact, _, grad_u = poisson_fields()
+    run = {"assemble_volume": lambda: assemble_volume(topo, FormParams.defaults(1)),
+           "error_norms": lambda: error_norms(u, topo, u_exact, grad_u)}[name]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= INTEGRAL_PEAK_MB[name]
+
+
 def _assert_batches_equal(got, want):
     assert len(got) == len(want) > 0
     for g, w in zip(got, want):
@@ -180,11 +208,11 @@ def test_batches_match_per_entity_rules_bitwise(stack, oracle, quad_order):
     config, topo = stack
     if quad_order != topo.quad_order:
         topo = build_cut_topology(config, quad_order)
-    active, cut_cells, _, facets, overlaps = oracle
+    _, cut_cells, _, facets, overlaps = oracle
     p = max(part.space.degree for part in config.parts)
     for order in sorted({quad_order, 2 * p + 2}):
         _assert_batches_equal(topo.cell_batches(order),
-                              ref.cell_batches(config, active, cut_cells, order))
+                              ref.cell_batches(config, cut_cells, order))
     _assert_batches_equal(topo.facet_batches(), ref.facet_batches(facets, quad_order))
     _assert_batches_equal(topo.overlap_batches(), ref.overlap_batches(overlaps, quad_order))
 

@@ -242,14 +242,15 @@ class TestConvergenceCommand:
         from stackfem.cli import run_permutation_study
 
         reports = run_permutation_study("II", standard_predomains("II"), 3, 4, 1)
+        # the shared endpoints, solved apart from the study
+        coarse, fine = run_equal_refinement("II", standard_predomains("II"), [3, 4], 1)
         curves: dict[str, list] = {}
         for r in reports:
             curves.setdefault(r.config.split(":")[1], []).append(r)
         assert len(curves) == 6
-        starts = [c[0].l2_err for c in curves.values()]
-        ends = [c[-1].l2_err for c in curves.values()]
-        assert max(starts) / min(starts) - 1.0 <= 0.01
-        assert max(ends) / min(ends) - 1.0 <= 0.01
+        for c in curves.values():
+            assert abs(c[0].l2_err / coarse.l2_err - 1.0) <= 0.01
+            assert abs(c[-1].l2_err / fine.l2_err - 1.0) <= 0.01
 
     def test_permutation_study_solves_each_stack_once(self, monkeypatch):
         from stackfem import cli

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import loop_reference as ref
-from conftest import fit_rate
+from conftest import config_I, config_II, fit_rate
+from stackfem.cli import boundary_layer_stack
 from stackfem.geom2d import (
     offset_polygon,
     triangles_quadrature,
@@ -74,6 +75,14 @@ class TestStructuredMesh:
         nodes = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]]
         cells = [[0, 1, 2], [1, 3, 2], [0, 1, 4], [0, 1, 3]]  # edge (0,1) used 3x
         with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by 3 cells"):
+            TriMesh(nodes, cells)
+
+    def test_zero_area_cell_named(self):
+        # the orientation check reads the cached affine maps; a zero
+        # determinant must reach it as a MeshError, not a division warning
+        nodes = [[0, 0], [1, 0], [0, 1], [2, 0]]
+        cells = [[0, 1, 2], [0, 1, 3]]  # cell 1 is a segment
+        with pytest.raises(ValueError, match=r"^1 cells .* first is cell 1 with nodes \[0, 1, 3\]"):
             TriMesh(nodes, cells)
 
     def test_clockwise_cell_named(self):
@@ -182,6 +191,19 @@ def test_band_mesh_matches_loop_oracle(nsides, inradius, width, layers):
     _assert_same(mesh.boundary_facets, ref.boundary_facets(cells))
     _assert_same(mesh.boundary_markers, ref.band_markers(cells, mesh.boundary_facets, ring))
     _assert_spaces_match_oracle(mesh)
+
+
+@pytest.mark.parametrize("name", ["I", "II", "band"])
+def test_cell_areas_are_the_node_formula_bitwise(name):
+    """Half the cached determinants: the same two products and subtraction
+    as computing the areas from the nodes."""
+    if name == "band":
+        config = boundary_layer_stack(1)[0]
+    else:
+        config = (config_I if name == "I" else config_II)((4, 5, 6))
+    for part in config.parts:
+        areas = part.mesh.cell_areas()
+        assert areas.dtype == np.float64 and np.array_equal(areas, ref.cell_areas(part.mesh))
 
 
 class TestFeSpace:

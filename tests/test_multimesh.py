@@ -57,6 +57,12 @@ class TestConfigI:
         assert areas[1] == pytest.approx(0.32, abs=1e-12)
         assert areas[2] == pytest.approx(0.04, abs=1e-12)
 
+    def test_uncut_active_cells_are_cached(self, topo):
+        for i in range(topo.nparts):
+            uncut = topo.uncut_active(i)
+            assert uncut is topo.uncut_active(i)
+            assert np.array_equal(uncut, np.setdiff1d(topo.active[i], topo.cut_cells[i]))
+
     def test_gamma_lengths(self, topo):
         assert topo.gamma_len[1] == pytest.approx(2.4, abs=1e-12)
         assert topo.gamma_len[2] == pytest.approx(0.8, abs=1e-12)

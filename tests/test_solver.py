@@ -12,6 +12,7 @@ from stackfem.assembly import (
     assemble_system,
     build_dirichlet,
 )
+from stackfem.geom2d import ConvexPolygon
 from stackfem.multimesh import build_cut_topology
 from stackfem.solver import (
     CsrMatrix,
@@ -20,6 +21,20 @@ from stackfem.solver import (
     condition_number,
     extreme_eigs,
 )
+
+
+def _nan_in_cut_pieces(topo):
+    """NaN strictly inside the visible pieces of the first cut cell of the
+    background, which border an interface; 1 elsewhere, so no point of an
+    uncut cell sees NaN."""
+    p = topo.visible[0]
+    pieces = [ConvexPolygon(p.verts[r, :p.counts[r]]) for r in np.flatnonzero(p.cell == p.cell[0])]
+
+    def f(x, y):
+        xy = np.column_stack([x, y])
+        return np.where(np.any([q.contains_strict(xy) for q in pieces], axis=0), np.nan, 1.0)
+
+    return f
 
 
 def _csr(dense) -> CsrMatrix:
@@ -106,12 +121,17 @@ class TestCG:
         with pytest.raises(ValueError, match="matrix entry nan in the row of dof 2 is not finite"):
             cg_solve(_csr(dense), np.ones(4))
 
-    def test_nan_load_raises_before_iterating(self, monkeypatch):
+    @pytest.mark.parametrize("nan_where, in_cut_cell", [
+        (lambda topo: lambda x, y: np.where(x > 0.7, np.nan, 1.0), False),
+        (_nan_in_cut_pieces, True),
+    ], ids=["x-above-0.7", "cut-pieces-only"])
+    def test_nan_load_raises_before_iterating(self, monkeypatch, nan_where, in_cut_cell):
         from stackfem.cli import solve_poisson
 
         params = FormParams.defaults(1)
         config = config_I()
-        f = lambda x, y: np.where(x > 0.7, np.nan, 1.0)
+        topo = build_cut_topology(config)
+        f = nan_where(topo)
         zero = lambda x, y: np.zeros_like(x)
         matvecs = []
 
@@ -128,11 +148,13 @@ class TestCG:
             r"load f is nan at \((\S+), (\S+)\) in cell (\d+) of part (\d+)", str(exc.value)
         ).groups()
         point = np.array([float(x), float(y)])
-        assert point[0] > 0.7
+        assert np.isnan(f(point[:1], point[1:])).all()
         mesh = config.parts[int(part)].mesh
         a, b, c = mesh.nodes[mesh.cells[int(cell)]]
         lam = np.linalg.solve(np.column_stack([b - a, c - a]), point - a)
         assert lam.min() >= -1e-12 and lam.sum() <= 1.0 + 1e-12
+        # uncut cells and cut pieces are checked on their own branches
+        assert (int(cell) in topo.cut_cells[int(part)]) == in_cut_cell
 
 
 class TestExtremeEigs:
