@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import nodal_interpolate
+from .mesh import field_values
 from .multimesh import CutTopology, QuadBatch, UncutCells, point_locate
 
 __all__ = [
@@ -47,7 +47,9 @@ def eval_or_nan(u: MultimeshFunction, topology: CutTopology, xy) -> np.ndarray:
     for i in range(topology.nparts):
         sel = np.flatnonzero(mesh == i)
         if len(sel):
-            out[sel] = _values_at(u, topology, i, cell[sel], xy[sel])[0]
+            space = topology.parts[i].space
+            phi, _ = space.tabulate(cell[sel], xy[sel])
+            out[sel] = (phi * u.coeffs[i][space.cell_dofs[cell[sel]]]).sum(axis=1)
     return out
 
 
@@ -55,19 +57,11 @@ def eval_or_nan(u: MultimeshFunction, topology: CutTopology, xy) -> np.ndarray:
 # Norms
 # ---------------------------------------------------------------------------
 
-def _values_at(u: MultimeshFunction, topology: CutTopology, i: int, cells: np.ndarray,
-               pts: np.ndarray):
-    """u and its gradient in mesh i at the points pts[n], taken in cells[n]."""
-    space = topology.parts[i].space
-    phi, grad = space.tabulate(cells, pts)
-    c = u.coeffs[i][space.cell_dofs[cells]]                          # (n, nd)
-    return (phi * c).sum(axis=1), np.einsum("nak,na->nk", grad, c)
-
-
-def _values(u: MultimeshFunction, topology: CutTopology, batch: QuadBatch, m: int):
+def _values(u: MultimeshFunction, batch: QuadBatch, m: int):
     """u and its gradient at every point of a batch, taken in its m-th mesh."""
-    return _values_at(u, topology, batch.meshes[m], batch.per_point(batch.cells[:, m]),
-                      batch.points)
+    phi, grad, dofs = batch.basis[m]
+    c = batch.per_point(u.coeffs[batch.meshes[m]][dofs])            # (n, nd)
+    return (phi * c).sum(axis=1), np.einsum("nak,na->nk", grad, c)
 
 
 def _uncut_values(u: MultimeshFunction, uncut: UncutCells, order: int):
@@ -82,11 +76,15 @@ def _uncut_values(u: MultimeshFunction, uncut: UncutCells, order: int):
 
 def _cell_values(u: MultimeshFunction, topology: CutTopology, order: int, with_points: bool):
     """u, its gradient, the weights and, if asked, the points of the order's
-    rule over the visible region of every active cell: per mesh, its uncut
-    cells, then the pieces of its cut cells."""
+    rule over the visible region of every active cell, with the place of
+    each point for field_values: per mesh, its uncut cells, then the pieces
+    of its cut cells."""
     for uncut, batch in topology.cell_quadrature(order):
-        yield (*_uncut_values(u, uncut, order), uncut.points(order) if with_points else None)
-        yield (*_values(u, topology, batch, 0), batch.weights, batch.points)
+        i, nq = uncut.mesh, len(uncut.rule(order)[1])
+        yield (*_uncut_values(u, uncut, order), uncut.points(order) if with_points else None,
+               lambda q: f"in cell {uncut.cells[q // nq]} of part {i}")
+        yield (*_values(u, batch, 0), batch.weights, batch.points,
+               lambda q: f"in cell {batch.per_point(batch.cells[:, 0])[q]} of part {i}")
 
 
 def error_norms(
@@ -97,15 +95,16 @@ def error_norms(
     order: int | None = None,
 ) -> tuple[float, float]:
     """(L2, H1-seminorm) errors against analytic fields, integrated piecewise
-    over every visible region. grad_exact(x, y) returns an (n, 2) array."""
+    over every visible region. grad_exact(x, y) returns an (n, 2) array. A
+    non-finite exact value raises a ValueError naming the field, the point,
+    its cell and its part."""
     if order is None:
         order = 2 * max(p.space.degree for p in topology.parts) + 2
     l2 = 0.0
     h1 = 0.0
-    for uh, guh, wq, points in _cell_values(u_h, topology, order, with_points=True):
-        x, y = points.T
-        ue = np.broadcast_to(np.asarray(u_exact(x, y), dtype=float), uh.shape)
-        ge = np.asarray(grad_exact(x, y), dtype=float).reshape(guh.shape)
+    for uh, guh, wq, points, place in _cell_values(u_h, topology, order, with_points=True):
+        ue = field_values(u_exact, "u_exact", points, place)
+        ge = field_values(grad_exact, "grad_exact", points, place, guh.shape)
         l2 += float(np.dot(wq, (uh - ue) ** 2))
         h1 += float(np.dot(wq, ((guh - ge) ** 2).sum(axis=1)))
     return float(np.sqrt(l2)), float(np.sqrt(h1))
@@ -131,21 +130,21 @@ def energy_norm(u: MultimeshFunction, topology: CutTopology) -> EnergyBreakdown:
     """Energy norm breakdown; all terms are beta-independent."""
     h = topology.mesh_sizes()
     term_I = 0.0
-    for _, g, wq, _ in _cell_values(u, topology, topology.quad_order, with_points=False):
+    for _, g, wq, _, _ in _cell_values(u, topology, topology.quad_order, with_points=False):
         term_I += float(np.dot(wq, (g ** 2).sum(axis=1)))
 
     term_II = 0.0
     for batch in topology.overlap_batches():
-        _, gl = _values(u, topology, batch, 0)
-        _, gu = _values(u, topology, batch, 1)
+        _, gl = _values(u, batch, 0)
+        _, gu = _values(u, batch, 1)
         term_II += float(np.dot(batch.weights, ((gl - gu) ** 2).sum(axis=1)))
 
     term_III = 0.0
     term_IV = 0.0
     for batch in topology.facet_batches():
         j, i = batch.meshes
-        vl, gl = _values(u, topology, batch, 0)
-        vu, gu = _values(u, topology, batch, 1)
+        vl, gl = _values(u, batch, 0)
+        vu, gu = _values(u, batch, 1)
         wq = batch.weights
         term_III += float(
             h[i] * np.dot(wq, (gu ** 2).sum(axis=1)) + h[j] * np.dot(wq, (gl ** 2).sum(axis=1))
@@ -155,8 +154,12 @@ def energy_norm(u: MultimeshFunction, topology: CutTopology) -> EnergyBreakdown:
 
 
 def global_interpolant(topology: CutTopology, f) -> MultimeshFunction:
-    """Per-mesh nodal interpolation over each full active mesh."""
-    return MultimeshFunction([nodal_interpolate(p.space, f) for p in topology.parts])
+    """Per-mesh nodal interpolation over each full active mesh. A non-finite
+    value of f raises a ValueError naming the part and the dof."""
+    return MultimeshFunction([
+        np.array(field_values(f, "f", p.space.dof_coords, lambda q: f"for dof {q} of part {i}"))
+        for i, p in enumerate(topology.parts)
+    ])
 
 
 # ---------------------------------------------------------------------------

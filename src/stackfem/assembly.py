@@ -6,9 +6,9 @@ weighted by beta0 / (h_i + h_j); overlap pieces contribute the jump
 stabilization in one of two variants. Uncut cells are integrated on the
 reference triangle: their local matrices are one product of per-cell
 geometry with sums tabulated once per degree and order. Every cut integral
-runs on the flat quadrature batches of the cut topology: all points of a
-batch are mapped and tabulated at once, and local matrices are reduced per
-entity.
+runs on the flat quadrature batches of the cut topology, which carry their
+basis in each of their meshes: assembly only contracts it, and local
+matrices are reduced per entity.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import io as scipy_io
 
+from .mesh import field_values
 from .multimesh import CutTopology, QuadBatch, UncutCells
 from .solver import CsrMatrix
 
@@ -86,7 +87,7 @@ def _scatter(blocks) -> Triplets:
     """Triplets (rows, cols, vals) of local matrices, given as a list of
     pairs of dofs (ne, nd) and matrices (ne, nd, nd), in list order."""
     n = sum(m.size for _, m in blocks)
-    rows, cols, vals = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n)
+    rows, cols, vals = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32), np.empty(n)
     k = 0
     for d, m in blocks:
         rows[k:k + m.size].reshape(m.shape)[...] = d[:, :, None]
@@ -105,15 +106,6 @@ class SystemMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.dim
-
-
-def _tabulate(topology: CutTopology, batch: QuadBatch, m: int, offsets: np.ndarray):
-    """Basis values and gradients at every point of a batch in its m-th
-    mesh, with the global dofs of each entity's cell there."""
-    i = batch.meshes[m]
-    space = topology.parts[i].space
-    phi, grad = space.tabulate(batch.per_point(batch.cells[:, m]), batch.points)
-    return phi, grad, offsets[i] + space.cell_dofs[batch.cells[:, m]]
 
 
 def _entity_blocks(batch: QuadBatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,10 +151,10 @@ def assemble_volume(topology: CutTopology, params: FormParams) -> Triplets:
     offsets = topology.block_offsets()
     for uncut, batch in topology.cell_quadrature(params.quad_order):
         blocks.append(_uncut_volume(uncut, params, offsets[uncut.mesh]))
-        phi, grad, dofs = _tabulate(topology, batch, 0, offsets)
+        phi, grad, dofs = batch.basis[0]
         if params.reaction_eps is not None:
             grad = np.concatenate([grad, phi[:, :, None] / params.reaction_eps], axis=2)
-        blocks.append((dofs, _entity_blocks(batch, grad, grad)))
+        blocks.append((offsets[uncut.mesh] + dofs, _entity_blocks(batch, grad, grad)))
     return _scatter(blocks)
 
 
@@ -180,8 +172,8 @@ def assemble_interface(topology: CutTopology, params: FormParams) -> Triplets:
         j, i = batch.meshes
         ki, kj = kappa_weights(h[i], h[j])
         pen = params.beta0 / (h[i] + h[j])
-        phi_l, grad_l, dofs_l = _tabulate(topology, batch, 0, offsets)
-        phi_u, grad_u, dofs_u = _tabulate(topology, batch, 1, offsets)
+        phi_l, grad_l, dofs_l = batch.basis[0]
+        phi_u, grad_u, dofs_u = batch.basis[1]
         normal = batch.per_point(batch.normals)[:, None, :]
         jump = np.concatenate([phi_u, -phi_l], axis=1)                # (n, nd)
         avg = np.concatenate([ki * (grad_u * normal).sum(axis=2),
@@ -190,7 +182,7 @@ def assemble_interface(topology: CutTopology, params: FormParams) -> Triplets:
         local = _entity_blocks(
             batch, np.stack([jump, avg], axis=2), np.stack([pen * jump - avg, -jump], axis=2)
         )
-        blocks.append((np.concatenate([dofs_u, dofs_l], axis=1), local))
+        blocks.append((np.concatenate([offsets[i] + dofs_u, offsets[j] + dofs_l], axis=1), local))
     return _scatter(blocks)
 
 
@@ -201,29 +193,17 @@ def assemble_stabilization(topology: CutTopology, params: FormParams) -> Triplet
     h = topology.mesh_sizes()
     for batch in topology.overlap_batches():
         i, j = batch.meshes
-        phi_l, grad_l, dofs_l = _tabulate(topology, batch, 0, offsets)
-        phi_u, grad_u, dofs_u = _tabulate(topology, batch, 1, offsets)
+        phi_l, grad_l, dofs_l = batch.basis[0]
+        phi_u, grad_u, dofs_u = batch.basis[1]
         if params.stab_variant == STAB_GRADIENT:
             D = np.concatenate([grad_l, -grad_u], axis=1)             # (n, nd, 2)
             scale = params.beta1
         else:
             D = np.concatenate([phi_l, -phi_u], axis=1)[:, :, None]
             scale = params.beta1 / (h[i] + h[j]) ** 2
-        blocks.append((np.concatenate([dofs_l, dofs_u], axis=1),
+        blocks.append((np.concatenate([offsets[i] + dofs_l, offsets[j] + dofs_u], axis=1),
                        scale * _entity_blocks(batch, D, D)))
     return _scatter(blocks)
-
-
-def _load_values(f, points: np.ndarray, part: int, cell_of) -> np.ndarray:
-    """f at the points (n, 2) of a part; a non-finite value raises a
-    ValueError naming the point, its cell cell_of(q) and the part."""
-    x, y = points.T
-    fx = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
-    if not np.isfinite(fx).all():
-        q = np.argmin(np.isfinite(fx))
-        raise ValueError(f"load f is {fx[q]} at ({x[q]}, {y[q]}) in cell {cell_of(q)} "
-                         f"of part {part}")
-    return fx
 
 
 def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
@@ -236,12 +216,14 @@ def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
         i = uncut.mesh
         _, w, phi, _ = uncut.rule(order)
         dofs, _, area = uncut.gather()
-        fx = _load_values(f, uncut.points(order), i, lambda q: uncut.cells[q // len(w)])
+        fx = field_values(f, "load f", uncut.points(order),
+                          lambda q: f"in cell {uncut.cells[q // len(w)]} of part {i}")
         local = (fx.reshape(-1, len(w)) * w) @ phi * area[:, None]
         b += np.bincount((offsets[i] + dofs).ravel(), weights=local.ravel(), minlength=len(b))
-        phi, _, dofs = _tabulate(topology, batch, 0, offsets)
-        fx = _load_values(f, batch.points, i, lambda q: batch.per_point(batch.cells[:, 0])[q])
-        b += np.bincount(batch.per_point(dofs).ravel(),
+        phi, _, dofs = batch.basis[0]
+        fx = field_values(f, "load f", batch.points, lambda q: (
+            f"in cell {batch.per_point(batch.cells[:, 0])[q]} of part {i}"))
+        b += np.bincount(batch.per_point(offsets[i] + dofs).ravel(),
                          weights=((batch.weights * fx)[:, None] * phi).ravel(), minlength=len(b))
     return b
 
@@ -285,34 +267,24 @@ def flagged_boundary_dofs(topology: CutTopology, marker: int) -> np.ndarray:
     return np.unique(np.concatenate(out)) if out else np.zeros(0, dtype=np.int64)
 
 
-def _boundary_values(g, name: str, topology: CutTopology, i: int,
-                     dofs: np.ndarray) -> np.ndarray:
-    """g at the part-local dofs of part i; a non-finite value raises a
-    ValueError naming the part and the dof."""
-    x, y = topology.parts[i].space.dof_coords[dofs].T
-    vals = np.broadcast_to(np.asarray(g(x, y), dtype=float), len(dofs))
-    if not np.isfinite(vals).all():
-        j = np.argmin(np.isfinite(vals))
-        raise ValueError(f"{name} is {vals[j]} at dof {dofs[j]} of part {i}, "
-                         f"located at ({x[j]}, {y[j]})")
-    return vals
-
-
 def build_dirichlet(topology: CutTopology, g_outer, g_inner=None) -> DirichletBC:
     """Dirichlet data: g_outer on the background boundary, g_inner on
-    marker-1 (hole) loops of any part."""
+    marker-1 (hole) loops of any part. A non-finite value raises a
+    ValueError naming the part and the dof."""
     offsets = topology.block_offsets()
-    d0 = topology.parts[0].space.boundary_dofs(marker=0)
-    dofs = [offsets[0] + d0]
-    vals = [_boundary_values(g_outer, "g_outer", topology, 0, d0)]
-    for i, part in enumerate(topology.parts):
-        d1 = part.space.boundary_dofs(marker=1)
-        if len(d1) == 0:
+    dofs, vals = [], []
+    sides = [(0, 0, "g_outer", g_outer)] + [(i, 1, "g_inner", g_inner)
+                                            for i in range(topology.nparts)]
+    for i, marker, name, g in sides:
+        space = topology.parts[i].space
+        d = space.boundary_dofs(marker)
+        if len(d) == 0:
             continue
-        if g_inner is None:
+        if g is None:
             raise ValueError(f"part {i} has inner boundary facets but no g_inner given")
-        dofs.append(offsets[i] + d1)
-        vals.append(_boundary_values(g_inner, "g_inner", topology, i, d1))
+        dofs.append(offsets[i] + d)
+        vals.append(field_values(g, name, space.dof_coords[d],
+                                 lambda q: f"for dof {d[q]} of part {i}"))
     return DirichletBC(np.concatenate(dofs), np.concatenate(vals))
 
 

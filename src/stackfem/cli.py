@@ -391,22 +391,38 @@ class ExperimentConfig:
         }
 
 
+_CONFIG_KEYS = ("config", "k_min", "k_max", "degree", "beta0", "beta1", "stab", "seed", "out")
+
+
+def _read_config_file(path: str) -> dict:
+    """The JSON config file, each value that a flag also sets parsed by
+    that flag; null stays null, as for a flag not given. A bad value is
+    argparse's usage error (exit status 2) naming the key and the file."""
+    data = json.loads(Path(path).read_text())
+    parser = argparse.ArgumentParser(prog="stackfem", exit_on_error=False)
+    _add_common(parser)
+    for flag in parser._actions:
+        if flag.dest in _CONFIG_KEYS and data.get(flag.dest) is not None:
+            try:
+                parsed = parser.parse_args([f"{flag.option_strings[0]}={data[flag.dest]}"])
+            except argparse.ArgumentError as exc:
+                parser.error(f"{flag.dest} in {path}: {exc.message}")
+            data[flag.dest] = getattr(parsed, flag.dest)
+    return data
+
+
 def _load_experiment(args, k_range: tuple[int, int] = (3, 6),
                      full_range: tuple[int, int] | None = (3, 10)) -> ExperimentConfig:
     """Defaults, then the JSON config file, then flags. k_range is the
     subcommand's default k range; `full`, from the JSON file or --full,
     makes full_range the default instead, so an explicit k bound still wins."""
-    data = json.loads(Path(args.config_file).read_text()) if args.config_file else {}
+    data = _read_config_file(args.config_file) if args.config_file else {}
     full = bool(data.get("full")) or bool(getattr(args, "full", False))
     k_min, k_max = full_range if full and full_range is not None else k_range
-    cfg = ExperimentConfig(k_min=k_min, k_max=k_max, full=full)
-    for key in ("config", "k_min", "k_max", "degree", "beta0", "beta1", "stab", "seed", "out"):
-        if key in data:
-            setattr(cfg, key, data[key])
-    cfg.custom_parts = data.get("parts")
-    for key in ("config", "k_min", "k_max", "degree", "beta0", "beta1",
-                "stab", "seed", "out"):
+    cfg = ExperimentConfig(k_min=k_min, k_max=k_max, full=full, custom_parts=data.get("parts"))
+    for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
+        val = data.get(key) if val is None else val
         if val is not None:
             setattr(cfg, key, val)
     return cfg

@@ -16,6 +16,7 @@ __all__ = [
     "build_structured_mesh",
     "build_band_mesh",
     "nodal_interpolate",
+    "field_values",
     "reference_rule",
     "MARKER_OUTER",
     "MARKER_INNER",
@@ -282,6 +283,20 @@ def nodal_interpolate(space: FeSpace, f) -> np.ndarray:
     """Coefficients of the nodal interpolant: f sampled at the dof coordinates."""
     c = space.dof_coords
     return np.asarray(f(c[:, 0], c[:, 1]), dtype=float)
+
+
+def field_values(g, name: str, points: np.ndarray, place, shape=None) -> np.ndarray:
+    """g(x, y) at the points (n, 2) as floats, broadcast to shape (default
+    (n,)). A non-finite value raises a ValueError naming the field, the first
+    point q at fault and place(q), such as "in cell 3 of part 0"."""
+    x, y = points.T
+    vals = np.broadcast_to(np.asarray(g(x, y), dtype=float), shape or x.shape)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        q = at[0]
+        raise ValueError(f"{name} is {vals[at]} at ({x[q]}, {y[q]}) {place(q)}")
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ padded vertex batches, facets as endpoint and normal arrays, and the cells
 of each entity as parallel int arrays. Quadrature batches are built from
 them on first use: the uncut active cells of a mesh, almost all of them,
 are integrated on the reference triangle, and only the visible pieces of
-the cut cells get mapped rules.
+the cut cells get mapped rules. A batch is tabulated in each of its meshes
+when it is built, so assembly, the load and the norms only contract it.
 """
 from __future__ import annotations
 
@@ -154,7 +155,10 @@ class QuadBatch:
 
     Entity e owns the points starts[e]:starts[e + 1]; its cell in mesh
     meshes[m] is cells[e, m]. Facet batches carry one unit normal per
-    entity, outward from the upper predomain.
+    entity, outward from the upper predomain. basis[m] holds, read-only, the
+    basis of mesh meshes[m] at the points, tabulated once when the topology
+    builds the batch: values (n, nd), physical gradients (n, nd, 2) and the
+    part-local dofs (ne, nd) of each entity's cell there.
     """
 
     meshes: tuple[int, ...]
@@ -163,6 +167,7 @@ class QuadBatch:
     points: np.ndarray       # (n, 2)
     weights: np.ndarray      # (n,)
     normals: np.ndarray | None = None  # (ne, 2)
+    basis: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
 
     def per_point(self, values: np.ndarray) -> np.ndarray:
         """Repeat per-entity values once for each of the entity's points."""
@@ -196,15 +201,26 @@ class UncutCells(NamedTuple):
         return (self.rule(order)[0] @ mesh.nodes[mesh.cells[self.cells]]).reshape(-1, 2)
 
 
-def _triangle_batch(meshes: tuple[int, ...], cells: np.ndarray, tris: np.ndarray,
-                    owner: np.ndarray, order: int) -> QuadBatch:
+def _triangle_batch(parts: list[MultiMeshPart], meshes: tuple[int, ...], cells: np.ndarray,
+                    tris: np.ndarray, owner: np.ndarray, order: int) -> QuadBatch:
     """The rule of the given order mapped onto triangles tris (nt, 3, 2),
     triangle t belonging to entity owner[t] (ascending) with cells
-    cells[owner[t]]."""
+    cells[owner[t]]; tabulated."""
     points, weights = triangles_quadrature(tris, order)
     nq = len(triangle_rule(order)[1])
     starts = np.searchsorted(owner, np.arange(len(cells) + 1)) * nq
-    return QuadBatch(meshes, cells, starts, points, weights)
+    return _tabulated(QuadBatch(meshes, cells, starts, points, weights), parts)
+
+
+def _tabulated(batch: QuadBatch, parts: list[MultiMeshPart]) -> QuadBatch:
+    """The batch with its basis in each of its meshes."""
+    for m, i in enumerate(batch.meshes):
+        space, cells = parts[i].space, batch.cells[:, m]
+        basis = (*space.tabulate(batch.per_point(cells), batch.points), space.cell_dofs[cells])
+        for a in basis:
+            a.setflags(write=False)
+        batch.basis += (basis,)
+    return batch
 
 
 def _pair_groups(rec: _CellPairs):
@@ -372,8 +388,8 @@ class CutTopology:
         """Entities are the cut cells."""
         cut, p = self.cut_cells[i], self.visible[i]
         tris, piece = fan_triangles(p.verts, p.counts)
-        return _triangle_batch((i,), cut[:, None], tris, np.searchsorted(cut, p.cell[piece]),
-                               order)
+        return _triangle_batch(self.parts, (i,), cut[:, None], tris,
+                               np.searchsorted(cut, p.cell[piece]), order)
 
     def facet_batches(self) -> list[QuadBatch]:
         """Interface facet quadrature, one batch per (lower, upper) mesh pair:
@@ -384,8 +400,8 @@ class CutTopology:
             for meshes, cells, sel in _pair_groups(f):
                 points, weights = segments_quadrature(f.a[sel], f.b[sel], self.quad_order)
                 nq = len(weights) // len(sel)
-                out.append(QuadBatch(meshes, cells, np.arange(len(sel) + 1) * nq,
-                                     points, weights, f.normal[sel]))
+                out.append(_tabulated(QuadBatch(meshes, cells, np.arange(len(sel) + 1) * nq,
+                                                points, weights, f.normal[sel]), self.parts))
             return out
 
         return self._cached("facets", build)
@@ -395,8 +411,8 @@ class CutTopology:
         the triangle rule of order quad_order on the fan of every piece."""
         o = self.overlaps
         return self._cached("overlaps", lambda: [
-            _triangle_batch(meshes, cells, *fan_triangles(o.verts[sel], o.counts[sel]),
-                            self.quad_order)
+            _triangle_batch(self.parts, meshes, cells,
+                            *fan_triangles(o.verts[sel], o.counts[sel]), self.quad_order)
             for meshes, cells, sel in _pair_groups(o)
         ])
 

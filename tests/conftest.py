@@ -152,6 +152,20 @@ def monomial_integral_polygon(poly: ConvexPolygon, a: int, b: int) -> float:
     return float(total)
 
 
+def nan_in_cut_pieces(topo):
+    """NaN strictly inside the visible pieces of the first cut cell of the
+    background, which border an interface; 1 elsewhere, so no point of an
+    uncut cell sees NaN."""
+    p = topo.visible[0]
+    pieces = [ConvexPolygon(p.verts[r, :p.counts[r]]) for r in np.flatnonzero(p.cell == p.cell[0])]
+
+    def f(x, y):
+        xy = np.column_stack([x, y])
+        return np.where(np.any([q.contains_strict(xy) for q in pieces], axis=0), np.nan, 1.0)
+
+    return f
+
+
 def fit_rate(hs, errs) -> float:
     """Least-squares slope of log(err) against log(h)."""
     return float(np.polyfit(np.log(np.asarray(hs)), np.log(np.asarray(errs)), 1)[0])

@@ -1,10 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import config_I, config_II, fit_rate, single_config
+from conftest import config_I, config_II, fit_rate, nan_in_cut_pieces, single_config
 from stackfem.analysis import (
     EnergyBreakdown,
     MultimeshFunction,
@@ -105,6 +106,33 @@ class TestErrorNorms:
         assert l2 == pytest.approx(l2_ref, rel=1e-12)
         assert h1 == pytest.approx(h1_ref, rel=1e-12)
 
+    @pytest.mark.parametrize("field", ["u_exact", "grad_exact"])
+    @pytest.mark.parametrize("nan_where, in_cut_cell", [
+        (lambda topo: lambda x, y: np.where(x > 0.7, np.nan, 1.0), False),
+        (nan_in_cut_pieces, True),
+    ], ids=["x-above-0.7", "cut-pieces-only"])
+    def test_nonfinite_exact_field_names_part_cell_and_point(self, topo_I, field, nan_where,
+                                                             in_cut_cell):
+        nan = nan_where(topo_I)
+        fields = {"u_exact": lambda x, y: np.ones_like(x),
+                  "grad_exact": lambda x, y: np.zeros(x.shape + (2,))}
+        fields[field] = {"u_exact": nan,
+                         "grad_exact": lambda x, y: np.stack([x, nan(x, y)], axis=-1)}[field]
+        u = MultimeshFunction([np.ones(p.space.dim) for p in topo_I.parts])
+        with pytest.raises(ValueError) as exc:
+            error_norms(u, topo_I, fields["u_exact"], fields["grad_exact"])
+        m = re.fullmatch(rf"{field} is nan at \((\S+), (\S+)\) in cell (\d+) of part (\d+)",
+                         str(exc.value))
+        assert m, str(exc.value)
+        point, cell, part = np.array([float(m[1]), float(m[2])]), int(m[3]), int(m[4])
+        assert np.isnan(nan(point[:1], point[1:])).all()
+        mesh = topo_I.parts[part].mesh
+        a, b, c = mesh.nodes[mesh.cells[cell]]
+        lam = np.linalg.solve(np.column_stack([b - a, c - a]), point - a)
+        assert lam.min() >= -1e-12 and lam.sum() <= 1.0 + 1e-12
+        # uncut cells and cut pieces are checked on their own branches
+        assert (cell in topo_I.cut_cells[part]) == in_cut_cell
+
 
 class TestEnergyNorm:
     def test_constants_have_zero_energy(self):
@@ -149,6 +177,16 @@ class TestGlobalInterpolant:
         topo = build_cut_topology(config_I(), 2)
         u = global_interpolant(topo, lambda x, y: np.zeros_like(x))
         assert all(np.all(c == 0.0) for c in u.coeffs)
+
+    def test_nonfinite_value_names_part_and_dof(self, topo_I):
+        with pytest.raises(ValueError) as exc:
+            global_interpolant(topo_I, lambda x, y: np.where(x > 0.7, np.nan, 1.0))
+        m = re.fullmatch(r"f is nan at \((\S+), (\S+)\) for dof (\d+) of part (\d+)",
+                         str(exc.value))
+        assert m, str(exc.value)
+        space = topo_I.parts[int(m[4])].space
+        assert tuple(space.dof_coords[int(m[3])]) == (float(m[1]), float(m[2]))
+        assert float(m[1]) > 0.7
 
     def test_sine_energy_rate(self):
         f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)

@@ -208,13 +208,13 @@ class TestDirichlet:
         data[side] = lambda x, y: np.where(x > 0.6, np.nan, 1.0)
         with pytest.raises(ValueError) as exc:
             build_dirichlet(topo, data["g_outer"], data["g_inner"])
-        m = re.fullmatch(rf"{side} is nan at dof (\d+) of part {part}, "
-                         r"located at \((\S+), (\S+)\)", str(exc.value))
+        m = re.fullmatch(rf"{side} is nan at \((\S+), (\S+)\) for dof (\d+) of part {part}",
+                         str(exc.value))
         assert m, str(exc.value)
-        dof = int(m.group(1))
+        dof = int(m.group(3))
         space = topo.parts[part].space
         assert dof in space.boundary_dofs(marker)
-        assert tuple(space.dof_coords[dof]) == (float(m.group(2)), float(m.group(3)))
+        assert tuple(space.dof_coords[dof]) == (float(m.group(1)), float(m.group(2)))
         assert space.dof_coords[dof, 0] > 0.6
 
 

@@ -6,10 +6,11 @@ separating-axis prefilter must equal, bit for bit, the ones the per-entity
 loops in `loop_reference` build. So must the active cells, the visible
 regions and the grid bin tables, which the loops build one cell at a time,
 and the cell, facet and overlap batches, which the loops concatenate from
-one rule per entity. The two bulk building blocks are checked on their own
-against brute force with hypothesis, and the memory peaks of one topology
-build, on two stacks, and of the cell integrals of volume and error norms
-are bounded.
+one rule per entity. Each batch carries its basis in each of its meshes,
+read-only and tabulated exactly once. The two bulk building blocks are
+checked on their own against brute force with hypothesis, and the memory
+peaks of one topology build, on two stacks, and of the cell integrals of
+volume and error norms are bounded.
 """
 import math
 import tracemalloc
@@ -23,9 +24,16 @@ import loop_reference as ref
 from conftest import build_stack_config, config_I, config_II
 from stackfem.analysis import MultimeshFunction, error_norms
 from stackfem.assembly import FormParams, assemble_volume
-from stackfem.cli import boundary_layer_stack, build_stack, poisson_fields, standard_predomains
+from stackfem.cli import (
+    _error_report,
+    boundary_layer_stack,
+    build_stack,
+    poisson_fields,
+    solve_poisson,
+    standard_predomains,
+)
 from stackfem.geom2d import REL_TOL, ConvexPolygon, convex_intersect, rect_polygon, rotate_rect
-from stackfem.mesh import build_structured_mesh
+from stackfem.mesh import FeSpace, build_structured_mesh
 from stackfem.multimesh import (
     SAT_MARGIN,
     _CellGrid,
@@ -191,7 +199,10 @@ def test_cell_integral_memory_peak(name):
     assert peak / 1e6 <= INTEGRAL_PEAK_MB[name]
 
 
-def _assert_batches_equal(got, want):
+def _assert_batches_equal(config, got, want):
+    """The geometry of each batch equals the oracle's; its basis in each
+    mesh is FeSpace.tabulate at the oracle's points and cells, with the
+    cells' dofs. All bit for bit; the oracle's batches have no basis."""
     assert len(got) == len(want) > 0
     for g, w in zip(got, want):
         assert g.meshes == w.meshes
@@ -200,6 +211,13 @@ def _assert_batches_equal(got, want):
             if b is None:
                 assert a is None, name
             else:
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert w.basis == () and len(g.basis) == len(g.meshes)
+        for m, i in enumerate(w.meshes):
+            space = config.parts[i].space
+            cells = w.cells[:, m]
+            want_basis = (*space.tabulate(w.per_point(cells), w.points), space.cell_dofs[cells])
+            for name, a, b in zip(("phi", "grad", "dofs"), g.basis[m], want_basis):
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
@@ -211,10 +229,46 @@ def test_batches_match_per_entity_rules_bitwise(stack, oracle, quad_order):
     _, cut_cells, _, facets, overlaps = oracle
     p = max(part.space.degree for part in config.parts)
     for order in sorted({quad_order, 2 * p + 2}):
-        _assert_batches_equal(topo.cell_batches(order),
+        _assert_batches_equal(config, topo.cell_batches(order),
                               ref.cell_batches(config, cut_cells, order))
-    _assert_batches_equal(topo.facet_batches(), ref.facet_batches(facets, quad_order))
-    _assert_batches_equal(topo.overlap_batches(), ref.overlap_batches(overlaps, quad_order))
+    _assert_batches_equal(config, topo.facet_batches(), ref.facet_batches(facets, quad_order))
+    _assert_batches_equal(config, topo.overlap_batches(),
+                          ref.overlap_batches(overlaps, quad_order))
+
+
+def test_batch_basis_is_read_only(stack):
+    _, topo = stack
+    for batch in [*topo.cell_batches(), *topo.facet_batches(), *topo.overlap_batches()]:
+        assert len(batch.basis) == len(batch.meshes)
+        for basis in batch.basis:
+            for a in basis:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+
+@pytest.mark.parametrize("name", ["I", "II"])
+def test_solve_and_report_tabulate_each_batch_once(monkeypatch, name):
+    """One solve plus its error report calls FeSpace.tabulate exactly once
+    per (batch, mesh) pair the topology built, and for nothing else."""
+    calls = []
+    tabulate = FeSpace.tabulate
+
+    def counted(space, cells, pts):
+        calls.append((id(space), id(pts)))
+        return tabulate(space, cells, pts)
+
+    monkeypatch.setattr(FeSpace, "tabulate", counted)
+    u, f, grad_u = poisson_fields()
+    params = FormParams.defaults(1)
+    res = solve_poisson(build_stack(standard_predomains(name), (4, 4, 4), 1), params, f, u)
+    _error_report(name, 1, res, u, grad_u)
+    topo = res.topology
+    # the cell batches of the forms' order, then of error_norms' order for P1
+    batches = [*topo.cell_batches(params.quad_order), *topo.cell_batches(4),
+               *topo.facet_batches(), *topo.overlap_batches()]
+    built = [(id(topo.parts[i].space), id(b.points)) for b in batches for i in b.meshes]
+    assert len(calls) == len(built) == len(set(built))
+    assert sorted(calls) == sorted(built)
 
 
 def test_grid_tables_match_loop_oracle(stack):

@@ -20,6 +20,11 @@ from stackfem.cli import (
 DATA = Path(__file__).parent / "data"
 
 
+def _read_csv(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestExperimentConfig:
     def test_stab_flag_mapping(self):
         cfg = ExperimentConfig(stab="l2")
@@ -59,7 +64,7 @@ class TestSolveCommand:
         out = tmp_path / "run"
         rc = main(["solve", "--mm-config", "I", "--k", "3", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.reader(open(out / "results.csv")))
+        rows = _read_csv(out / "results.csv")
         assert rows[0][0] == "config"
         assert len(rows) == 2
         meta = json.loads((out / "meta.json").read_text())
@@ -82,8 +87,8 @@ class TestSolveCommand:
         rc = main(["solve", "--mm-config", "II", "--k", "3", "--out", str(out),
                    "--dump-topology"])
         assert rc == 0
-        facets = list(csv.reader(open(out / "facets.csv")))
-        overlaps = list(csv.reader(open(out / "overlaps.csv")))
+        facets = _read_csv(out / "facets.csv")
+        overlaps = _read_csv(out / "overlaps.csv")
         assert facets[0] == ["i", "j", "ax", "ay", "bx", "by", "nx", "ny"]
         assert overlaps[0] == ["i", "j", "area", "cx", "cy"]
         topo = build_cut_topology(build_stack(standard_predomains("II"), [3] * 3, 1))
@@ -170,6 +175,28 @@ class TestSolveCommand:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"] == "single" and meta["k"] == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("stab", "bogus"), ("beta1", "nan"), ("degree", 3), ("beta0", -1), ("config", "III"),
+    ])
+    def test_bad_json_value_is_a_usage_error(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stackfem")
+        assert f"error: {key} in {cfg_path}: " in err and repr(value) in err
+        assert not (tmp_path / "run").exists()
+
+    def test_json_null_is_not_set(self, tmp_path):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"config": "single", "k_min": None, "beta0": None}))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["k"] == 3 and meta["beta0"] == 10.0
+
 
 class TestConvergenceCommand:
     def test_equal_mode_csv(self, tmp_path):
@@ -177,7 +204,7 @@ class TestConvergenceCommand:
         rc = main(["convergence", "--mm-config", "single", "--k-min", "3",
                    "--k-max", "5", "--equal", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.reader(open(out / "results.csv")))
+        rows = _read_csv(out / "results.csv")
         assert len(rows) == 4  # header + 3 levels
         errs = [float(r[rows[0].index("l2_err")]) for r in rows[1:]]
         assert errs[0] > errs[1] > errs[2]
@@ -306,7 +333,7 @@ class TestConditionCommand:
         text1 = (out1 / "results.csv").read_bytes()
         text2 = (out2 / "results.csv").read_bytes()
         assert text1 == text2  # same config + seed: byte-identical output
-        rows = list(csv.reader(open(out1 / "results.csv")))
+        rows = _read_csv(out1 / "results.csv")
         assert rows[0] == ["h", "kappa"]
         assert rows[-1][0] == "slope"
         assert -2.3 <= float(rows[-1][1]) <= -1.7
@@ -339,7 +366,7 @@ class TestConditionCommand:
         out = tmp_path / "c"
         assert main(["condition", "--mm-config", "single", "--k-max", "3",
                      "--out", str(out)]) == 0
-        rows = list(csv.reader(open(out / "results.csv")))
+        rows = _read_csv(out / "results.csv")
         assert [float(r[0]) for r in rows[1:-1]] == pytest.approx([2 ** -2 * 2 ** 0.5,
                                                                    2 ** -3 * 2 ** 0.5])
         meta = json.loads((out / "meta.json").read_text())
@@ -352,7 +379,7 @@ class TestConditionCommand:
         assert main(["condition", "--config", str(cfg_path), "--out", str(out)]) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert (meta["k_min"], meta["k_max"]) == (3, 4)
-        assert len(list(csv.reader(open(out / "results.csv")))) == 4  # header, 2 levels, slope
+        assert len(_read_csv(out / "results.csv")) == 4  # header, 2 levels, slope
 
 
 class TestCustomStack:
@@ -367,7 +394,7 @@ class TestCustomStack:
         def run(name, *argv):
             out = tmp_path / name
             assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
-            return list(csv.reader(open(out / "results.csv")))
+            return _read_csv(out / "results.csv")
 
         solve = run("solve", "solve", "--k", "3")
         equal = run("equal", "convergence", "--equal", "--k-min", "2", "--k-max", "3")
@@ -462,7 +489,7 @@ class TestBoundaryLayer:
         out = tmp_path / "bl"
         rc = main(["boundary-layer", "--k-min", "0", "--k-max", "0", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.reader(open(out / "results.csv")))
+        rows = _read_csv(out / "results.csv")
         assert rows[0] == ["k", "eps", "layer_halfwidth", "corner_value", "dofs"]
         assert (out / "probe_k0.csv").exists()
         meta = json.loads((out / "meta.json").read_text())

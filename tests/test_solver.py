@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import config_I, single_config
+from conftest import config_I, nan_in_cut_pieces, single_config
 from stackfem.assembly import (
     FormParams,
     apply_dirichlet,
@@ -12,7 +12,6 @@ from stackfem.assembly import (
     assemble_system,
     build_dirichlet,
 )
-from stackfem.geom2d import ConvexPolygon
 from stackfem.multimesh import build_cut_topology
 from stackfem.solver import (
     CsrMatrix,
@@ -21,20 +20,6 @@ from stackfem.solver import (
     condition_number,
     extreme_eigs,
 )
-
-
-def _nan_in_cut_pieces(topo):
-    """NaN strictly inside the visible pieces of the first cut cell of the
-    background, which border an interface; 1 elsewhere, so no point of an
-    uncut cell sees NaN."""
-    p = topo.visible[0]
-    pieces = [ConvexPolygon(p.verts[r, :p.counts[r]]) for r in np.flatnonzero(p.cell == p.cell[0])]
-
-    def f(x, y):
-        xy = np.column_stack([x, y])
-        return np.where(np.any([q.contains_strict(xy) for q in pieces], axis=0), np.nan, 1.0)
-
-    return f
 
 
 def _csr(dense) -> CsrMatrix:
@@ -123,7 +108,7 @@ class TestCG:
 
     @pytest.mark.parametrize("nan_where, in_cut_cell", [
         (lambda topo: lambda x, y: np.where(x > 0.7, np.nan, 1.0), False),
-        (_nan_in_cut_pieces, True),
+        (nan_in_cut_pieces, True),
     ], ids=["x-above-0.7", "cut-pieces-only"])
     def test_nan_load_raises_before_iterating(self, monkeypatch, nan_where, in_cut_cell):
         from stackfem.cli import solve_poisson
