@@ -8,7 +8,9 @@ reference triangle: their local matrices are one product of per-cell
 geometry with sums tabulated once per degree and order. Every cut integral
 runs on the flat quadrature batches of the cut topology, which carry their
 basis in each of their meshes: assembly only contracts it, and local
-matrices are reduced per entity.
+matrices are reduced per entity. Each matrix term returns its COO
+triplets, or writes them into the slice `out` of one set of arrays that
+`assemble_system` sizes for all three terms.
 """
 from __future__ import annotations
 
@@ -83,11 +85,18 @@ def kappa_weights(h_i: float, h_j: float) -> tuple[float, float]:
     return kappa_i, 1.0 - kappa_i
 
 
-def _scatter(blocks) -> Triplets:
+def _empty_triplets(n: int) -> Triplets:
+    return np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32), np.empty(n)
+
+
+def _scatter(blocks, out: Triplets | None) -> Triplets:
     """Triplets (rows, cols, vals) of local matrices, given as a list of
-    pairs of dofs (ne, nd) and matrices (ne, nd, nd), in list order."""
+    pairs of dofs (ne, nd) and matrices (ne, nd, nd), in list order: written
+    into out if given, which must hold exactly as many."""
     n = sum(m.size for _, m in blocks)
-    rows, cols, vals = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32), np.empty(n)
+    rows, cols, vals = out if out is not None else _empty_triplets(n)
+    if len(vals) != n:
+        raise ValueError(f"{n} triplets do not fit the {len(vals)} given")
     k = 0
     for d, m in blocks:
         rows[k:k + m.size].reshape(m.shape)[...] = d[:, :, None]
@@ -145,7 +154,8 @@ def _uncut_volume(uncut: UncutCells, params: FormParams, offset: int):
     return offset + dofs, local.reshape(-1, nd, nd)
 
 
-def assemble_volume(topology: CutTopology, params: FormParams) -> Triplets:
+def assemble_volume(topology: CutTopology, params: FormParams,
+                    out: Triplets | None = None) -> Triplets:
     """Stiffness (plus optional reaction mass) over every visible region."""
     blocks = []
     offsets = topology.block_offsets()
@@ -155,10 +165,11 @@ def assemble_volume(topology: CutTopology, params: FormParams) -> Triplets:
         if params.reaction_eps is not None:
             grad = np.concatenate([grad, phi[:, :, None] / params.reaction_eps], axis=2)
         blocks.append((offsets[uncut.mesh] + dofs, _entity_blocks(batch, grad, grad)))
-    return _scatter(blocks)
+    return _scatter(blocks, out)
 
 
-def assemble_interface(topology: CutTopology, params: FormParams) -> Triplets:
+def assemble_interface(topology: CutTopology, params: FormParams,
+                       out: Triplets | None = None) -> Triplets:
     """Nitsche coupling on interface facets.
 
     Per facet with upper mesh i and lower mesh j: consistency, symmetry and
@@ -183,10 +194,11 @@ def assemble_interface(topology: CutTopology, params: FormParams) -> Triplets:
             batch, np.stack([jump, avg], axis=2), np.stack([pen * jump - avg, -jump], axis=2)
         )
         blocks.append((np.concatenate([offsets[i] + dofs_u, offsets[j] + dofs_l], axis=1), local))
-    return _scatter(blocks)
+    return _scatter(blocks, out)
 
 
-def assemble_stabilization(topology: CutTopology, params: FormParams) -> Triplets:
+def assemble_stabilization(topology: CutTopology, params: FormParams,
+                           out: Triplets | None = None) -> Triplets:
     """Overlap stabilization: gradient-jump (default) or scaled value-jump."""
     blocks = []
     offsets = topology.block_offsets()
@@ -203,7 +215,7 @@ def assemble_stabilization(topology: CutTopology, params: FormParams) -> Triplet
             scale = params.beta1 / (h[i] + h[j]) ** 2
         blocks.append((np.concatenate([offsets[i] + dofs_l, offsets[j] + dofs_u], axis=1),
                        scale * _entity_blocks(batch, D, D)))
-    return _scatter(blocks)
+    return _scatter(blocks, out)
 
 
 def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
@@ -228,14 +240,25 @@ def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
     return b
 
 
+def _term_sizes(topology: CutTopology) -> list[int]:
+    """Number of triplets of the volume, interface and stabilization terms:
+    one local matrix per active cell, facet and overlap piece."""
+    nd = np.array([p.space.cell_dofs.shape[1] for p in topology.parts])
+    f, o = topology.facets, topology.overlaps
+    return [int(sum(len(a) * nd[i] ** 2 for i, a in enumerate(topology.active))),
+            int(((nd[f.lower_mesh] + nd[f.upper_mesh]) ** 2).sum()),
+            int(((nd[o.lower_mesh] + nd[o.upper_mesh]) ** 2).sum())]
+
+
 def assemble_system(topology: CutTopology, params: FormParams) -> SystemMatrix:
-    """Full coupled matrix: volume + interface + stabilization."""
-    rows, cols, vals = map(np.concatenate, zip(
-        assemble_volume(topology, params),
-        assemble_interface(topology, params),
-        assemble_stabilization(topology, params),
-    ))
-    return SystemMatrix(CsrMatrix.from_triplets(rows, cols, vals, topology.total_dim))
+    """Full coupled matrix: volume + interface + stabilization, each term
+    writing its triplets straight into its slice of one set of arrays."""
+    at = np.cumsum([0, *_term_sizes(topology)])
+    triplets = _empty_triplets(int(at[-1]))
+    for term, lo, hi in zip((assemble_volume, assemble_interface, assemble_stabilization),
+                            at, at[1:]):
+        term(topology, params, out=tuple(x[lo:hi] for x in triplets))
+    return SystemMatrix(CsrMatrix.from_triplets(*triplets, topology.total_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .multimesh import (
     MultiMeshConfig,
     MultiMeshPart,
     build_cut_topology,
+    check_inside,
     dump_topology_csv,
 )
 from .solver import DEFAULT_SEED, SolveReport, cg_solve, condition_number
@@ -46,6 +47,8 @@ __all__ = [
     "SolveResult",
     "SolveDidNotConverge",
     "standard_predomains",
+    "custom_predomains",
+    "build_part",
     "build_stack",
     "poisson_fields",
     "solve_poisson",
@@ -82,13 +85,32 @@ def standard_predomains(name: str) -> list[ConvexPolygon]:
     raise ValueError(f"unknown configuration {name!r}")
 
 
+def custom_predomains(entries) -> list[ConvexPolygon]:
+    """The unit square, then per entry {"bounds": [x0, x1, y0, y1],
+    "angle": degrees} that rectangle rotated about its centre, strictly
+    inside the square. A malformed entry raises a ValueError naming it."""
+    pres = [rect_polygon(0.0, 1.0, 0.0, 1.0)]
+    for n, entry in enumerate(entries):
+        try:
+            bounds = [float(x) for x in entry["bounds"]]
+            if len(bounds) != 4:
+                raise ValueError(f"bounds must be [x0, x1, y0, y1], got {entry['bounds']!r}")
+            pres.append(rotate_rect(bounds, float(entry.get("angle", 0.0))))
+            check_inside(pres[0], pres[-1], len(pres) - 1)
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"entry {n}: {type(exc).__name__}: {exc}") from exc
+    return pres
+
+
+def build_part(predomain: ConvexPolygon, k: int, degree: int) -> MultiMeshPart:
+    """The predomain meshed at target size 2^-k, with its degree-p space."""
+    mesh = build_structured_mesh(predomain, 2.0 ** -k)
+    return MultiMeshPart(predomain, mesh, FeSpace(mesh, degree))
+
+
 def build_stack(predomains: list[ConvexPolygon], ks, degree: int) -> MultiMeshConfig:
     """One part per predomain, meshed at target size 2^-k."""
-    parts = []
-    for pre, k in zip(predomains, ks):
-        mesh = build_structured_mesh(pre, 2.0 ** -k)
-        parts.append(MultiMeshPart(pre, mesh, FeSpace(mesh, degree)))
-    return MultiMeshConfig(parts)
+    return MultiMeshConfig([build_part(pre, k, degree) for pre, k in zip(predomains, ks)])
 
 
 def poisson_fields():
@@ -170,27 +192,46 @@ class SolveDidNotConverge(RuntimeError):
     """Raised when a study solve fails to reach the CG tolerance."""
 
 
+def _solve_and_report(tag: str, ks, parts: list[MultiMeshPart], degree: int, params: FormParams,
+                      cg_tol: float) -> analysis.ErrorReport:
+    """The error report of one study stack; nothing else of the solve outlives the call."""
+    u_exact, f, grad_u = poisson_fields()
+    res = solve_poisson(MultiMeshConfig(parts), params, f, u_exact, cg_tol=cg_tol)
+    if not res.report.converged:
+        raise SolveDidNotConverge(
+            f"{tag} (k = {ks}): residual {res.report.relative_residual:.3e} "
+            f"after {res.report.iterations} iterations"
+        )
+    return _error_report(tag, degree, res, u_exact, grad_u)
+
+
 def _solve_stacks(predomains, stacks, degree: int, params: FormParams | None,
                   cg_tol: float) -> list[analysis.ErrorReport]:
     """One error report per (tag, ks) stack, in order. Each distinct ks is
-    solved once; a repeat gets that solve's report under its own tag. Only
-    the reports are kept, so memory does not grow with the number of stacks."""
+    solved once; a repeat gets that solve's report under its own tag.
+
+    Each (part, k) is built once and shared by every stack that has it, and
+    with it what the cut topology keeps on it; it is dropped after the last
+    of them. Only the reports outlive their stacks, so memory does not grow
+    with the number of stacks.
+    """
     params = params if params is not None else FormParams.defaults(degree)
-    u_exact, f, grad_u = poisson_fields()
-    solved: dict[tuple, analysis.ErrorReport] = {}
-    reports = []
+    first: dict[tuple, str] = {}
     for tag, ks in stacks:
-        if ks not in solved:
-            res = solve_poisson(build_stack(predomains, ks, degree), params, f, u_exact,
-                                cg_tol=cg_tol)
-            if not res.report.converged:
-                raise SolveDidNotConverge(
-                    f"{tag} (k = {ks}): residual {res.report.relative_residual:.3e} "
-                    f"after {res.report.iterations} iterations"
-                )
-            solved[ks] = _error_report(tag, degree, res, u_exact, grad_u)
-        reports.append(replace(solved[ks], config=tag))
-    return reports
+        first.setdefault(ks, tag)
+    last_use = {key: n for n, ks in enumerate(first) for key in enumerate(ks)}
+    parts: dict[tuple[int, int], MultiMeshPart] = {}
+    solved: dict[tuple, analysis.ErrorReport] = {}
+    for n, (ks, tag) in enumerate(first.items()):
+        for i, k in enumerate(ks):
+            if (i, k) not in parts:
+                parts[i, k] = build_part(predomains[i], k, degree)
+        solved[ks] = _solve_and_report(tag, ks, [parts[key] for key in enumerate(ks)], degree,
+                                       params, cg_tol)
+        for key in enumerate(ks):
+            if last_use[key] == n:
+                del parts[key]
+    return [replace(solved[ks], config=tag) for tag, ks in stacks]
 
 
 def run_equal_refinement(
@@ -367,12 +408,7 @@ class ExperimentConfig:
         if self.config == "custom":
             if not self.custom_parts:
                 raise ValueError("custom configuration needs a 'parts' list in the JSON config")
-            pres = [rect_polygon(0.0, 1.0, 0.0, 1.0)]
-            for entry in self.custom_parts:
-                pres.append(
-                    rotate_rect(tuple(entry["bounds"]), float(entry.get("angle", 0.0)))
-                )
-            return pres
+            return custom_predomains(self.custom_parts)
         return standard_predomains(self.config)
 
     def resolved(self) -> dict:
@@ -408,6 +444,11 @@ def _read_config_file(path: str) -> dict:
             except argparse.ArgumentError as exc:
                 parser.error(f"{flag.dest} in {path}: {exc.message}")
             data[flag.dest] = getattr(parsed, flag.dest)
+    if data.get("parts") is not None:
+        try:
+            custom_predomains(data["parts"])
+        except (TypeError, ValueError) as exc:
+            parser.error(f"parts in {path}: {exc}")
     return data
 
 

@@ -13,6 +13,15 @@ them on first use: the uncut active cells of a mesh, almost all of them,
 are integrated on the reference triangle, and only the visible pieces of
 the cut cells get mapped rules. A batch is tabulated in each of its meshes
 when it is built, so assembly, the load and the norms only contract it.
+
+Everything is computed per part or per pair of parts and kept on the part,
+or on the lower part of the pair, for as long as that part lives: the grid
+of its mesh; its active cells, visible pieces, the cells each higher
+predomain cuts and its cell batches; per pair, the split interface facets
+and the overlap pieces, with their batches. A stack that shares a part with an earlier one, with the
+same predomains and voids, reuses all of it, and `build_cut_topology` only
+concatenates and sorts the results of its parts and pairs. A study that
+changes one part's mesh at a time thus builds each part and each pair once.
 """
 from __future__ import annotations
 
@@ -45,6 +54,7 @@ from .mesh import MARKER_OUTER, FeSpace, TriMesh, reference_rule
 __all__ = [
     "MultiMeshPart",
     "MultiMeshConfig",
+    "check_inside",
     "Pieces",
     "Facets",
     "Overlaps",
@@ -62,12 +72,18 @@ class ConfigError(ValueError):
     """Raised when a mesh stack violates the stacking rules."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiMeshPart:
+    """One mesh of a stack on its predomain, less its void if it has one.
+    A part does not change: the topology results that depend on it are kept
+    in `kept` (see `_kept`), shared by the stacks that have the part, and
+    die with it."""
+
     predomain: ConvexPolygon
     mesh: TriMesh
     space: FeSpace
     void: ConvexPolygon | None = None
+    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -83,11 +99,7 @@ class MultiMeshConfig:
         for i, part in enumerate(self.parts):
             pre = part.predomain
             if i > 0:
-                for v in pre.vertices:
-                    if not bg.contains_strict(v, tol=1e-12 * bg.scale):
-                        raise ConfigError(
-                            f"part {i} touches or leaves the background boundary"
-                        )
+                check_inside(bg, pre, i)
             expected = pre.area - (part.void.area if part.void is not None else 0.0)
             if abs(part.mesh.area - expected) > 1e-12 * max(pre.area, 1.0):
                 raise ConfigError(
@@ -100,6 +112,13 @@ class MultiMeshConfig:
     @property
     def nparts(self) -> int:
         return len(self.parts)
+
+
+def check_inside(background: ConvexPolygon, predomain: ConvexPolygon, i: int) -> None:
+    """Raise a ConfigError unless predomain i lies strictly inside the
+    background predomain."""
+    if not background.contains_strict(predomain.vertices, tol=1e-12 * background.scale).all():
+        raise ConfigError(f"part {i} touches or leaves the background boundary")
 
 
 class Pieces(NamedTuple):
@@ -223,14 +242,52 @@ def _tabulated(batch: QuadBatch, parts: list[MultiMeshPart]) -> QuadBatch:
     return batch
 
 
-def _pair_groups(rec: _CellPairs):
-    """Facets or overlap pieces grouped by (lower, upper) mesh pair, pairs
-    ascending: yields the pair, the (lower cell, upper cell) rows of its
-    entities and their positions in the record, in record order."""
-    rows = np.stack([rec.lower_mesh, rec.upper_mesh, rec.lower_cell, rec.upper_cell], axis=1)
-    for pair in np.unique(rows[:, :2], axis=0):
-        sel = np.flatnonzero((rows[:, :2] == pair).all(axis=1))
-        yield tuple(pair.tolist()), rows[sel, 2:], sel
+def _kept(part: MultiMeshPart, key, deps: tuple, build):
+    """build(), kept on the part under key and the identity of each of deps.
+    The entry holds deps, so no other object can take their ids while it
+    lives."""
+    key = (key, *map(id, deps))
+    if key not in part.kept:
+        part.kept[key] = (deps, build())
+    return part.kept[key][1]
+
+
+def _shapes(config: MultiMeshConfig) -> tuple:
+    """The predomain and void of every part, in stack order."""
+    return tuple(x for p in config.parts for x in (p.predomain, p.void))
+
+
+def _per_part(step, config: MultiMeshConfig, i: int, *args):
+    """step(config, i, *args): a result of part i that depends on no other
+    mesh, computed once for every stack with the same predomains and voids
+    that has the part at i."""
+    return _kept(config.parts[i], (step.__name__, i, *args), _shapes(config),
+                 lambda: step(config, i, *args))
+
+
+def _per_pair(step, config: MultiMeshConfig, lower: int, upper: int, *args):
+    """step(config, lower, upper, *args): a result of the mesh pair
+    lower < upper, computed once for every stack with the same predomains
+    and voids that has the two parts there. It is kept on the lower part
+    and holds the upper one."""
+    return _kept(config.parts[lower], (step.__name__, lower, upper, *args),
+                 (config.parts[upper], *_shapes(config)),
+                 lambda: step(config, lower, upper, *args))
+
+
+def _grid(part: MultiMeshPart) -> _CellGrid:
+    return _kept(part, "grid", (), lambda: _CellGrid(part.mesh))
+
+
+def _take(rec: _CellPairs, rows: np.ndarray) -> _CellPairs:
+    """The record of the given rows."""
+    return type(rec)(**{name: x[rows] for name, x in vars(rec).items()})
+
+
+def _concat(recs: list[_CellPairs]) -> _CellPairs:
+    """The records one after another; padded vertices to the widest."""
+    return type(recs[0])(**{name: (stack_padded if name == "verts" else np.concatenate)(
+        [vars(r)[name] for r in recs]) for name in vars(recs[0])})
 
 
 class _CellGrid:
@@ -320,6 +377,8 @@ class CutTopology:
     gamma_len: np.ndarray
     overlap_area: np.ndarray                 # [i, j]: total area of the (i, j) overlap pieces
     grids: list[_CellGrid] = field(repr=False)
+    facet_pairs: list[tuple[int, int]]       # (lower, upper) mesh pairs with facets, ascending
+    overlap_pairs: list[tuple[int, int]]     # and with overlap pieces
     _cache: dict = field(repr=False, compare=False, default_factory=dict)
 
     def _cached(self, key, build):
@@ -380,110 +439,100 @@ class CutTopology:
         """Quadrature over the visible pieces of the cut cells, one batch per
         mesh: the mapped rule of the given order on each fan triangle."""
         order = self.quad_order if order is None else order
-        return self._cached(
-            ("cells", order), lambda: [self._cell_batch(i, order) for i in range(self.nparts)]
-        )
-
-    def _cell_batch(self, i: int, order: int) -> QuadBatch:
-        """Entities are the cut cells."""
-        cut, p = self.cut_cells[i], self.visible[i]
-        tris, piece = fan_triangles(p.verts, p.counts)
-        return _triangle_batch(self.parts, (i,), cut[:, None], tris,
-                               np.searchsorted(cut, p.cell[piece]), order)
+        return [_per_part(_cell_batch, self.config, i, order) for i in range(self.nparts)]
 
     def facet_batches(self) -> list[QuadBatch]:
         """Interface facet quadrature, one batch per (lower, upper) mesh pair:
         the Gauss rule of order quad_order on every facet segment."""
-        def build():
-            f = self.facets
-            out = []
-            for meshes, cells, sel in _pair_groups(f):
-                points, weights = segments_quadrature(f.a[sel], f.b[sel], self.quad_order)
-                nq = len(weights) // len(sel)
-                out.append(_tabulated(QuadBatch(meshes, cells, np.arange(len(sel) + 1) * nq,
-                                                points, weights, f.normal[sel]), self.parts))
-            return out
-
-        return self._cached("facets", build)
+        return [_per_pair(_facet_batch, self.config, *pair, self.quad_order)
+                for pair in self.facet_pairs]
 
     def overlap_batches(self) -> list[QuadBatch]:
         """Overlap piece quadrature, one batch per (lower, upper) mesh pair:
         the triangle rule of order quad_order on the fan of every piece."""
-        o = self.overlaps
-        return self._cached("overlaps", lambda: [
-            _triangle_batch(self.parts, meshes, cells,
-                            *fan_triangles(o.verts[sel], o.counts[sel]), self.quad_order)
-            for meshes, cells, sel in _pair_groups(o)
-        ])
+        return [_per_pair(_overlap_batch, self.config, *pair, self.quad_order)
+                for pair in self.overlap_pairs]
 
 
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
 
-def _visible_regions(config: MultiMeshConfig):
-    """Active cell ids and the visible pieces of the cut cells per mesh,
-    and for each pair i < k the cells of mesh i that predomain k cuts: an
-    active cell of mesh i can overlap Q_k with positive area only if it is
-    among them.
+def _part_regions(config: MultiMeshConfig, i: int):
+    """Active cell ids of mesh i, the visible pieces of its cut cells, and
+    for each k > i the cells of mesh i that predomain k cuts: an active cell
+    of mesh i can overlap Q_k with positive area only if it is among them.
 
-    The cut cells of mesh i lose Q_k in one batched subtraction per k; a
-    cell that nothing is left of counts as covered.
+    The cut cells lose Q_k in one batched subtraction per k; a cell that
+    nothing is left of counts as covered.
     """
-    nparts = config.nparts
-    active: list[np.ndarray] = []
-    visible: list[Pieces] = []
-    cut_by: dict[tuple[int, int], np.ndarray] = {}
-    for i, part in enumerate(config.parts):
-        mesh = part.mesh
-        verts = mesh.nodes[mesh.cells]
-        clo, chi = _cell_boxes(verts)
-        scale = part.predomain.scale
-        tol = REL_TOL * max(scale, 1.0)
-        covered = np.zeros(len(mesh.cells), dtype=bool)
-        # the pieces of the cut cells, rows ordered by cell; stale once the
-        # cell is covered
-        p = Pieces(np.zeros((0, 3, 2)), np.zeros(0, dtype=np.int64), np.zeros(0),
-                   np.zeros(0, dtype=np.int64))
-        for k in range(i + 1, nparts):
-            Q = config.parts[k].predomain
-            x0, x1, y0, y1 = Q.bounds()
-            cand = np.flatnonzero(
-                ~covered
-                & (clo[:, 0] <= x1 + tol)
-                & (chi[:, 0] >= x0 - tol)
-                & (clo[:, 1] <= y1 + tol)
-                & (chi[:, 1] >= y0 - tol)
-            )
-            if len(cand) == 0:
-                continue
-            cross, ln = Q._edge_cross(verts[cand])
-            d = cross / ln  # signed distances to the edge lines (nc, 3, nedges)
-            fully_in = np.all(d >= -tol, axis=(1, 2))
-            separated = np.any(np.all(d < -tol, axis=1), axis=1)
-            covered[cand[fully_in]] = True
-            cut = cut_by[i, k] = cand[~fully_in & ~separated]
-            # each cut cell's pieces so far, or the whole cell
-            old = np.isin(p.cell, cut)
-            fresh = cut[~np.isin(cut, p.cell)]
-            src_cell = np.concatenate([p.cell[old], fresh])
-            order = np.argsort(src_cell, kind="stable")
-            v, n, a, row = subtract_polygon(
-                stack_padded([p.verts[old], verts[fresh]])[order],
-                np.concatenate([p.counts[old], np.full(len(fresh), 3)])[order], Q)
-            new_cell = src_cell[order][row]
-            covered[np.setdiff1d(cut, new_cell)] = True
-            order = np.argsort(np.concatenate([p.cell[~old], new_cell]), kind="stable")
-            p = Pieces(stack_padded([p.verts[~old], v])[order], *(
-                np.concatenate([x[~old], y])[order] for x, y in zip(p[1:], (n, a, new_cell))))
-        # a cut cell with a visible area below the floor counts as covered
-        live = ~covered[p.cell]
-        vis_area = np.bincount(p.cell[live], weights=p.areas[live], minlength=len(mesh.cells))
-        covered |= np.isin(np.arange(len(mesh.cells)), p.cell[live]) & (
-            vis_area <= 1e-14 * mesh.cell_areas())
-        active.append(np.flatnonzero(~covered))
-        visible.append(Pieces(*(x[~covered[p.cell]] for x in p)))
-    return active, visible, cut_by
+    part = config.parts[i]
+    mesh = part.mesh
+    verts = mesh.nodes[mesh.cells]
+    clo, chi = _cell_boxes(verts)
+    scale = part.predomain.scale
+    tol = REL_TOL * max(scale, 1.0)
+    covered = np.zeros(len(mesh.cells), dtype=bool)
+    cut_by: dict[int, np.ndarray] = {}
+    # the pieces of the cut cells, rows ordered by cell; stale once the
+    # cell is covered
+    p = Pieces(np.zeros((0, 3, 2)), np.zeros(0, dtype=np.int64), np.zeros(0),
+               np.zeros(0, dtype=np.int64))
+    for k in range(i + 1, config.nparts):
+        Q = config.parts[k].predomain
+        x0, x1, y0, y1 = Q.bounds()
+        cand = np.flatnonzero(
+            ~covered
+            & (clo[:, 0] <= x1 + tol)
+            & (chi[:, 0] >= x0 - tol)
+            & (clo[:, 1] <= y1 + tol)
+            & (chi[:, 1] >= y0 - tol)
+        )
+        if len(cand) == 0:
+            continue
+        cross, ln = Q._edge_cross(verts[cand])
+        d = cross / ln  # signed distances to the edge lines (nc, 3, nedges)
+        fully_in = np.all(d >= -tol, axis=(1, 2))
+        separated = np.any(np.all(d < -tol, axis=1), axis=1)
+        covered[cand[fully_in]] = True
+        cut = cut_by[k] = cand[~fully_in & ~separated]
+        # each cut cell's pieces so far, or the whole cell
+        old = np.isin(p.cell, cut)
+        fresh = cut[~np.isin(cut, p.cell)]
+        src_cell = np.concatenate([p.cell[old], fresh])
+        order = np.argsort(src_cell, kind="stable")
+        v, n, a, row = subtract_polygon(
+            stack_padded([p.verts[old], verts[fresh]])[order],
+            np.concatenate([p.counts[old], np.full(len(fresh), 3)])[order], Q)
+        new_cell = src_cell[order][row]
+        covered[np.setdiff1d(cut, new_cell)] = True
+        order = np.argsort(np.concatenate([p.cell[~old], new_cell]), kind="stable")
+        p = Pieces(stack_padded([p.verts[~old], v])[order], *(
+            np.concatenate([x[~old], y])[order] for x, y in zip(p[1:], (n, a, new_cell))))
+    # a cut cell with a visible area below the floor counts as covered
+    live = ~covered[p.cell]
+    vis_area = np.bincount(p.cell[live], weights=p.areas[live], minlength=len(mesh.cells))
+    covered |= np.isin(np.arange(len(mesh.cells)), p.cell[live]) & (
+        vis_area <= 1e-14 * mesh.cell_areas())
+    return np.flatnonzero(~covered), Pieces(*(x[~covered[p.cell]] for x in p)), cut_by
+
+
+def _visible_regions(config: MultiMeshConfig):
+    """The active cells and visible pieces of every mesh, and the cells of
+    mesh i that predomain k cuts under the key (i, k); see `_part_regions`."""
+    regions = [_per_part(_part_regions, config, i) for i in range(config.nparts)]
+    cut_by = {(i, k): cut for i, r in enumerate(regions) for k, cut in r[2].items()}
+    return [r[0] for r in regions], [r[1] for r in regions], cut_by
+
+
+def _cell_batch(config: MultiMeshConfig, i: int, order: int) -> QuadBatch:
+    """The cut-cell batch of mesh i (see `CutTopology.cell_batches`);
+    entities are the cut cells."""
+    p = _per_part(_part_regions, config, i)[1]
+    cut = np.unique(p.cell)
+    tris, piece = fan_triangles(p.verts, p.counts)
+    return _triangle_batch(config.parts, (i,), cut[:, None], tris,
+                           np.searchsorted(cut, p.cell[piece]), order)
 
 
 def _cell_edges(mesh: TriMesh, cells: np.ndarray):
@@ -550,77 +599,84 @@ def _locate_cells(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray
     return out
 
 
-def _build_facets(config: MultiMeshConfig, active, grids):
-    """Interface facets and |Gamma_i| per mesh: the visible part of each
-    active outer boundary facet of mesh i > 0, split among the lower meshes
-    that own it and at every lower cell edge it crosses.
+def _owned_facets(config: MultiMeshConfig, i: int) -> dict:
+    """The visible part of each active outer boundary facet of mesh i > 0,
+    by the lower mesh j that owns it: {j: (cell, normal, a, b)}, the cell of
+    mesh i and the outward normal of the facet each piece a[n] -> b[n] comes
+    from.
 
-    The facets of mesh i are clipped as one batch per predomain: first the
-    parts under higher predomains go, then each lower predomain, top down,
-    keeps what lies inside it (less its void) and passes the rest on.
+    The facets are clipped as one batch per predomain: first the parts under
+    higher predomains go, then each lower predomain, top down, keeps what
+    lies inside it (less its void) and passes the rest on.
     """
-    nparts = config.nparts
-    masks = [_mask(active[i], len(p.mesh.cells)) for i, p in enumerate(config.parts)]
-    # owned[j]: (upper mesh, upper cell, normal, tol, a, b) arrays per upper
-    # mesh, of the pieces whose topmost visible lower mesh is j
-    owned: list[list[tuple]] = [[] for _ in range(nparts)]
-    for i in range(1, nparts):
-        part = config.parts[i]
-        mesh = part.mesh
-        tol = REL_TOL * max(part.predomain.scale, 1.0)
-        facets = mesh.boundary_facets[
-            (mesh.boundary_markers == MARKER_OUTER) & masks[i][mesh.boundary_facets[:, 0]]]
-        cell, ledge = facets[:, 0], facets[:, 1]
-        a = mesh.nodes[mesh.cells[cell, ledge]]
-        b = mesh.nodes[mesh.cells[cell, (ledge + 1) % 3]]
-        normal = _predomain_edge_normals(part.predomain, a, b, i, cell)
-        src = np.arange(len(a))  # the facet each piece comes from
-        # keep only the part of the facets not covered by higher predomains
-        for k in range(i + 1, nparts):
-            _, (a, b, s) = clip_segments(a, b, config.parts[k].predomain)
-            src = src[s]
-        # ownership: topmost lower mesh whose visible region holds the piece
-        for m in range(i - 1, -1, -1):
-            if len(a) == 0:
-                break
-            (ia, ib, s), (a, b, out) = clip_segments(a, b, config.parts[m].predomain)
-            ins, src = src[s], src[out]
-            if config.parts[m].void is not None:
-                _, (ia, ib, s) = clip_segments(ia, ib, config.parts[m].void)
-                ins = ins[s]
-            d = ib - ia
-            keep = np.hypot(d[:, 0], d[:, 1]) > tol
-            ins = ins[keep]
-            owned[m].append((np.full(len(ins), i), cell[ins], normal[ins], np.full(len(ins), tol),
-                             ia[keep], ib[keep]))
-    rows = [_split_owned(config.parts[j].mesh, grids[j], masks[j], j,
-                         *(np.concatenate(col) for col in zip(*segs)))
-            for j, segs in enumerate(owned) if segs]
-    if not rows:
-        none = np.zeros(0, dtype=np.int64)
-        return Facets(none, none, none, none, *np.zeros((3, 0, 2))), np.zeros(nparts)
-    upper, ucell, lower, lcell, normal, a, b = (np.concatenate(col) for col in zip(*rows))
-    order = np.lexsort((b[:, 1], b[:, 0], a[:, 1], a[:, 0], lcell, lower, ucell, upper))
-    upper, ucell, lower, lcell, normal, a, b = (
-        x[order] for x in (upper, ucell, lower, lcell, normal, a, b))
-    d = b - a
-    gamma_len = np.bincount(upper, weights=np.hypot(d[:, 0], d[:, 1]), minlength=nparts)
-    return Facets(lower, lcell, upper, ucell, a, b, normal), gamma_len
+    part = config.parts[i]
+    mesh = part.mesh
+    tol = REL_TOL * max(part.predomain.scale, 1.0)
+    active = _per_part(_part_regions, config, i)[0]
+    facets = mesh.boundary_facets[(mesh.boundary_markers == MARKER_OUTER)
+                                  & _mask(active, len(mesh.cells))[mesh.boundary_facets[:, 0]]]
+    cell, ledge = facets[:, 0], facets[:, 1]
+    a = mesh.nodes[mesh.cells[cell, ledge]]
+    b = mesh.nodes[mesh.cells[cell, (ledge + 1) % 3]]
+    normal = _predomain_edge_normals(part.predomain, a, b, i, cell)
+    src = np.arange(len(a))  # the facet each piece comes from
+    # keep only the part of the facets not covered by higher predomains
+    for k in range(i + 1, config.nparts):
+        _, (a, b, s) = clip_segments(a, b, config.parts[k].predomain)
+        src = src[s]
+    # ownership: topmost lower mesh whose visible region holds the piece
+    owned = {}
+    for m in range(i - 1, -1, -1):
+        if len(a) == 0:
+            break
+        (ia, ib, s), (a, b, out) = clip_segments(a, b, config.parts[m].predomain)
+        ins, src = src[s], src[out]
+        if config.parts[m].void is not None:
+            _, (ia, ib, s) = clip_segments(ia, ib, config.parts[m].void)
+            ins = ins[s]
+        d = ib - ia
+        keep = np.hypot(d[:, 0], d[:, 1]) > tol
+        ins = ins[keep]
+        owned[m] = (cell[ins], normal[ins], ia[keep], ib[keep])
+    return owned
 
 
-def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, j: int, upper: np.ndarray,
-                 cell: np.ndarray, normal: np.ndarray, tol: np.ndarray, a: np.ndarray,
+def _no_facets() -> Facets:
+    none = np.zeros(0, dtype=np.int64)
+    return Facets(none, none, none, none, *np.zeros((3, 0, 2)))
+
+
+def _pair_facets(config: MultiMeshConfig, j: int, i: int) -> Facets:
+    """The interface facets between upper mesh i and lower mesh j: the
+    pieces of the facets of mesh i that mesh j owns, split where they cross
+    its cell edges, each paired with the active cell of mesh j holding its
+    midpoint. Sorted by upper cell, lower cell and endpoints, as in the
+    topology."""
+    owned = _per_part(_owned_facets, config, i).get(j)
+    if owned is None:
+        return _no_facets()
+    cell, normal, a, b = owned
+    tol = REL_TOL * max(config.parts[i].predomain.scale, 1.0)
+    active = _per_part(_part_regions, config, j)[0]
+    lmesh = config.parts[j].mesh
+    s, lcell, pa, pb = _split_owned(lmesh, _grid(config.parts[j]),
+                                    _mask(active, len(lmesh.cells)), tol, a, b)
+    f = Facets(np.full(len(s), j), lcell, np.full(len(s), i), cell[s], pa, pb, normal[s])
+    return _take(f, np.lexsort((pb[:, 1], pb[:, 0], pa[:, 1], pa[:, 0], lcell, cell[s])))
+
+
+def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, tol: float, a: np.ndarray,
                  b: np.ndarray):
-    """Split the segments a[n] -> b[n] owned by mesh j where they cross its
-    cell edges and pair each sub-segment with the active cell holding its
-    midpoint. Returns per sub-segment: upper mesh and cell, lower mesh and
-    cell, normal and endpoints."""
+    """Split the segments a[n] -> b[n] where they cross the cell edges of
+    the mesh and pair each sub-segment with the active cell holding its
+    midpoint. Returns per sub-segment: the segment it comes from, the cell
+    and the endpoints."""
     n = len(a)
     d = b - a
     length = np.hypot(d[:, 0], d[:, 1])
-    q, c = grid.query_bboxes(np.minimum(a, b) - tol[:, None], np.maximum(a, b) + tol[:, None])
+    q, c = grid.query_bboxes(np.minimum(a, b) - tol, np.maximum(a, b) + tol)
     tris, e, ln = _cell_edges(mesh, c)
-    t_lo, t_hi, hit = segment_params(a[q], b[q], tris, e, ln, tol[q])
+    t_lo, t_hi, hit = segment_params(a[q], b[q], tris, e, ln, np.full(len(q), tol))
     # split parameters per segment: both ends and every cell entry and exit,
     # sorted, exact repeats dropped (ends first, so 0.0 beats -0.0)
     seg = np.concatenate([np.arange(n), np.arange(n), q[hit], q[hit]])
@@ -631,14 +687,23 @@ def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, j: int, upper
     new[1:] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
     seg, t = seg[new], t[new]
     ta, tb, s = t[:-1], t[1:], seg[:-1]
-    keep = np.flatnonzero((seg[1:] == s) & (tb - ta > tol[s] / length[s]))
+    keep = np.flatnonzero((seg[1:] == s) & (tb - ta > tol / length[s]))
     ta, tb, s = ta[keep, None], tb[keep, None], s[keep]
     pa = a[s] + ta * (b[s] - a[s])
     pb = a[s] + tb * (b[s] - a[s])
-    lower = _locate_cells(mesh, grid, 0.5 * (pa + pb), tol[s], mask)
+    lower = _locate_cells(mesh, grid, 0.5 * (pa + pb), np.full(len(s), tol), mask)
     ok = lower >= 0  # else a rounding sliver outside the lower mesh
-    s = s[ok]
-    return upper[s], cell[s], np.full(len(s), j), lower[ok], normal[s], pa[ok], pb[ok]
+    return s[ok], lower[ok], pa[ok], pb[ok]
+
+
+def _facet_batch(config: MultiMeshConfig, j: int, i: int, order: int) -> QuadBatch:
+    """The facet batch of the mesh pair j < i (see `CutTopology.facet_batches`)."""
+    f = _per_pair(_pair_facets, config, j, i)
+    points, weights = segments_quadrature(f.a, f.b, order)
+    nq = len(weights) // len(f)
+    return _tabulated(QuadBatch((j, i), np.stack([f.lower_cell, f.upper_cell], axis=1),
+                                np.arange(len(f) + 1) * nq, points, weights, f.normal),
+                      config.parts)
 
 
 # Triangle pairs that an edge normal separates by more than SAT_MARGIN times
@@ -671,80 +736,108 @@ def _sat_separated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return separated
 
 
-def _build_overlaps(config: MultiMeshConfig, active, cut_by, grids):
-    """Overlap pieces and their total area per mesh pair: each active cell
-    of mesh i that Q_j cuts, intersected with the active cells of mesh j
-    near it, minus all higher predomains.
+def _pair_overlaps(config: MultiMeshConfig, i: int, j: int):
+    """The overlap pieces of the mesh pair i < j: each active cell of mesh i
+    that Q_j cuts, intersected with the active cells of mesh j near it,
+    minus all higher predomains. Sorted by lower cell, upper cell and
+    centroid, as in the topology; returns the record and the centroids it
+    sorts by, which only the pieces of a cell pair with several need
+    (zero elsewhere).
 
-    Candidate (lower, upper) pairs come from one bulk grid query per mesh
-    pair; a separating-axis test drops the pairs that cannot intersect, the
-    rest are clipped as one batch, and each higher predomain is subtracted
-    from all their pieces at once.
+    Candidate (lower, upper) pairs come from one bulk grid query; a
+    separating-axis test drops the pairs that cannot intersect, the rest are
+    clipped as one batch, and each higher predomain is subtracted from all
+    their pieces at once.
     """
-    nparts = config.nparts
-    rows = []  # per mesh pair: lower mesh and cell, upper mesh and cell, pieces
-    for (i, j), cut in sorted(cut_by.items()):
-        lmesh, umesh = config.parts[i].mesh, config.parts[j].mesh
-        lower = cut[_mask(active[i], len(lmesh.cells))[cut]]
-        lverts = lmesh.nodes[lmesh.cells[lower]]
-        uverts = umesh.nodes[umesh.cells]
-        tol = REL_TOL * max(config.parts[j].predomain.scale, 1.0)
-        llo, lhi = _cell_boxes(lverts)
-        q, cu = grids[j].query_bboxes(llo - tol, lhi + tol)
-        keep = _mask(active[j], len(umesh.cells))[cu]
-        q, cu = q[keep], cu[keep]
-        keep = ~_sat_separated(lverts[q], uverts[cu])
-        q, cu = q[keep], cu[keep]
-        upper, which = np.unique(cu, return_inverse=True)
-        v, n, a = clip_polygons(lverts[q], np.full(len(q), 3), uverts[upper], which)
-        pair = np.flatnonzero(n)
-        v, n, a = v[pair], n[pair], a[pair]
-        for k in range(j + 1, nparts):
-            if len(pair) == 0:
-                break
-            v, n, a, s = subtract_polygon(v, n, config.parts[k].predomain)
-            pair = pair[s]
-        rows.append((np.full(len(pair), i), lower[q[pair]], np.full(len(pair), j), cu[pair],
-                     v, n, a))
-    if not rows:
-        none = np.zeros(0, dtype=np.int64)
-        return (Overlaps(none, none, none, none, np.zeros((0, 0, 2)), none, np.zeros(0)),
-                np.zeros((nparts, nparts)))
-    lm, lc, um, uc, n, a = (np.concatenate([r[k] for r in rows]) for k in (0, 1, 2, 3, 5, 6))
-    v = stack_padded([r[4] for r in rows])
-    # order by (lower mesh, lower cell, upper mesh, upper cell, centroid);
-    # only the pieces of a cell pair with several need their centroid
+    lmesh, umesh = config.parts[i].mesh, config.parts[j].mesh
+    active_i, _, cut_by = _per_part(_part_regions, config, i)
+    active_j = _per_part(_part_regions, config, j)[0]
+    cut = cut_by[j]
+    lower = cut[_mask(active_i, len(lmesh.cells))[cut]]
+    lverts = lmesh.nodes[lmesh.cells[lower]]
+    uverts = umesh.nodes[umesh.cells]
+    tol = REL_TOL * max(config.parts[j].predomain.scale, 1.0)
+    llo, lhi = _cell_boxes(lverts)
+    q, cu = _grid(config.parts[j]).query_bboxes(llo - tol, lhi + tol)
+    keep = _mask(active_j, len(umesh.cells))[cu]
+    q, cu = q[keep], cu[keep]
+    keep = ~_sat_separated(lverts[q], uverts[cu])
+    q, cu = q[keep], cu[keep]
+    upper, which = np.unique(cu, return_inverse=True)
+    v, n, a = clip_polygons(lverts[q], np.full(len(q), 3), uverts[upper], which)
+    pair = np.flatnonzero(n)
+    v, n, a = v[pair], n[pair], a[pair]
+    for k in range(j + 1, config.nparts):
+        if len(pair) == 0:
+            break
+        v, n, a, s = subtract_polygon(v, n, config.parts[k].predomain)
+        pair = pair[s]
+    lc, uc = lower[q[pair]], cu[pair]
     cent = np.zeros((len(n), 2))
-    same = np.flatnonzero((lm[1:] == lm[:-1]) & (lc[1:] == lc[:-1])
-                          & (um[1:] == um[:-1]) & (uc[1:] == uc[:-1]))
+    same = np.flatnonzero((lc[1:] == lc[:-1]) & (uc[1:] == uc[:-1]))
     tied = np.union1d(same, same + 1)
     cent[tied] = centroids(v[tied], n[tied], a[tied])
-    order = np.lexsort((cent[:, 1], cent[:, 0], uc, um, lc, lm))
-    lm, lc, um, uc, v, n, a = (x[order] for x in (lm, lc, um, uc, v, n, a))
-    area = np.bincount(lm * nparts + um, weights=a, minlength=nparts * nparts)
-    return Overlaps(lm, lc, um, uc, v, n, a), area.reshape(nparts, nparts)
+    order = np.lexsort((cent[:, 1], cent[:, 0], uc, lc))
+    o = Overlaps(np.full(len(pair), i), lc, np.full(len(pair), j), uc, v, n, a)
+    return _take(o, order), cent[order]
+
+
+def _overlap_batch(config: MultiMeshConfig, i: int, j: int, order: int) -> QuadBatch:
+    """The overlap batch of the mesh pair i < j (see
+    `CutTopology.overlap_batches`)."""
+    o = _per_pair(_pair_overlaps, config, i, j)[0]
+    return _triangle_batch(config.parts, (i, j), np.stack([o.lower_cell, o.upper_cell], axis=1),
+                           *fan_triangles(o.verts, o.counts), order)
 
 
 def build_cut_topology(config: MultiMeshConfig, quad_order: int = 2) -> CutTopology:
     """Construct the full cut topology of a mesh stack. quad_order is the
-    order of the facet and overlap batches and the default cell order."""
+    order of the facet and overlap batches and the default cell order.
+
+    The records of the parts and pairs, built or kept from an earlier stack
+    that shares them, are concatenated in pair order and sorted: the facets
+    by upper mesh and cell, lower mesh and cell, then endpoints; the overlap
+    pieces by lower mesh and cell, upper mesh and cell, then centroid.
+    """
+    n = config.nparts
     active, visible, cut_by = _visible_regions(config)
-    grids = [_CellGrid(p.mesh) for p in config.parts]
-    facets, gamma_len = _build_facets(config, active, grids)
-    overlaps, overlap_area = _build_overlaps(config, active, cut_by, grids)
+    pairs = [(j, i) for j in range(n) for i in range(j + 1, n)]
+    facets = {pair: _per_pair(_pair_facets, config, *pair) for pair in pairs}
+    overlaps = {pair: _per_pair(_pair_overlaps, config, *pair) for pair in sorted(cut_by)}
+    facet_pairs = [pair for pair, f in facets.items() if len(f)]
+    if facet_pairs:
+        f = _concat([facets[pair] for pair in facet_pairs])
+        f = _take(f, np.lexsort((f.b[:, 1], f.b[:, 0], f.a[:, 1], f.a[:, 0], f.lower_cell,
+                                 f.lower_mesh, f.upper_cell, f.upper_mesh)))
+    else:
+        f = _no_facets()
+    d = f.b - f.a
+    gamma_len = np.bincount(f.upper_mesh, weights=np.hypot(d[:, 0], d[:, 1]), minlength=n)
+    if overlaps:
+        o = _concat([rec for rec, _ in overlaps.values()])
+        cent = np.concatenate([c for _, c in overlaps.values()])
+        o = _take(o, np.lexsort((cent[:, 1], cent[:, 0], o.upper_cell, o.upper_mesh,
+                                 o.lower_cell, o.lower_mesh)))
+    else:
+        none = np.zeros(0, dtype=np.int64)
+        o = Overlaps(none, none, none, none, np.zeros((0, 0, 2)), none, np.zeros(0))
+    overlap_area = np.bincount(o.lower_mesh * n + o.upper_mesh, weights=o.areas,
+                               minlength=n * n).reshape(n, n)
     topo = CutTopology(
         config=config,
         quad_order=quad_order,
         active=active,
         cut_cells=[np.unique(p.cell) for p in visible],
         visible=visible,
-        facets=facets,
-        overlaps=overlaps,
+        facets=f,
+        overlaps=o,
         N_O=0,
         N_Oi=None,
         gamma_len=gamma_len,
         overlap_area=overlap_area,
-        grids=grids,
+        grids=[_grid(p) for p in config.parts],
+        facet_pairs=facet_pairs,
+        overlap_pairs=[pair for pair, (rec, _) in overlaps.items() if len(rec)],
     )
     _, topo.N_O, topo.N_Oi = compute_delta_NO(topo)
     return topo

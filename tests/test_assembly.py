@@ -21,6 +21,7 @@ from stackfem.assembly import (
     dump_matrixmarket,
     kappa_weights,
 )
+from stackfem.cli import build_stack, standard_predomains
 from stackfem.multimesh import build_cut_topology
 from stackfem.solver import CsrMatrix, cg_solve
 
@@ -230,6 +231,22 @@ class TestSystemProperties:
         red = apply_dirichlet(system, load, bc, topo)
         evals = np.linalg.eigvalsh(red.matrix.todense())
         assert evals[0] > 0.0
+
+    @pytest.mark.parametrize("name, k, degree", [("II", 6, 1), ("I", 4, 2)])
+    def test_system_is_the_three_terms_in_order(self, name, k, degree):
+        """assemble_system writes the terms into one set of arrays; its CSR
+        arrays equal, bit for bit, those of the three terms' triplets
+        concatenated (volume, interface, stabilization)."""
+        topo = build_cut_topology(build_stack(standard_predomains(name), [k] * 3, degree),
+                                  2 * degree)
+        params = FormParams.defaults(degree)
+        got = assemble_system(topo, params).matrix.csr
+        want = _matrix_from(map(np.concatenate, zip(
+            assemble_volume(topo, params), assemble_interface(topo, params),
+            assemble_stabilization(topo, params))), topo.total_dim).csr
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), attr
 
     def test_p2_patch_single_mesh(self):
         # P2 reproduces quadratics: u = x^2 + y^2 with f = -4

@@ -409,6 +409,21 @@ class TestCustomStack:
         assert cond[0] == ["h", "kappa"] and cond[-1][0] == "slope" and len(cond) == 4
         assert all(float(r[1]) > 1.0 for r in cond[1:-1])
 
+    @pytest.mark.parametrize("bounds, why", [
+        ([0.2, 0.6, 0.2], "bounds must be [x0, x1, y0, y1]"),
+        ([0.2, 1.6, 0.2, 0.6], "part 1 touches or leaves the background boundary"),
+    ])
+    def test_malformed_part_is_a_usage_error(self, tmp_path, capsys, bounds, why):
+        cfg_path = tmp_path / "custom.json"
+        cfg_path.write_text(json.dumps({"config": "custom", "parts": [{"bounds": bounds}]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stackfem")
+        assert f"error: parts in {cfg_path}: entry 0: " in err and why in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestFullRange:
     @staticmethod
