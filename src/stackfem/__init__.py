@@ -9,11 +9,6 @@ that keeps the formulation stable for arbitrary mesh-size ratios.
 
 from .geom2d import (
     ConvexPolygon,
-    PolySet,
-    Segment,
-    clip_segment,
-    convex_difference,
-    convex_intersect,
     rect_polygon,
     regular_polygon,
     rotate_rect,
@@ -24,7 +19,6 @@ from .multimesh import (
     MultiMeshConfig,
     MultiMeshPart,
     build_cut_topology,
-    compute_delta_NO,
     point_locate,
 )
 from .assembly import (

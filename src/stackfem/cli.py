@@ -469,6 +469,15 @@ def _load_experiment(args, k_range: tuple[int, int] = (3, 6),
     return cfg
 
 
+def _predomains(cfg: ExperimentConfig) -> list[ConvexPolygon]:
+    """The stack's predomains. A custom stack without parts is argparse's
+    usage error (exit status 2)."""
+    if cfg.config == "custom" and not cfg.custom_parts:
+        argparse.ArgumentParser(prog="stackfem").error(
+            "--mm-config custom needs a 'parts' list in the JSON file given by --config")
+    return cfg.predomains()
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -491,9 +500,9 @@ def _write_meta(outdir: Path, cfg: ExperimentConfig, extra: dict | None = None,
 
 def _cmd_solve(args) -> int:
     cfg = _load_experiment(args)
+    predomains = _predomains(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    predomains = cfg.predomains()
     u_exact, f, grad_u = poisson_fields()
     k = cfg.k_min if args.k is None else args.k
     config = build_stack(predomains, [k] * len(predomains), cfg.degree)
@@ -520,9 +529,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_convergence(args) -> int:
     cfg = _load_experiment(args)
+    predomains = _predomains(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    predomains = cfg.predomains()
     mode = "equal" if args.equal else "permutations"
     if args.equal:
         reports = run_equal_refinement(cfg.config, predomains, range(cfg.k_min, cfg.k_max + 1),
@@ -541,10 +550,11 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_condition(args) -> int:
     cfg = _load_experiment(args, k_range=(2, 5))
+    predomains = _predomains(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, slope = run_condition_study(
-        cfg.predomains(), range(cfg.k_min, cfg.k_max + 1), cfg.degree,
+        predomains, range(cfg.k_min, cfg.k_max + 1), cfg.degree,
         cfg.form_params(), seed=cfg.seed,
     )
     _write_csv(outdir / "results.csv", ["h", "kappa"],

@@ -56,7 +56,6 @@ def polygon_area(vertices) -> float:
     """Signed shoelace area of a closed polygon, (n, 2) array or vertex list."""
     if isinstance(vertices, np.ndarray):
         vertices = vertices.tolist()
-    n = len(vertices)
     s = 0.0
     xp, yp = vertices[-1]
     for x, y in vertices:

@@ -8,20 +8,22 @@ combinatorial overlap counts driving the conditioning diagnostics.
 
 The topology keeps the arrays the clipping kernels return: convex pieces as
 padded vertex batches, facets as endpoint and normal arrays, and the cells
-of each entity as parallel int arrays. Quadrature batches are built from
-them on first use: the uncut active cells of a mesh, almost all of them,
-are integrated on the reference triangle, and only the visible pieces of
-the cut cells get mapped rules. A batch is tabulated in each of its meshes
-when it is built, so assembly, the load and the norms only contract it.
+of each entity as parallel int arrays. The uncut active cells of a mesh,
+almost all of them, are integrated on the reference triangle, and only the
+visible pieces of the cut cells, the facets and the overlap pieces get
+quadrature batches: mapped rules, tabulated in each of their meshes when
+built, so assembly, the load and the norms only contract them.
 
 Everything is computed per part or per pair of parts and kept on the part,
-or on the lower part of the pair, for as long as that part lives: the grid
-of its mesh; its active cells, visible pieces, the cells each higher
-predomain cuts and its cell batches; per pair, the split interface facets
-and the overlap pieces, with their batches. A stack that shares a part with an earlier one, with the
-same predomains and voids, reuses all of it, and `build_cut_topology` only
-concatenates and sorts the results of its parts and pairs. A study that
-changes one part's mesh at a time thus builds each part and each pair once.
+or on the lower part of the pair, for as long as that part lives. Per part
+that is the grid of its mesh, one regions record (active, uncut and cut
+cells, visible pieces and the cells each higher predomain cuts) and its
+cell batches; per pair, the split interface facets and the overlap pieces,
+with their batches. The batches are built when first asked for, the rest
+when the topology is. A stack that shares a part with an earlier one, with
+the same predomains and voids, reuses all of it: `build_cut_topology` only
+concatenates and sorts the records of its parts and pairs, so a study that
+changes one part's mesh at a time builds each part and each pair once.
 """
 from __future__ import annotations
 
@@ -62,7 +64,6 @@ __all__ = [
     "UncutCells",
     "CutTopology",
     "build_cut_topology",
-    "compute_delta_NO",
     "point_locate",
     "dump_topology_csv",
 ]
@@ -165,6 +166,11 @@ class Overlaps(_CellPairs):
     verts: np.ndarray
     counts: np.ndarray
     areas: np.ndarray
+
+
+_NONE = np.zeros(0, dtype=np.int64)
+_NO_FACETS = Facets(_NONE, _NONE, _NONE, _NONE, *np.zeros((3, 0, 2)))
+_NO_OVERLAPS = Overlaps(_NONE, _NONE, _NONE, _NONE, np.zeros((0, 0, 2)), _NONE, np.zeros(0))
 
 
 @dataclass
@@ -284,8 +290,11 @@ def _take(rec: _CellPairs, rows: np.ndarray) -> _CellPairs:
     return type(rec)(**{name: x[rows] for name, x in vars(rec).items()})
 
 
-def _concat(recs: list[_CellPairs]) -> _CellPairs:
-    """The records one after another; padded vertices to the widest."""
+def _concat(recs: list[_CellPairs], empty: _CellPairs) -> _CellPairs:
+    """The records one after another, padded vertices to the widest; empty
+    if there are none."""
+    if not recs:
+        return empty
     return type(recs[0])(**{name: (stack_padded if name == "verts" else np.concatenate)(
         [vars(r)[name] for r in recs]) for name in vars(recs[0])})
 
@@ -357,34 +366,31 @@ def _cell_boxes(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
 
 
-def _mask(ids: np.ndarray, n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
-    return mask
-
-
-@dataclass
+@dataclass(frozen=True)
 class CutTopology:
+    """The cut topology of a stack, as `build_cut_topology` builds it.
+
+    active, uncut, cut_cells and visible are read off the regions record
+    each part keeps (see `_part_regions`). facets and overlaps are the
+    records each pair of parts keeps, concatenated and sorted; gamma_len,
+    overlap_area, N_O and N_Oi are summed from them. The quadrature batches
+    are kept per part and per pair too, built when first asked for.
+    """
+
     config: MultiMeshConfig
     quad_order: int
     active: list[np.ndarray]                 # sorted active cell ids per mesh
-    cut_cells: list[np.ndarray]              # sorted ids of the cells actually cut
+    uncut: list[np.ndarray]                  # sorted ids of the active cells not cut
+    cut_cells: list[np.ndarray]              # sorted ids of the active cells cut
     visible: list[Pieces]                    # visible pieces of those cells
     facets: Facets
     overlaps: Overlaps
-    N_O: int
-    N_Oi: np.ndarray
+    N_O: int                                 # 1 + most meshes any mesh overlaps, above or below
+    N_Oi: np.ndarray                         # [i]: meshes below i that it overlaps
     gamma_len: np.ndarray
     overlap_area: np.ndarray                 # [i, j]: total area of the (i, j) overlap pieces
-    grids: list[_CellGrid] = field(repr=False)
     facet_pairs: list[tuple[int, int]]       # (lower, upper) mesh pairs with facets, ascending
     overlap_pairs: list[tuple[int, int]]     # and with overlap pieces
-    _cache: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
 
     @property
     def nparts(self) -> int:
@@ -405,22 +411,12 @@ class CutTopology:
     def total_dim(self) -> int:
         return int(sum(p.space.dim for p in self.parts))
 
-    def is_active(self, i: int) -> np.ndarray:
-        return self._cached(
-            ("active", i), lambda: _mask(self.active[i], len(self.parts[i].mesh.cells))
-        )
-
-    def uncut_active(self, i: int) -> np.ndarray:
-        return self._cached(
-            ("uncut", i), lambda: self.active[i][~np.isin(self.active[i], self.cut_cells[i])]
-        )
-
     def visible_area(self, i: int) -> float:
         areas = self.parts[i].mesh.cell_areas()
         p = self.visible[i]
         # the pieces of each cut cell, then the cut cells, summed in order
         cut = np.bincount(p.cell, weights=p.areas)[self.cut_cells[i]]
-        return float(areas[self.uncut_active(i)].sum()) + sum(cut.tolist())
+        return float(areas[self.uncut[i]].sum()) + sum(cut.tolist())
 
     def active_dofs(self, i: int) -> np.ndarray:
         space = self.parts[i].space
@@ -432,7 +428,7 @@ class CutTopology:
         """Quadrature over the visible region of every active cell, per mesh:
         its uncut active cells, on the reference triangle, and the batch
         over the visible pieces of its cut cells."""
-        return [(UncutCells(i, part.space, self.uncut_active(i)), batch)
+        return [(UncutCells(i, part.space, self.uncut[i]), batch)
                 for i, (part, batch) in enumerate(zip(self.parts, self.cell_batches(order)))]
 
     def cell_batches(self, order: int | None = None) -> list[QuadBatch]:
@@ -458,10 +454,20 @@ class CutTopology:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _part_regions(config: MultiMeshConfig, i: int):
-    """Active cell ids of mesh i, the visible pieces of its cut cells, and
-    for each k > i the cells of mesh i that predomain k cuts: an active cell
-    of mesh i can overlap Q_k with positive area only if it is among them.
+class _Regions(NamedTuple):
+    """What mesh i keeps of the higher predomains; see `_part_regions`."""
+
+    active: np.ndarray             # sorted active cell ids
+    active_mask: np.ndarray        # (ncells,): True at the active cells
+    uncut: np.ndarray              # sorted ids of the active cells not cut
+    cut: np.ndarray                # and of those cut
+    visible: Pieces                # visible pieces of the cut cells
+    cut_by: dict[int, np.ndarray]  # [k > i]: the cells predomain k cuts
+
+
+def _part_regions(config: MultiMeshConfig, i: int) -> _Regions:
+    """The regions record of mesh i. An active cell of mesh i can overlap
+    Q_k with positive area only if it is among the cells Q_k cuts.
 
     The cut cells lose Q_k in one batched subtraction per k; a cell that
     nothing is left of counts as covered.
@@ -514,25 +520,19 @@ def _part_regions(config: MultiMeshConfig, i: int):
     vis_area = np.bincount(p.cell[live], weights=p.areas[live], minlength=len(mesh.cells))
     covered |= np.isin(np.arange(len(mesh.cells)), p.cell[live]) & (
         vis_area <= 1e-14 * mesh.cell_areas())
-    return np.flatnonzero(~covered), Pieces(*(x[~covered[p.cell]] for x in p)), cut_by
-
-
-def _visible_regions(config: MultiMeshConfig):
-    """The active cells and visible pieces of every mesh, and the cells of
-    mesh i that predomain k cuts under the key (i, k); see `_part_regions`."""
-    regions = [_per_part(_part_regions, config, i) for i in range(config.nparts)]
-    cut_by = {(i, k): cut for i, r in enumerate(regions) for k, cut in r[2].items()}
-    return [r[0] for r in regions], [r[1] for r in regions], cut_by
+    active = np.flatnonzero(~covered)
+    visible = Pieces(*(x[~covered[p.cell]] for x in p))
+    cut = np.unique(visible.cell)
+    return _Regions(active, ~covered, active[~np.isin(active, cut)], cut, visible, cut_by)
 
 
 def _cell_batch(config: MultiMeshConfig, i: int, order: int) -> QuadBatch:
     """The cut-cell batch of mesh i (see `CutTopology.cell_batches`);
     entities are the cut cells."""
-    p = _per_part(_part_regions, config, i)[1]
-    cut = np.unique(p.cell)
-    tris, piece = fan_triangles(p.verts, p.counts)
-    return _triangle_batch(config.parts, (i,), cut[:, None], tris,
-                           np.searchsorted(cut, p.cell[piece]), order)
+    r = _per_part(_part_regions, config, i)
+    tris, piece = fan_triangles(r.visible.verts, r.visible.counts)
+    return _triangle_batch(config.parts, (i,), r.cut[:, None], tris,
+                           np.searchsorted(r.cut, r.visible.cell[piece]), order)
 
 
 def _cell_edges(mesh: TriMesh, cells: np.ndarray):
@@ -612,9 +612,9 @@ def _owned_facets(config: MultiMeshConfig, i: int) -> dict:
     part = config.parts[i]
     mesh = part.mesh
     tol = REL_TOL * max(part.predomain.scale, 1.0)
-    active = _per_part(_part_regions, config, i)[0]
+    active = _per_part(_part_regions, config, i).active_mask
     facets = mesh.boundary_facets[(mesh.boundary_markers == MARKER_OUTER)
-                                  & _mask(active, len(mesh.cells))[mesh.boundary_facets[:, 0]]]
+                                  & active[mesh.boundary_facets[:, 0]]]
     cell, ledge = facets[:, 0], facets[:, 1]
     a = mesh.nodes[mesh.cells[cell, ledge]]
     b = mesh.nodes[mesh.cells[cell, (ledge + 1) % 3]]
@@ -641,11 +641,6 @@ def _owned_facets(config: MultiMeshConfig, i: int) -> dict:
     return owned
 
 
-def _no_facets() -> Facets:
-    none = np.zeros(0, dtype=np.int64)
-    return Facets(none, none, none, none, *np.zeros((3, 0, 2)))
-
-
 def _pair_facets(config: MultiMeshConfig, j: int, i: int) -> Facets:
     """The interface facets between upper mesh i and lower mesh j: the
     pieces of the facets of mesh i that mesh j owns, split where they cross
@@ -654,13 +649,11 @@ def _pair_facets(config: MultiMeshConfig, j: int, i: int) -> Facets:
     topology."""
     owned = _per_part(_owned_facets, config, i).get(j)
     if owned is None:
-        return _no_facets()
+        return _NO_FACETS
     cell, normal, a, b = owned
     tol = REL_TOL * max(config.parts[i].predomain.scale, 1.0)
-    active = _per_part(_part_regions, config, j)[0]
-    lmesh = config.parts[j].mesh
-    s, lcell, pa, pb = _split_owned(lmesh, _grid(config.parts[j]),
-                                    _mask(active, len(lmesh.cells)), tol, a, b)
+    s, lcell, pa, pb = _split_owned(config.parts[j].mesh, _grid(config.parts[j]),
+                                    _per_part(_part_regions, config, j).active_mask, tol, a, b)
     f = Facets(np.full(len(s), j), lcell, np.full(len(s), i), cell[s], pa, pb, normal[s])
     return _take(f, np.lexsort((pb[:, 1], pb[:, 0], pa[:, 1], pa[:, 0], lcell, cell[s])))
 
@@ -739,10 +732,8 @@ def _sat_separated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _pair_overlaps(config: MultiMeshConfig, i: int, j: int):
     """The overlap pieces of the mesh pair i < j: each active cell of mesh i
     that Q_j cuts, intersected with the active cells of mesh j near it,
-    minus all higher predomains. Sorted by lower cell, upper cell and
-    centroid, as in the topology; returns the record and the centroids it
-    sorts by, which only the pieces of a cell pair with several need
-    (zero elsewhere).
+    minus all higher predomains. Sorted by lower cell, upper cell and, for
+    the pieces of a cell pair with several, centroid.
 
     Candidate (lower, upper) pairs come from one bulk grid query; a
     separating-axis test drops the pairs that cannot intersect, the rest are
@@ -750,16 +741,15 @@ def _pair_overlaps(config: MultiMeshConfig, i: int, j: int):
     their pieces at once.
     """
     lmesh, umesh = config.parts[i].mesh, config.parts[j].mesh
-    active_i, _, cut_by = _per_part(_part_regions, config, i)
-    active_j = _per_part(_part_regions, config, j)[0]
-    cut = cut_by[j]
-    lower = cut[_mask(active_i, len(lmesh.cells))[cut]]
+    regions = _per_part(_part_regions, config, i)
+    cut = regions.cut_by[j]
+    lower = cut[regions.active_mask[cut]]
     lverts = lmesh.nodes[lmesh.cells[lower]]
     uverts = umesh.nodes[umesh.cells]
     tol = REL_TOL * max(config.parts[j].predomain.scale, 1.0)
     llo, lhi = _cell_boxes(lverts)
     q, cu = _grid(config.parts[j]).query_bboxes(llo - tol, lhi + tol)
-    keep = _mask(active_j, len(umesh.cells))[cu]
+    keep = _per_part(_part_regions, config, j).active_mask[cu]
     q, cu = q[keep], cu[keep]
     keep = ~_sat_separated(lverts[q], uverts[cu])
     q, cu = q[keep], cu[keep]
@@ -778,14 +768,13 @@ def _pair_overlaps(config: MultiMeshConfig, i: int, j: int):
     tied = np.union1d(same, same + 1)
     cent[tied] = centroids(v[tied], n[tied], a[tied])
     order = np.lexsort((cent[:, 1], cent[:, 0], uc, lc))
-    o = Overlaps(np.full(len(pair), i), lc, np.full(len(pair), j), uc, v, n, a)
-    return _take(o, order), cent[order]
+    return _take(Overlaps(np.full(len(pair), i), lc, np.full(len(pair), j), uc, v, n, a), order)
 
 
 def _overlap_batch(config: MultiMeshConfig, i: int, j: int, order: int) -> QuadBatch:
     """The overlap batch of the mesh pair i < j (see
     `CutTopology.overlap_batches`)."""
-    o = _per_pair(_pair_overlaps, config, i, j)[0]
+    o = _per_pair(_pair_overlaps, config, i, j)
     return _triangle_batch(config.parts, (i, j), np.stack([o.lower_cell, o.upper_cell], axis=1),
                            *fan_triangles(o.verts, o.counts), order)
 
@@ -795,70 +784,47 @@ def build_cut_topology(config: MultiMeshConfig, quad_order: int = 2) -> CutTopol
     order of the facet and overlap batches and the default cell order.
 
     The records of the parts and pairs, built or kept from an earlier stack
-    that shares them, are concatenated in pair order and sorted: the facets
-    by upper mesh and cell, lower mesh and cell, then endpoints; the overlap
-    pieces by lower mesh and cell, upper mesh and cell, then centroid.
+    that shares them, are concatenated and sorted: the facets by upper mesh
+    and cell, lower mesh and cell, then endpoints; the overlap pieces by
+    lower mesh and cell, upper mesh and cell, then centroid. The record of
+    each pair is sorted already, and the pairs are concatenated in
+    ascending order, so a stable sort by the first two keys gives that order.
+
+    N_O is one more than the most meshes that any mesh overlaps with
+    positive area, above or below it; N_Oi[i] counts the meshes below i
+    that it overlaps.
     """
     n = config.nparts
-    active, visible, cut_by = _visible_regions(config)
-    pairs = [(j, i) for j in range(n) for i in range(j + 1, n)]
-    facets = {pair: _per_pair(_pair_facets, config, *pair) for pair in pairs}
-    overlaps = {pair: _per_pair(_pair_overlaps, config, *pair) for pair in sorted(cut_by)}
-    facet_pairs = [pair for pair, f in facets.items() if len(f)]
-    if facet_pairs:
-        f = _concat([facets[pair] for pair in facet_pairs])
-        f = _take(f, np.lexsort((f.b[:, 1], f.b[:, 0], f.a[:, 1], f.a[:, 0], f.lower_cell,
-                                 f.lower_mesh, f.upper_cell, f.upper_mesh)))
-    else:
-        f = _no_facets()
+    regions = [_per_part(_part_regions, config, i) for i in range(n)]
+    facets = {(j, i): _per_pair(_pair_facets, config, j, i) for j in range(n)
+              for i in range(j + 1, n)}
+    overlaps = {(i, k): _per_pair(_pair_overlaps, config, i, k)
+                for i, r in enumerate(regions) for k in r.cut_by}
+    f = _concat([rec for rec in facets.values() if len(rec)], _NO_FACETS)
+    f = _take(f, np.lexsort((f.upper_cell, f.upper_mesh)))
+    o = _concat(list(overlaps.values()), _NO_OVERLAPS)
+    o = _take(o, np.lexsort((o.lower_cell, o.lower_mesh)))
     d = f.b - f.a
-    gamma_len = np.bincount(f.upper_mesh, weights=np.hypot(d[:, 0], d[:, 1]), minlength=n)
-    if overlaps:
-        o = _concat([rec for rec, _ in overlaps.values()])
-        cent = np.concatenate([c for _, c in overlaps.values()])
-        o = _take(o, np.lexsort((cent[:, 1], cent[:, 0], o.upper_cell, o.upper_mesh,
-                                 o.lower_cell, o.lower_mesh)))
-    else:
-        none = np.zeros(0, dtype=np.int64)
-        o = Overlaps(none, none, none, none, np.zeros((0, 0, 2)), none, np.zeros(0))
     overlap_area = np.bincount(o.lower_mesh * n + o.upper_mesh, weights=o.areas,
                                minlength=n * n).reshape(n, n)
-    topo = CutTopology(
+    overlapping = overlap_area > 0.0  # nonzero above the diagonal only
+    below = overlapping.sum(axis=0)
+    return CutTopology(
         config=config,
         quad_order=quad_order,
-        active=active,
-        cut_cells=[np.unique(p.cell) for p in visible],
-        visible=visible,
+        active=[r.active for r in regions],
+        uncut=[r.uncut for r in regions],
+        cut_cells=[r.cut for r in regions],
+        visible=[r.visible for r in regions],
         facets=f,
         overlaps=o,
-        N_O=0,
-        N_Oi=None,
-        gamma_len=gamma_len,
+        N_O=1 + int(max(overlapping.sum(axis=1).max(), below.max())),
+        N_Oi=below,
+        gamma_len=np.bincount(f.upper_mesh, weights=np.hypot(d[:, 0], d[:, 1]), minlength=n),
         overlap_area=overlap_area,
-        grids=[_grid(p) for p in config.parts],
-        facet_pairs=facet_pairs,
-        overlap_pairs=[pair for pair, (rec, _) in overlaps.items() if len(rec)],
+        facet_pairs=[pair for pair, rec in facets.items() if len(rec)],
+        overlap_pairs=[pair for pair, rec in overlaps.items() if len(rec)],
     )
-    _, topo.N_O, topo.N_Oi = compute_delta_NO(topo)
-    return topo
-
-
-def compute_delta_NO(topology: CutTopology):
-    """Overlap indicator matrix and overlap counts.
-
-    delta[i, j] = 1 (i < j) when the overlap between active mesh i and the
-    visible region of mesh j has positive area; the diagonal is 1 by
-    convention. N_O is the largest row or column sum; N_Oi[i] counts the
-    meshes below i with nonempty overlap against it.
-    """
-    n = topology.nparts
-    delta = np.eye(n, dtype=np.int64)
-    delta[topology.overlap_area > 0.0] = 1
-    row = delta.sum(axis=1)
-    col = delta.sum(axis=0)
-    N_O = int(max(row.max(), col.max()))
-    N_Oi = np.array([int(delta[:i, i].sum()) for i in range(n)])
-    return delta, N_O, N_Oi
 
 
 def point_locate(topology: CutTopology, xy) -> tuple[np.ndarray, np.ndarray]:
@@ -883,8 +849,8 @@ def point_locate(topology: CutTopology, xy) -> tuple[np.ndarray, np.ndarray]:
             idx = idx[~hole]
         if len(idx) == 0:
             continue
-        found = _locate_cells(part.mesh, topology.grids[i], xy[idx], np.full(len(idx), tol),
-                              topology.is_active(i))
+        found = _locate_cells(part.mesh, _grid(part), xy[idx], np.full(len(idx), tol),
+                              _per_part(_part_regions, topology.config, i).active_mask)
         hit = found >= 0
         mesh[idx[hit]] = i
         cell[idx[hit]] = found[hit]

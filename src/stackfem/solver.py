@@ -77,7 +77,7 @@ class SolveReport:
     iterations: int
     relative_residual: float
     converged: bool
-    residual_history: np.ndarray = None
+    residual_history: np.ndarray | None = None
 
 
 def cg_solve(

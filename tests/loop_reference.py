@@ -88,6 +88,9 @@ from stackfem.multimesh import (
     Overlaps,
     Pieces,
     QuadBatch,
+    _grid,
+    _part_regions,
+    _per_part,
 )
 
 STAB_GRADIENT = "gradient-jump"
@@ -334,7 +337,7 @@ def volume_matrix(topology, params) -> sparse.csr_matrix:
         gref = ref_basis_grad(p, ref_pts)
         phi = ref_basis(p, ref_pts)
         mass_ref = np.einsum("q,qa,qb->ab", w, phi, phi)
-        cells = topology.uncut_active(i)
+        cells = topology.uncut[i]
         if len(cells):
             _, _, invJ, _ = part.mesh.geometry()
             areas = part.mesh.cell_areas()[cells]
@@ -407,7 +410,7 @@ def load_vector(topology, f, params) -> np.ndarray:
     for i, part in enumerate(topology.parts):
         space = part.space
         phi = ref_basis(space.degree, ref_pts)
-        cells = topology.uncut_active(i)
+        cells = topology.uncut[i]
         if len(cells):
             verts = part.mesh.nodes[part.mesh.cells[cells]]
             pts = np.einsum("qv,cvk->cqk", bary, verts)
@@ -776,7 +779,8 @@ def point_locate(topology, x):
             continue
         if part.void is not None and part.void.contains_strict(x, tol):
             return None
-        cell = locate_cell(part.mesh, topology.grids[i], x, tol, topology.is_active(i))
+        active = _per_part(_part_regions, topology.config, i).active_mask
+        cell = locate_cell(part.mesh, _grid(part), x, tol, active)
         if cell is not None:
             return i, cell
     return None

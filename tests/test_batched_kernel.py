@@ -60,9 +60,9 @@ def test_cases_reach_the_empty_blocks():
     """Mesh 1 of one case has no uncut active cell; the single mesh of
     another has no cut cell."""
     topo = build_cut_topology(_cell_pair_under_top()[0])
-    assert len(topo.uncut_active(1)) == 0 and len(topo.cut_cells[1]) == 2
+    assert len(topo.uncut[1]) == 0 and len(topo.cut_cells[1]) == 2
     topo = build_cut_topology(single_config(4, 1))
-    assert len(topo.cut_cells[0]) == 0 and len(topo.uncut_active(0)) == len(topo.active[0]) > 0
+    assert len(topo.cut_cells[0]) == 0 and len(topo.uncut[0]) == len(topo.active[0]) > 0
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))

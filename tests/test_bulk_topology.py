@@ -37,8 +37,9 @@ from stackfem.mesh import FeSpace, build_structured_mesh
 from stackfem.multimesh import (
     SAT_MARGIN,
     _CellGrid,
+    _grid as _part_grid,
+    _part_regions,
     _sat_separated,
-    _visible_regions,
     build_cut_topology,
 )
 
@@ -65,6 +66,14 @@ STACKS = {
     "nested": lambda: build_stack_config(
         [UNIT, rect_polygon(0.2, 0.8, 0.2, 0.8), rect_polygon(0.2, 0.5, 0.2, 0.5)],
         (3, 4, 5)),
+    # five rotated parts: 10 upper cells take facets from more than one lower
+    # mesh and 19 lower cells lie under more than one upper mesh, so the
+    # records of several pairs interleave in the global sorts
+    "five-parts": lambda: build_stack_config(
+        [UNIT, rotate_rect((0.15, 0.65, 0.2, 0.6), 11.0),
+         rotate_rect((0.35, 0.85, 0.3, 0.75), -23.0),
+         rotate_rect((0.25, 0.6, 0.35, 0.85), 37.0),
+         rotate_rect((0.4, 0.7, 0.15, 0.55), 5.0)], (3, 4, 4, 5, 4)),
     # parts 1 and 2 leave [0.25, 0.27]^2 of two background cells uncovered,
     # and the diamond on top covers all of it but a corner triangle with legs
     # of about 2e-8: a visible area of about 3e-15 times the cell's, under the
@@ -89,8 +98,9 @@ def oracle(stack):
     """The loop oracles' visible regions, facets and overlap pieces."""
     config, topo = stack
     active, cut_cells, cut_by = ref.visible_regions(config)
-    return (active, cut_cells, cut_by, ref.interface_facets(config, topo.active, topo.grids),
-            ref.overlap_pieces(config, topo.active, topo.grids))
+    grids = [_part_grid(part) for part in config.parts]
+    return (active, cut_cells, cut_by, ref.interface_facets(config, topo.active, grids),
+            ref.overlap_pieces(config, topo.active, grids))
 
 
 def _assert_arrays_equal(got, want):
@@ -123,7 +133,8 @@ def test_facets_match_loop_oracle_exactly(stack, oracle):
 def test_visible_regions_match_loop_oracle_bitwise(stack, oracle):
     config, topo = stack
     active, cut_cells, cut_by = oracle[:3]
-    got_cut_by = _visible_regions(config)[2]
+    got_cut_by = {(i, k): cut for i in range(config.nparts)
+                  for k, cut in _part_regions(config, i).cut_by.items()}
     assert sorted(got_cut_by) == sorted(cut_by)
     for key in cut_by:
         assert np.array_equal(got_cut_by[key], cut_by[key])
@@ -147,7 +158,7 @@ def test_visible_area_floor_covers_slivers():
         ratio[c] = sum(p.area for p in pieces) / mesh.cell_areas()[c]
     slivers = np.flatnonzero((ratio > 0.0) & (ratio <= 1e-14))
     assert len(slivers) == 2
-    active = _visible_regions(config)[0][0]
+    active = _part_regions(config, 0).active
     assert not np.isin(slivers, active).any()
     assert np.isin(np.flatnonzero(ratio > 1e-14), active).all()
 
@@ -275,8 +286,8 @@ def test_solve_and_report_tabulate_each_batch_once(monkeypatch, name):
 
 
 def test_grid_tables_match_loop_oracle(stack):
-    _, topo = stack
-    for grid in topo.grids:
+    config, _ = stack
+    for grid in map(_part_grid, config.parts):
         starts, cells = grid._table
         want_starts, want_cells = ref.grid_table(grid)
         assert starts.dtype == cells.dtype == np.int64

@@ -424,6 +424,16 @@ class TestCustomStack:
         assert f"error: parts in {cfg_path}: entry 0: " in err and why in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "convergence", "condition"])
+    def test_custom_without_parts_is_a_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--mm-config", "custom", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stackfem")
+        assert "error: --mm-config custom needs a 'parts' list" in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestFullRange:
     @staticmethod

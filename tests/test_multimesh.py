@@ -17,7 +17,6 @@ from stackfem.multimesh import (
     MultiMeshConfig,
     MultiMeshPart,
     build_cut_topology,
-    compute_delta_NO,
     dump_topology_csv,
     point_locate,
 )
@@ -57,11 +56,12 @@ class TestConfigI:
         assert areas[1] == pytest.approx(0.32, abs=1e-12)
         assert areas[2] == pytest.approx(0.04, abs=1e-12)
 
-    def test_uncut_active_cells_are_cached(self, topo):
+    def test_uncut_and_cut_cells_split_the_active_ones(self, topo):
         for i in range(topo.nparts):
-            uncut = topo.uncut_active(i)
-            assert uncut is topo.uncut_active(i)
+            uncut = topo.uncut[i]
+            assert uncut.dtype == np.int64
             assert np.array_equal(uncut, np.setdiff1d(topo.active[i], topo.cut_cells[i]))
+            assert np.isin(topo.cut_cells[i], topo.active[i]).all()
 
     def test_gamma_lengths(self, topo):
         assert topo.gamma_len[1] == pytest.approx(2.4, abs=1e-12)
@@ -79,11 +79,11 @@ class TestConfigI:
         # cells stop at x = 0.25 and never reach [0.4, 0.6]^2, so O_02 is
         # empty (hand-checked: the active background domain is
         # [0,1]^2 \ [0.25,0.75]^2)
-        delta, N_O, N_Oi = compute_delta_NO(topo)
-        assert delta[0, 1] == 1 and delta[1, 2] == 1
-        assert delta[0, 2] == 0
-        assert N_O == 2
-        assert list(N_Oi) == [0, 1, 1]
+        overlapping = topo.overlap_area > 0
+        assert overlapping[0, 1] and overlapping[1, 2]
+        assert not overlapping[0, 2]
+        assert topo.N_O == 2
+        assert list(topo.N_Oi) == [0, 1, 1]
 
     def test_delta_all_ones_when_coarse(self):
         # at k = 1 the background cells are large enough to reach under both
@@ -91,10 +91,10 @@ class TestConfigI:
         # falls back to a single cell pair, which warns
         with pytest.warns(UserWarning):
             topo = build_cut_topology(config_I(ks=(1, 1, 1)), quad_order=2)
-        delta, N_O, N_Oi = compute_delta_NO(topo)
-        assert delta[0, 1] == delta[0, 2] == delta[1, 2] == 1
-        assert N_O == 3
-        assert list(N_Oi) == [0, 1, 2]
+        overlapping = topo.overlap_area > 0
+        assert overlapping[0, 1] and overlapping[0, 2] and overlapping[1, 2]
+        assert topo.N_O == 3
+        assert list(topo.N_Oi) == [0, 1, 2]
 
     def test_point_locate_examples(self, topo):
         mesh, cell = point_locate(topo, [(0.5, 0.5), (0.25, 0.25), (0.1, 0.1), (1.5, 0.5)])
@@ -156,9 +156,9 @@ class TestDisjointTops:
             rect_polygon(0.6, 0.9, 0.6, 0.9),
         ]
         topo = build_cut_topology(build_stack_config(pres, [3, 3, 3]), quad_order=2)
-        delta, N_O, _ = compute_delta_NO(topo)
-        assert delta[1, 2] == 0
-        assert delta[0, 1] == 1 and delta[0, 2] == 1
+        overlapping = topo.overlap_area > 0
+        assert not overlapping[1, 2]
+        assert overlapping[0, 1] and overlapping[0, 2]
 
 
 class TestRandomStacks:
@@ -175,12 +175,11 @@ class TestRandomStacks:
     def test_overlap_interface_duality(self, rng):
         for _ in range(20):
             topo = build_cut_topology(random_rect_stack(rng), quad_order=1)
-            delta, _, _ = compute_delta_NO(topo)
             f = topo.facets
             lengths = np.zeros((topo.nparts, topo.nparts))
             np.add.at(lengths, (f.upper_mesh, f.lower_mesh), np.hypot(*(f.b - f.a).T))
             for i, j in zip(*np.nonzero(lengths > 1e-10)):
-                assert delta[j, i] == 1
+                assert topo.overlap_area[j, i] > 0
 
     def test_point_locate_brute_force(self, rng):
         config = random_rect_stack(rng)

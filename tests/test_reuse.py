@@ -23,7 +23,7 @@ from stackfem.cli import (
     run_permutation_study,
     standard_predomains,
 )
-from stackfem.multimesh import build_cut_topology
+from stackfem.multimesh import build_cut_topology, point_locate
 
 PREDOMAINS = standard_predomains("I")
 K_MIN, K_MAX, DEGREE = 2, 3, 2
@@ -78,8 +78,8 @@ def test_shared_parts_give_the_topology_of_fresh_ones(monkeypatch):
     orders = (2 * DEGREE, 2 * DEGREE + 2)  # the forms' and the error norms'
     for ks, topo in solved:
         fresh = build_cut_topology(build_stack(PREDOMAINS, ks, DEGREE), topo.quad_order)
-        for name in ("active", "cut_cells", "visible", "facets", "overlaps", "N_O", "N_Oi",
-                     "gamma_len", "overlap_area", "facet_pairs", "overlap_pairs"):
+        for name in ("active", "uncut", "cut_cells", "visible", "facets", "overlaps", "N_O",
+                     "N_Oi", "gamma_len", "overlap_area", "facet_pairs", "overlap_pairs"):
             _assert_identical(getattr(topo, name), getattr(fresh, name), f"{ks} {name}")
         for order in orders:
             _assert_identical(topo.cell_batches(order), fresh.cell_batches(order),
@@ -123,6 +123,22 @@ def test_each_mesh_and_step_runs_once_per_study(monkeypatch):
     assert all(per_step[step] > 0 for step in PART_STEPS + PAIR_STEPS)
     repeated = [call for call, n in Counter(calls).items() if n > 1]
     assert not repeated
+
+
+def test_point_locate_reuses_what_the_parts_keep(monkeypatch):
+    """Point location reads the grid and the active cells each part keeps:
+    on a built topology, whose facets and overlaps use the grid of every
+    part here, it builds no grid and no regions record."""
+    topo = build_cut_topology(build_stack(PREDOMAINS, (K_MIN, K_MAX, K_MAX), DEGREE))
+    calls = []
+    for name in ("_CellGrid", "_part_regions"):
+        fn = getattr(multimesh, name)
+        wrapper = functools.wraps(fn)(lambda *args, fn=fn: calls.append(fn) or fn(*args))
+        monkeypatch.setattr(multimesh, name, wrapper)
+    x = np.linspace(0.01, 0.99, 23)
+    mesh, cell = point_locate(topo, np.stack(np.meshgrid(x, x), axis=-1).reshape(-1, 2))
+    assert calls == []
+    assert set(mesh.tolist()) == {0, 1, 2} and (cell >= 0).all()
 
 
 def _record_parts(monkeypatch) -> list[weakref.ref]:
