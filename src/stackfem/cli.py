@@ -430,25 +430,27 @@ class ExperimentConfig:
 _CONFIG_KEYS = ("config", "k_min", "k_max", "degree", "beta0", "beta1", "stab", "seed", "out")
 
 
-def _read_config_file(path: str) -> dict:
-    """The JSON config file, each value that a flag also sets parsed by
-    that flag; null stays null, as for a flag not given. A bad value is
-    argparse's usage error (exit status 2) naming the key and the file."""
+def _read_config_file(args) -> dict:
+    """The JSON config file args.config_file, each value that a flag also
+    sets parsed by that flag; null stays null, as for a flag not given. A
+    bad value is the subcommand's usage error (exit status 2) naming the key
+    and the file."""
+    path = args.config_file
     data = json.loads(Path(path).read_text())
-    parser = argparse.ArgumentParser(prog="stackfem", exit_on_error=False)
-    _add_common(parser)
-    for flag in parser._actions:
+    values = argparse.ArgumentParser(prog="stackfem", exit_on_error=False)
+    _add_common(values)
+    for flag in values._actions:
         if flag.dest in _CONFIG_KEYS and data.get(flag.dest) is not None:
             try:
-                parsed = parser.parse_args([f"{flag.option_strings[0]}={data[flag.dest]}"])
+                parsed = values.parse_args([f"{flag.option_strings[0]}={data[flag.dest]}"])
             except argparse.ArgumentError as exc:
-                parser.error(f"{flag.dest} in {path}: {exc.message}")
+                args.parser.error(f"{flag.dest} in {path}: {exc.message}")
             data[flag.dest] = getattr(parsed, flag.dest)
     if data.get("parts") is not None:
         try:
             custom_predomains(data["parts"])
         except (TypeError, ValueError) as exc:
-            parser.error(f"parts in {path}: {exc}")
+            args.parser.error(f"parts in {path}: {exc}")
     return data
 
 
@@ -457,7 +459,7 @@ def _load_experiment(args, k_range: tuple[int, int] = (3, 6),
     """Defaults, then the JSON config file, then flags. k_range is the
     subcommand's default k range; `full`, from the JSON file or --full,
     makes full_range the default instead, so an explicit k bound still wins."""
-    data = _read_config_file(args.config_file) if args.config_file else {}
+    data = _read_config_file(args) if args.config_file else {}
     full = bool(data.get("full")) or bool(getattr(args, "full", False))
     k_min, k_max = full_range if full and full_range is not None else k_range
     cfg = ExperimentConfig(k_min=k_min, k_max=k_max, full=full, custom_parts=data.get("parts"))
@@ -469,11 +471,11 @@ def _load_experiment(args, k_range: tuple[int, int] = (3, 6),
     return cfg
 
 
-def _predomains(cfg: ExperimentConfig) -> list[ConvexPolygon]:
-    """The stack's predomains. A custom stack without parts is argparse's
-    usage error (exit status 2)."""
+def _predomains(args, cfg: ExperimentConfig) -> list[ConvexPolygon]:
+    """The stack's predomains. A custom stack without parts is the
+    subcommand's usage error (exit status 2)."""
     if cfg.config == "custom" and not cfg.custom_parts:
-        argparse.ArgumentParser(prog="stackfem").error(
+        args.parser.error(
             "--mm-config custom needs a 'parts' list in the JSON file given by --config")
     return cfg.predomains()
 
@@ -500,7 +502,7 @@ def _write_meta(outdir: Path, cfg: ExperimentConfig, extra: dict | None = None,
 
 def _cmd_solve(args) -> int:
     cfg = _load_experiment(args)
-    predomains = _predomains(cfg)
+    predomains = _predomains(args, cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     u_exact, f, grad_u = poisson_fields()
@@ -529,7 +531,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_convergence(args) -> int:
     cfg = _load_experiment(args)
-    predomains = _predomains(cfg)
+    predomains = _predomains(args, cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     mode = "equal" if args.equal else "permutations"
@@ -550,7 +552,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_condition(args) -> int:
     cfg = _load_experiment(args, k_range=(2, 5))
-    predomains = _predomains(cfg)
+    predomains = _predomains(args, cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, slope = run_condition_study(
@@ -572,8 +574,10 @@ def _cmd_boundary_layer(args) -> int:
     for k in range(cfg.k_min, cfg.k_max + 1):
         result = run_boundary_layer(k, cfg.degree, params=cfg.form_params())
         rows.append(result)
-        _write_csv(outdir / f"probe_k{k}.csv", ["x", "y", "u"],
-                   (_g17(*point) for point in result.probe))
+        with open(outdir / f"probe_k{k}.csv", "w", newline="") as fh:
+            # the bytes of _write_csv with _g17 rows, in one formatted pass
+            fh.write("x,y,u\r\n" + ("%.17g,%.17g,%.17g\r\n" * len(result.probe))
+                     % tuple(result.probe.ravel().tolist()))
     _write_csv(outdir / "results.csv", ["k", "eps", "layer_halfwidth", "corner_value", "dofs"],
                [[r.k, *_g17(r.eps, r.layer_halfwidth, r.corner_value),
                  len(r.solve.reduced.free)] for r in rows])
@@ -629,21 +633,21 @@ def main(argv=None) -> int:
     p_solve.add_argument("--dump-topology", action="store_true",
                          help="also write facets.csv and overlaps.csv, one row per "
                               "interface facet and per overlap piece")
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(parser=p_solve, func=_cmd_solve)
 
     p_conv = sub.add_parser("convergence", help="sequential refinement study")
     _add_common(p_conv)
     p_conv.add_argument("--equal", action="store_true",
                         help="refine all parts together instead of the permutation protocol")
-    p_conv.set_defaults(func=_cmd_convergence)
+    p_conv.set_defaults(parser=p_conv, func=_cmd_convergence)
 
     p_cond = sub.add_parser("condition", help="condition number scaling study")
     _add_common(p_cond)
-    p_cond.set_defaults(func=_cmd_condition)
+    p_cond.set_defaults(parser=p_cond, func=_cmd_condition)
 
     p_bl = sub.add_parser("boundary-layer", help="reaction-dominated obstacle demo")
     _add_common(p_bl)
-    p_bl.set_defaults(func=_cmd_boundary_layer)
+    p_bl.set_defaults(parser=p_bl, func=_cmd_boundary_layer)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -42,6 +42,7 @@ from .geom2d import (
     clip_segments,
     edge_vectors,
     fan_triangles,
+    math_hypot,
     segment_params,
     segments_quadrature,
     stack_padded,
@@ -349,8 +350,13 @@ class _CellGrid:
         first = starts[col + iy0[q]]
         count = starts[col + iy1[q] + 1] - first
         pos = np.repeat(first, count) + _ranks(count)
+        q = np.repeat(q, count)
+        if np.all(ncols == 1) and np.array_equal(iy0, iy1):
+            # one bin per box: its cells are one sorted run, so the pairs are
+            # sorted and distinct already (always so for points)
+            return q, cells[pos]
         ncells = len(self.mesh.cells)
-        key = np.unique(np.repeat(q, count) * ncells + cells[pos])
+        key = np.unique(q * ncells + cells[pos])
         return key // ncells, key % ncells
 
 
@@ -537,11 +543,11 @@ def _cell_batch(config: MultiMeshConfig, i: int, order: int) -> QuadBatch:
 
 def _cell_edges(mesh: TriMesh, cells: np.ndarray):
     """Vertices (n, 3, 2), edge vectors v[k+1] - v[k] and edge lengths of
-    the given cells.
+    the given cells, for the segment clip of `_split_owned`.
 
-    The lengths come from `math.hypot`, as in the clipping kernels, so the
-    segment clip and point-in-cell test below keep the scalar arithmetic
-    bit for bit; each distinct cell is measured once.
+    The lengths come from `math.hypot`, as in the clipping kernels: they
+    feed the arithmetic of `segment_params`, which must match the scalar
+    clip bit for bit. Each distinct cell is measured once.
     """
     uniq, inv = np.unique(cells, return_inverse=True)
     v = mesh.nodes[mesh.cells[uniq]]
@@ -586,16 +592,26 @@ def _locate_cells(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray
     or evaluation points.
     """
     p, c = grid.query_bboxes(x, x)
-    v, e, ln = _cell_edges(mesh, c)
-    cross = e[..., 0] * (x[p, 1, None] - v[..., 1]) - e[..., 1] * (x[p, 0, None] - v[..., 0])
-    inside = np.all(cross >= -tol[p, None] * ln, axis=1)
+    v = mesh.nodes.take(mesh.cells.take(c, axis=0), axis=0)  # take: no fancy-index overhead
+    e = np.roll(v, -1, axis=1) - v
+    xp, neg_tol = x.take(p, axis=0), -tol.take(p)
+    cross = e[..., 0] * (xp[:, 1, None] - v[..., 1]) - e[..., 1] * (xp[:, 0, None] - v[..., 0])
+    bound = neg_tol[:, None] * np.hypot(e[..., 0], e[..., 1])
+    # the test is against math.hypot's length, as in the scalar code: where
+    # np.hypot's rounding could flip it, the edge is measured again
+    tie = np.nonzero(np.abs(cross - bound) <= 4 * np.finfo(float).eps * np.abs(bound))
+    if len(tie[0]):
+        bound[tie] = neg_tol[tie[0]] * math_hypot(e[tie][:, 0], e[tie][:, 1])
+    inside = np.all(cross >= bound, axis=1)
     out = np.full(len(x), -1, dtype=np.int64)
-    # pairs are sorted by (point, cell): the first hit per point is the
-    # lowest cell; active hits are written last so they win
+    # pairs are sorted by (point, cell): the first hit of each point's run is
+    # its lowest cell; active hits are written last so they win
     for hits in [inside, inside & active_mask[c]]:
         sel = np.flatnonzero(hits)
-        sel = sel[np.unique(p[sel], return_index=True)[1]]
-        out[p[sel]] = c[sel]
+        ps = p[sel]
+        first = np.ones(len(sel), dtype=bool)
+        first[1:] = ps[1:] != ps[:-1]
+        out[ps[first]] = c[sel[first]]
     return out
 
 

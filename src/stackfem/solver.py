@@ -118,6 +118,7 @@ def cg_solve(
     r = b - A.matvec(x)
     z = inv_diag * r
     p = z.copy()
+    tmp = np.empty(n)  # alpha * p, then alpha * Ap
     rz = float(np.dot(r, z))
     history = [float(np.sqrt(rz))]
     k = 0
@@ -129,7 +130,7 @@ def cg_solve(
             if np.linalg.norm(r_true) <= tol * normb:
                 break
             r = r_true
-            z = inv_diag * r
+            np.multiply(inv_diag, r, out=z)
             p = z.copy()
             rz = float(np.dot(r, z))
         Ap = A.matvec(p)
@@ -140,11 +141,12 @@ def cg_solve(
                 f"negative curvature p'Ap = {pAp:.3e} in direction peaking at dof {j}"
             )
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        z = inv_diag * r
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, Ap, out=tmp)
+        np.multiply(inv_diag, r, out=z)
         rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         history.append(float(np.sqrt(max(rz, 0.0))))
         k += 1

@@ -55,6 +55,10 @@ topology as loops: a visit to every cell for the active list and a
 one grid square, ring position or facet at a time, with the edges keyed as
 sorted node pairs and `np.unique(axis=0)`; `cell_areas` computes the
 areas straight from the nodes.
+
+`cg_solve` is the conjugate-gradient loop that allocates a new vector for
+every update; the solver's loop reuses its buffers and must give the same
+bits.
 """
 from __future__ import annotations
 
@@ -1069,3 +1073,46 @@ def cell_areas(mesh):
         (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
         - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0])
     )
+
+
+# ---------------------------------------------------------------------------
+# Linear solve
+# ---------------------------------------------------------------------------
+
+def cg_solve(A, b, tol=1e-10, maxit=None):
+    """Jacobi-preconditioned CG from x = 0, as `stackfem.solver.cg_solve`
+    ran it with a new array for every vector update: the same operations in
+    the same order, so the iterates must match bit for bit. Returns (x,
+    iterations, residual history); the input checks are left out."""
+    n = A.dim
+    if maxit is None:
+        maxit = max(10 * n, 100)
+    normb = float(np.linalg.norm(b))
+    inv_diag = 1.0 / A.diagonal()
+    x = np.zeros(n)
+    r = b - A.matvec(x)
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(np.dot(r, z))
+    history = [float(np.sqrt(rz))]
+    k = 0
+    while k < maxit:
+        if np.linalg.norm(r) <= tol * normb:
+            r_true = b - A.matvec(x)
+            if np.linalg.norm(r_true) <= tol * normb:
+                break
+            r = r_true
+            z = inv_diag * r
+            p = z.copy()
+            rz = float(np.dot(r, z))
+        Ap = A.matvec(p)
+        alpha = rz / float(np.dot(p, Ap))
+        x += alpha * p
+        r -= alpha * Ap
+        z = inv_diag * r
+        rz_new = float(np.dot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        history.append(float(np.sqrt(max(rz, 0.0))))
+        k += 1
+    return x, k, np.array(history)

@@ -342,6 +342,41 @@ def test_bulk_grid_query_never_misses(name, boxes):
         assert np.array_equal(got, ref.query_bbox(grid, lo[k, 0], hi[k, 0], lo[k, 1], hi[k, 1]))
 
 
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+def test_point_queries_equal_the_deduplicated_raw_keys(name):
+    """Point queries lie in one bin each, so `query_bboxes` skips its
+    np.unique pass on them: the (query, cell) pairs must be those np.unique
+    makes of the raw keys, every cell of each point's bin. Nodes, edge
+    midpoints and centroids of each mesh, 1e-13 off too. In one call with
+    boxes that span several bins, the pairs still come back sorted and
+    without repeats, and each box gets the cells of the scalar query."""
+    for part in STACKS[name]().parts:
+        grid = _part_grid(part)
+        mesh = grid.mesh
+        v = mesh.nodes[mesh.cells]
+        pts = np.concatenate([mesh.nodes, (0.5 * (v + np.roll(v, -1, axis=1))).reshape(-1, 2),
+                              v.mean(axis=1)])
+        pts = pts[::max(1, len(pts) // 1500)]
+        pts = np.concatenate([pts, pts + 1e-13, pts - 1e-13])
+        ncells = len(mesh.cells)
+        q, c = grid.query_bboxes(pts, pts)
+        starts, cells = grid._table
+        bins = grid._bins(pts[:, 0], 0) * grid.ny + grid._bins(pts[:, 1], 1)
+        raw = np.concatenate([k * ncells + cells[starts[b]:starts[b + 1]]
+                              for k, b in enumerate(bins.tolist())])
+        want = np.unique(raw)
+        assert np.array_equal(q, want // ncells) and np.array_equal(c, want % ncells)
+
+        wide = 1.5 * grid.bin
+        lo = np.concatenate([pts[:200], pts[:200] - wide])
+        hi = np.concatenate([pts[:200], pts[:200] + wide])
+        q, c = grid.query_bboxes(lo, hi)
+        assert np.all(np.diff(q * ncells + c) > 0)
+        for k in range(0, len(lo), 20):
+            assert np.array_equal(
+                c[q == k], ref.query_bbox(grid, lo[k, 0], hi[k, 0], lo[k, 1], hi[k, 1]))
+
 # ---------------------------------------------------------------------------
 # Separating-axis prefilter
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -185,7 +186,7 @@ class TestSolveCommand:
             main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: stackfem")
+        assert err.startswith("usage: stackfem solve ")
         assert f"error: {key} in {cfg_path}: " in err and repr(value) in err
         assert not (tmp_path / "run").exists()
 
@@ -291,6 +292,17 @@ class TestConvergenceCommand:
 
 
 class TestConditionCommand:
+    def test_bad_json_value_prints_the_condition_usage(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"stab": "bogus"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["condition", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stackfem condition ")
+        assert f"error: stab in {cfg_path}: " in err
+        assert not (tmp_path / "run").exists()
+
     def test_reduced_matrix_ignores_the_load(self):
         """The condition study reduces with a zero load; the reduced matrix
         is the one a manufactured-source load gives, and kappa at config I,
@@ -420,7 +432,7 @@ class TestCustomStack:
             main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: stackfem")
+        assert err.startswith("usage: stackfem solve ")
         assert f"error: parts in {cfg_path}: entry 0: " in err and why in err
         assert not (tmp_path / "run").exists()
 
@@ -430,7 +442,7 @@ class TestCustomStack:
             main([command, "--mm-config", "custom", "--out", str(tmp_path / "run")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: stackfem")
+        assert err.startswith(f"usage: stackfem {command} ")
         assert "error: --mm-config custom needs a 'parts' list" in err
         assert not (tmp_path / "run").exists()
 
@@ -519,6 +531,29 @@ class TestBoundaryLayer:
         assert (out / "probe_k0.csv").exists()
         meta = json.loads((out / "meta.json").read_text())
         assert "hexagon" in meta["obstacle"]
+
+    def test_probe_csv_is_what_csv_writer_writes(self, tmp_path, monkeypatch):
+        """probe_k0.csv, written in one formatted pass, holds the bytes that
+        csv.writer writes for the _g17 rows of the same probe, NaN rows of
+        the hole included."""
+        from stackfem import cli
+
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(run_boundary_layer(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_boundary_layer", recording)
+        out = tmp_path / "bl"
+        assert main(["boundary-layer", "--k-min", "0", "--k-max", "0", "--out", str(out)]) == 0
+        probe = results[0].probe
+        assert np.isnan(probe[:, 2]).any()
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["x", "y", "u"])
+        w.writerows(cli._g17(*point) for point in probe)
+        assert (out / "probe_k0.csv").read_bytes() == want.getvalue().encode()
 
     def test_meta_records_no_unused_setting(self, tmp_path):
         def run(name, *flags):

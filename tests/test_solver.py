@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import loop_reference as ref
 from conftest import config_I, nan_in_cut_pieces, single_config
 from stackfem.assembly import (
     FormParams,
@@ -140,6 +141,45 @@ class TestCG:
         assert lam.min() >= -1e-12 and lam.sum() <= 1.0 + 1e-12
         # uncut cells and cut pieces are checked on their own branches
         assert (int(cell) in topo.cut_cells[int(part)]) == in_cut_cell
+
+
+def _cg_systems():
+    """The reduced systems of config II at k = 4 and of the obstacle demo at k = 0."""
+    from stackfem.cli import build_stack, run_boundary_layer, solve_poisson, standard_predomains
+
+    u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    f = lambda x, y: 2 * np.pi ** 2 * u(x, y)
+    config = build_stack(standard_predomains("II"), [4] * 3, 1)
+    return {"II-k4": solve_poisson(config, FormParams.defaults(1), f, u).reduced,
+            "boundary-layer-k0": run_boundary_layer(0).solve.reduced}
+
+
+@pytest.mark.parametrize("tol, maxit, restarts", [(1e-10, None, False), (1e-15, 300, True)],
+                         ids=["default", "restarting"])
+def test_cg_reusing_buffers_matches_allocating_loop_bitwise(tol, maxit, restarts):
+    """The loop that updates its vectors in place gives the bits of the loop
+    that allocates: x, the iteration count and the residual history. At tol
+    1e-15 config II keeps restarting from the true residual."""
+    for name, system in _cg_systems().items():
+        A, b = system.matrix, system.rhs
+        x, rep = cg_solve(A, b, tol=tol, maxit=maxit)
+        x_ref, iterations, history = ref.cg_solve(A, b, tol=tol, maxit=maxit)
+        assert np.array_equal(x, x_ref), name
+        assert rep.iterations == iterations, name
+        assert np.array_equal(rep.residual_history, history), name
+        if restarts and name == "II-k4":
+            # each restart adds a matvec to the one per iteration, the first
+            # residual and the final check
+            calls = []
+            matvec = A.matvec
+
+            def counted(v):
+                calls.append(1)
+                return matvec(v)
+
+            A.matvec = counted
+            cg_solve(A, b, tol=tol, maxit=maxit)
+            assert len(calls) > rep.iterations + 2
 
 
 class TestExtremeEigs:
