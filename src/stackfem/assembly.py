@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import io as scipy_io
 
 from .mesh import field_values
 from .multimesh import CutTopology, QuadBatch, UncutCells
@@ -360,4 +359,6 @@ def apply_dirichlet(
 
 def dump_matrixmarket(system: SystemMatrix, path) -> None:
     """Write the assembled matrix in MatrixMarket coordinate format."""
+    from scipy import io as scipy_io  # imported here: only this dump needs it
+
     scipy_io.mmwrite(path, system.matrix.csr.tocoo())

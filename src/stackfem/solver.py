@@ -22,6 +22,12 @@ DEFAULT_SEED = 42
 # pivot_j / A_jj >= 1 / kappa. A smaller ratio is the rounding residue of a
 # singular matrix; the assembled systems stay far below kappa = 1e10.
 PIVOT_RTOL = 1e-10
+# ARPACK stops when a Ritz pair (theta, x) of its operator (A, or A^-1 in
+# shift-invert mode) has ||OP x - theta x|| <= ARPACK_TOL |theta|. For a
+# symmetric OP an eigenvalue lies within that residual of theta, so each
+# extreme eigenvalue is within ARPACK_TOL relative, and kappa within about
+# twice that, of its converged value.
+ARPACK_TOL = 1e-10
 
 
 class NotSPDError(RuntimeError):
@@ -189,23 +195,34 @@ def _spd_factor(A: CsrMatrix):
 def extreme_eigs(A: CsrMatrix, seed: int = DEFAULT_SEED) -> tuple[float, float]:
     """(lambda_max, lambda_min) of an SPD matrix; NotSPDError otherwise.
 
-    Both come from ARPACK, lambda_min in shift-invert mode at sigma = 0 on the
-    factor that proved A SPD. The seed sets both start vectors.
+    Both come from ARPACK, stopped at relative residual ARPACK_TOL. lambda_max
+    runs on a helper thread while this thread factors A, which proves it SPD,
+    and finds lambda_min in shift-invert mode at sigma = 0 on that factor.
+    SuperLU and ARPACK release the GIL and keep their state per call, so the
+    two overlap and give the results of a sequential run; the helper calls
+    scipy only. A failed factor raises only after lambda_max has stopped, and
+    its result is dropped. The seed sets both start vectors.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     # imported here so that runs without eigenvalues skip its ~10 MB and 0.15 s
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    lu = _spd_factor(A)
     n = A.dim
     if n == 1:  # ARPACK needs k < n
+        _spd_factor(A)
         return float(A.csr[0, 0]), float(A.csr[0, 0])
     rng = np.random.default_rng(seed)
-    inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    v_max, v_min = rng.standard_normal(n), rng.standard_normal(n)
     try:
-        lam_max = eigsh(A.csr, k=1, which="LA", v0=rng.standard_normal(n),
-                        return_eigenvectors=False)[0]
-        lam_min = eigsh(A.csr, k=1, sigma=0.0, which="LM", OPinv=inverse,
-                        v0=rng.standard_normal(n), return_eigenvectors=False)[0]
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            upper = helper.submit(eigsh, A.csr, k=1, which="LA", v0=v_max, tol=ARPACK_TOL,
+                                  return_eigenvectors=False)
+            inverse = LinearOperator((n, n), matvec=_spd_factor(A).solve, dtype=float)
+            # 8 Lanczos vectors suffice: shift-invert separates lambda_min widely
+            lam_min = eigsh(A.csr, k=1, sigma=0.0, which="LM", OPinv=inverse, v0=v_min,
+                            tol=ARPACK_TOL, ncv=min(8, n), return_eigenvectors=False)[0]
+            lam_max = upper.result()[0]
     except ArpackNoConvergence as exc:
         raise EigenEstimationError(f"ARPACK did not converge: {exc}") from exc
     return float(lam_max), float(lam_min)

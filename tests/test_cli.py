@@ -2,12 +2,16 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import mmread
 
+import stackfem
 from stackfem.cli import (
     ExperimentConfig,
     _load_experiment,
@@ -24,6 +28,18 @@ DATA = Path(__file__).parent / "data"
 def _read_csv(path) -> list[list[str]]:
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def test_import_skips_optional_scipy_modules():
+    """The matrix dump and the eigensolver import their scipy modules on
+    first use, so commands that use neither do not load them."""
+    src = str(Path(stackfem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, stackfem.cli; "
+            "print(sorted(m for m in ('scipy.io', 'scipy.sparse.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestExperimentConfig:

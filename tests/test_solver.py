@@ -1,8 +1,11 @@
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 
 import loop_reference as ref
 from conftest import config_I, nan_in_cut_pieces, single_config
@@ -13,9 +16,13 @@ from stackfem.assembly import (
     assemble_system,
     build_dirichlet,
 )
+from stackfem import solver
+from stackfem.cli import run_condition_study, standard_predomains
 from stackfem.multimesh import build_cut_topology
 from stackfem.solver import (
+    DEFAULT_SEED,
     CsrMatrix,
+    EigenEstimationError,
     NotSPDError,
     cg_solve,
     condition_number,
@@ -52,6 +59,15 @@ NOT_SPD = {
     "singular-psd": ([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]], {0, 1, 2}),
     "1x1-zero": ([[0.0]], {0}),
 }
+
+
+@pytest.fixture
+def threads_stay():
+    """Fails the test if it leaves a thread running, such as the helper
+    thread that `extreme_eigs` estimates lambda_max on."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 class TestCG:
@@ -220,7 +236,7 @@ class TestExtremeEigs:
 
     @pytest.mark.parametrize("estimate", [extreme_eigs, condition_number])
     @pytest.mark.parametrize("name", sorted(NOT_SPD))
-    def test_not_spd_raises_naming_dof(self, name, estimate):
+    def test_not_spd_raises_naming_dof(self, name, estimate, threads_stay):
         dense, dofs = NOT_SPD[name]
         with pytest.raises(NotSPDError) as info:
             estimate(_csr(dense))
@@ -241,6 +257,103 @@ class TestExtremeEigs:
         system = assemble_system(build_cut_topology(config_I(), params.quad_order), params)
         with pytest.raises(NotSPDError, match="at dof"):
             extreme_eigs(system.matrix)
+
+
+class _CountedFactor:
+    """Stands in for the SuperLU factor and counts the solves made with it."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def _converged_kappa(A: CsrMatrix, seed: int = DEFAULT_SEED) -> float:
+    """kappa with ARPACK run to machine precision (tol=0) at its default basis
+    size, both extremes one after the other on the same factor and start
+    vectors as `extreme_eigs`."""
+    n = A.dim
+    rng = np.random.default_rng(seed)
+    v_max, v_min = rng.standard_normal(n), rng.standard_normal(n)
+    lam_max = sparse_linalg.eigsh(A.csr, k=1, which="LA", v0=v_max, tol=0,
+                                  return_eigenvectors=False)[0]
+    inverse = sparse_linalg.LinearOperator((n, n), matvec=solver._spd_factor(A).solve,
+                                           dtype=float)
+    lam_min = sparse_linalg.eigsh(A.csr, k=1, sigma=0.0, which="LM", OPinv=inverse,
+                                  v0=v_min, tol=0, return_eigenvectors=False)[0]
+    return float(lam_max / lam_min)
+
+
+class TestEigenSolverBudget:
+    """ARPACK stops at ARPACK_TOL, and lambda_min uses a short basis."""
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_config_I_matches_converged_arpack(self, k):
+        A = _reduced_poisson(config_I((k, k, k)))
+        assert condition_number(A) == pytest.approx(_converged_kappa(A), rel=1e-12, abs=0)
+
+    def test_lambda_min_solve_count(self, monkeypatch):
+        A = _reduced_poisson(config_I((5, 5, 5)))
+        factors = []
+        spd_factor = solver._spd_factor
+
+        def counted(matrix):
+            factors.append(_CountedFactor(spd_factor(matrix)))
+            return factors[-1]
+
+        monkeypatch.setattr(solver, "_spd_factor", counted)
+        extreme_eigs(A)
+        assert len(factors) == 1 and 0 < factors[0].solves <= 13
+
+
+class TestHelperThread:
+    """lambda_max runs on a helper thread beside the factor and lambda_min;
+    failures surface as before, and no thread outlives the call."""
+
+    def test_indefinite_raises_naming_dof(self, threads_stay):
+        # a large indefinite matrix keeps lambda_max busy while the factor fails
+        n = 400
+        diag = np.linspace(1.0, 50.0, n)
+        diag[137] = -2.0
+        A = _csr(np.diag(diag) + 0.1 * np.diag(np.ones(n - 1), 1) + 0.1 * np.diag(np.ones(n - 1), -1))
+        with pytest.raises(NotSPDError, match="at dof 137"):
+            extreme_eigs(A)
+
+    def test_unconverged_lambda_max_raises(self, rng, monkeypatch, threads_stay):
+        eigsh = sparse_linalg.eigsh
+
+        def eigsh_failing_la(*args, **kwargs):
+            if kwargs.get("which") == "LA":
+                raise sparse_linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                        np.empty((0, 0)))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sparse_linalg, "eigsh", eigsh_failing_la)
+        with pytest.raises(EigenEstimationError, match="ARPACK did not converge"):
+            extreme_eigs(_random_spd(rng, 30))
+
+    def test_spd_leaves_no_thread(self, rng, threads_stay):
+        lam_max, lam_min = extreme_eigs(_random_spd(rng, 30))
+        assert lam_max > lam_min > 0
+
+
+class TestDeterminism:
+    def test_condition_study_repeats_bitwise(self):
+        pre = standard_predomains("I")
+        first = run_condition_study(pre, [2, 3, 4, 5], 1)
+        second = run_condition_study(pre, [2, 3, 4, 5], 1)
+        assert np.array_equal(np.array(first[0]), np.array(second[0]))
+        assert np.array_equal(first[1], second[1], equal_nan=True)
+
+    def test_concurrent_calls_match_sequential(self):
+        mats = [_reduced_poisson(config_I((k, k, k))) for k in (3, 4, 5)]
+        sequential = [extreme_eigs(A) for A in mats]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            concurrent = list(pool.map(extreme_eigs, mats))
+        assert concurrent == sequential
 
 
 class TestConditionNumber:
