@@ -64,10 +64,10 @@ def _values(u: MultimeshFunction, batch: QuadBatch, m: int):
     return (phi * c).sum(axis=1), np.einsum("nak,na->nk", grad, c)
 
 
-def _uncut_values(u: MultimeshFunction, uncut: UncutCells, order: int):
-    """u, its gradient and the weights at the points of the order's rule in
-    every uncut cell, cell by cell: (n,), (n, 2) and (n,)."""
-    _, w, phi, grad = uncut.rule(order)
+def _uncut_values(u: MultimeshFunction, uncut: UncutCells):
+    """u, its gradient and the weights at the points of the rule in every
+    uncut cell, cell by cell: (n,), (n, 2) and (n,)."""
+    _, w, phi, grad = uncut.rule()
     dofs, invJ, area = uncut.gather()
     c = u.coeffs[uncut.mesh][dofs]                                   # (nc, nd)
     g = np.tensordot(c, grad, axes=(1, 1)) @ invJ                    # (nc, nq, 2)
@@ -80,8 +80,8 @@ def _cell_values(u: MultimeshFunction, topology: CutTopology, order: int, with_p
     each point for field_values: per mesh, its uncut cells, then the pieces
     of its cut cells."""
     for uncut, batch in topology.cell_quadrature(order):
-        i, nq = uncut.mesh, len(uncut.rule(order)[1])
-        yield (*_uncut_values(u, uncut, order), uncut.points(order) if with_points else None,
+        i, nq = uncut.mesh, len(uncut.rule()[1])
+        yield (*_uncut_values(u, uncut), uncut.points() if with_points else None,
                lambda q: f"in cell {uncut.cells[q // nq]} of part {i}")
         yield (*_values(u, batch, 0), batch.weights, batch.points,
                lambda q: f"in cell {batch.per_point(batch.cells[:, 0])[q]} of part {i}")

@@ -8,9 +8,10 @@ reference triangle: their local matrices are one product of per-cell
 geometry with sums tabulated once per degree and order. Every cut integral
 runs on the flat quadrature batches of the cut topology, which carry their
 basis in each of their meshes: assembly only contracts it, and local
-matrices are reduced per entity. Each matrix term returns its COO
-triplets, or writes them into the slice `out` of one set of arrays that
-`assemble_system` sizes for all three terms.
+matrices are reduced per entity. Each matrix term returns its local
+matrices as blocks, pairs of global dofs (ne, nd) and matrices
+(ne, nd, nd); `assemble_system` scatters the blocks of all three terms
+into one set of COO triplets.
 """
 from __future__ import annotations
 
@@ -41,9 +42,6 @@ __all__ = [
 
 STAB_GRADIENT = "gradient-jump"
 STAB_VALUE = "scaled-value-jump"
-
-Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]  # COO (rows, cols, vals)
-
 
 @dataclass
 class FormParams:
@@ -78,24 +76,16 @@ class FormParams:
 
 def kappa_weights(h_i: float, h_j: float) -> tuple[float, float]:
     """Mesh-size weights of the normal-flux average; they sum to 1 exactly."""
-    if h_i <= 0 or h_j <= 0:
+    if not (h_i > 0 and h_j > 0):
         raise ValueError("mesh sizes must be positive")
     kappa_i = h_i / (h_i + h_j)
     return kappa_i, 1.0 - kappa_i
 
 
-def _empty_triplets(n: int) -> Triplets:
-    return np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32), np.empty(n)
-
-
-def _scatter(blocks, out: Triplets | None) -> Triplets:
-    """Triplets (rows, cols, vals) of local matrices, given as a list of
-    pairs of dofs (ne, nd) and matrices (ne, nd, nd), in list order: written
-    into out if given, which must hold exactly as many."""
+def _scatter(blocks: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO triplets (rows, cols, vals) of a list of blocks, in list order."""
     n = sum(m.size for _, m in blocks)
-    rows, cols, vals = out if out is not None else _empty_triplets(n)
-    if len(vals) != n:
-        raise ValueError(f"{n} triplets do not fit the {len(vals)} given")
+    rows, cols, vals = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32), np.empty(n)
     k = 0
     for d, m in blocks:
         rows[k:k + m.size].reshape(m.shape)[...] = d[:, :, None]
@@ -140,7 +130,7 @@ def _uncut_volume(uncut: UncutCells, params: FormParams, offset: int):
     matrices (nc, nd, nd) of the uncut cells. The stiffness of a cell is
     area * sum_kl M[k, l] S[k, l] with M = invJ invJ^T and the reference
     sums S[k, l] = sum_q w_q g_q[:, k] g_q[:, l]^T of the basis gradients."""
-    _, w, phi, grad = uncut.rule(params.quad_order)
+    _, w, phi, grad = uncut.rule()
     nd = phi.shape[1]
     dofs, invJ, area = uncut.gather()
     ref = np.einsum("q,qak,qbl->klab", w, grad, grad).reshape(4, nd * nd)
@@ -153,8 +143,7 @@ def _uncut_volume(uncut: UncutCells, params: FormParams, offset: int):
     return offset + dofs, local.reshape(-1, nd, nd)
 
 
-def assemble_volume(topology: CutTopology, params: FormParams,
-                    out: Triplets | None = None) -> Triplets:
+def assemble_volume(topology: CutTopology, params: FormParams) -> list:
     """Stiffness (plus optional reaction mass) over every visible region."""
     blocks = []
     offsets = topology.block_offsets()
@@ -164,11 +153,10 @@ def assemble_volume(topology: CutTopology, params: FormParams,
         if params.reaction_eps is not None:
             grad = np.concatenate([grad, phi[:, :, None] / params.reaction_eps], axis=2)
         blocks.append((offsets[uncut.mesh] + dofs, _entity_blocks(batch, grad, grad)))
-    return _scatter(blocks, out)
+    return blocks
 
 
-def assemble_interface(topology: CutTopology, params: FormParams,
-                       out: Triplets | None = None) -> Triplets:
+def assemble_interface(topology: CutTopology, params: FormParams) -> list:
     """Nitsche coupling on interface facets.
 
     Per facet with upper mesh i and lower mesh j: consistency, symmetry and
@@ -193,11 +181,10 @@ def assemble_interface(topology: CutTopology, params: FormParams,
             batch, np.stack([jump, avg], axis=2), np.stack([pen * jump - avg, -jump], axis=2)
         )
         blocks.append((np.concatenate([offsets[i] + dofs_u, offsets[j] + dofs_l], axis=1), local))
-    return _scatter(blocks, out)
+    return blocks
 
 
-def assemble_stabilization(topology: CutTopology, params: FormParams,
-                           out: Triplets | None = None) -> Triplets:
+def assemble_stabilization(topology: CutTopology, params: FormParams) -> list:
     """Overlap stabilization: gradient-jump (default) or scaled value-jump."""
     blocks = []
     offsets = topology.block_offsets()
@@ -214,20 +201,19 @@ def assemble_stabilization(topology: CutTopology, params: FormParams,
             scale = params.beta1 / (h[i] + h[j]) ** 2
         blocks.append((np.concatenate([offsets[i] + dofs_l, offsets[j] + dofs_u], axis=1),
                        scale * _entity_blocks(batch, D, D)))
-    return _scatter(blocks, out)
+    return blocks
 
 
 def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
     """Load vector: f integrated against each basis over visible regions only.
     A non-finite value of f raises a ValueError naming its part, cell and point."""
-    order = params.quad_order
     offsets = topology.block_offsets()
     b = np.zeros(topology.total_dim)
-    for uncut, batch in topology.cell_quadrature(order):
+    for uncut, batch in topology.cell_quadrature(params.quad_order):
         i = uncut.mesh
-        _, w, phi, _ = uncut.rule(order)
+        _, w, phi, _ = uncut.rule()
         dofs, _, area = uncut.gather()
-        fx = field_values(f, "load f", uncut.points(order),
+        fx = field_values(f, "load f", uncut.points(),
                           lambda q: f"in cell {uncut.cells[q // len(w)]} of part {i}")
         local = (fx.reshape(-1, len(w)) * w) @ phi * area[:, None]
         b += np.bincount((offsets[i] + dofs).ravel(), weights=local.ravel(), minlength=len(b))
@@ -239,24 +225,12 @@ def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
     return b
 
 
-def _term_sizes(topology: CutTopology) -> list[int]:
-    """Number of triplets of the volume, interface and stabilization terms:
-    one local matrix per active cell, facet and overlap piece."""
-    nd = np.array([p.space.cell_dofs.shape[1] for p in topology.parts])
-    f, o = topology.facets, topology.overlaps
-    return [int(sum(len(a) * nd[i] ** 2 for i, a in enumerate(topology.active))),
-            int(((nd[f.lower_mesh] + nd[f.upper_mesh]) ** 2).sum()),
-            int(((nd[o.lower_mesh] + nd[o.upper_mesh]) ** 2).sum())]
-
-
 def assemble_system(topology: CutTopology, params: FormParams) -> SystemMatrix:
-    """Full coupled matrix: volume + interface + stabilization, each term
-    writing its triplets straight into its slice of one set of arrays."""
-    at = np.cumsum([0, *_term_sizes(topology)])
-    triplets = _empty_triplets(int(at[-1]))
-    for term, lo, hi in zip((assemble_volume, assemble_interface, assemble_stabilization),
-                            at, at[1:]):
-        term(topology, params, out=tuple(x[lo:hi] for x in triplets))
+    """Full coupled matrix: the blocks of volume, interface and
+    stabilization, in that order, scattered into one set of triplets."""
+    # the blocks are freed once scattered, before the CSR conversion
+    triplets = _scatter([*assemble_volume(topology, params), *assemble_interface(topology, params),
+                         *assemble_stabilization(topology, params)])
     return SystemMatrix(CsrMatrix.from_triplets(*triplets, topology.total_dim))
 
 
@@ -276,17 +250,6 @@ class DirichletBC:
         self.values = np.asarray(values, dtype=float)
         if self.dofs.shape != self.values.shape:
             raise ValueError("dof and value arrays differ in length")
-
-
-def flagged_boundary_dofs(topology: CutTopology, marker: int) -> np.ndarray:
-    """Global dofs on boundary facets with the given marker, over all parts."""
-    offsets = topology.block_offsets()
-    out = []
-    for i, part in enumerate(topology.parts):
-        d = part.space.boundary_dofs(marker)
-        if len(d):
-            out.append(offsets[i] + d)
-    return np.unique(np.concatenate(out)) if out else np.zeros(0, dtype=np.int64)
 
 
 def build_dirichlet(topology: CutTopology, g_outer, g_inner=None) -> DirichletBC:
@@ -340,12 +303,11 @@ def apply_dirichlet(
     """
     offsets = topology.block_offsets()
     active = np.zeros(system.dim, dtype=bool)
-    for i in range(topology.nparts):
+    flagged = []
+    for i, part in enumerate(topology.parts):
         active[offsets[i] + topology.active_dofs(i)] = True
-    flagged = np.concatenate(
-        [flagged_boundary_dofs(topology, 0), flagged_boundary_dofs(topology, 1)]
-    )
-    unknown = np.setdiff1d(bc.dofs, flagged)
+        flagged.append(offsets[i] + part.space.boundary_dofs())
+    unknown = np.setdiff1d(bc.dofs, np.concatenate(flagged))
     if len(unknown):
         raise ValueError(f"bc dofs {unknown[:5]} are not on a flagged boundary")
     is_bc = np.zeros(system.dim, dtype=bool)

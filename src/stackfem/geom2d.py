@@ -6,6 +6,7 @@ area and the two output pieces share their cut vertices bitwise.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -64,12 +65,6 @@ def polygon_area(vertices) -> float:
     return 0.5 * s
 
 
-def _feature_scale(vertices: np.ndarray) -> float:
-    lo = vertices.min(axis=0)
-    hi = vertices.max(axis=0)
-    return max(float(hi[0] - lo[0]), float(hi[1] - lo[1]), 1e-300)
-
-
 @dataclass
 class ConvexPolygon:
     """Convex polygon with counterclockwise vertices, stored as (n, 2)."""
@@ -94,7 +89,7 @@ class ConvexPolygon:
     def scale(self) -> float:
         s = getattr(self, "_scale", None)
         if s is None:
-            s = _feature_scale(self.vertices)
+            s = float(_feature_scales(self.vertices[None], np.array([len(self.vertices)]))[0])
             self._scale = s
         return s
 
@@ -133,7 +128,7 @@ def _validated_convex(verts: np.ndarray) -> np.ndarray:
         raise GeometryError("polygon needs at least 3 vertices")
     if not np.all(np.isfinite(verts)):
         raise GeometryError("non-finite vertex coordinates")
-    scale = _feature_scale(verts)
+    scale = float(_feature_scales(verts[None], np.array([len(verts)]))[0])
     verts = _dedupe_vertices(verts, REL_TOL * scale)
     if len(verts) < 3:
         raise GeometryError("degenerate polygon: fewer than 3 distinct vertices")
@@ -491,18 +486,10 @@ def _symmetric_rule(groups) -> tuple[np.ndarray, np.ndarray]:
     bary = []
     weights = []
     for w, coords in groups:
-        seen = set()
-        for perm in _permutations3(coords):
-            if perm not in seen:
-                seen.add(perm)
-                bary.append(perm)
-                weights.append(w)
+        for perm in dict.fromkeys(itertools.permutations(coords)):
+            bary.append(perm)
+            weights.append(w)
     return np.array(bary), np.array(weights)
-
-
-def _permutations3(c):
-    a, b, d = c
-    return [(a, b, d), (a, d, b), (b, a, d), (b, d, a), (d, a, b), (d, b, a)]
 
 
 # Symmetric triangle rules in barycentric coordinates, weights normalised to
@@ -583,14 +570,11 @@ def rect_polygon(x0: float, x1: float, y0: float, y1: float) -> ConvexPolygon:
     return ConvexPolygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
 
 
-def rotate_rect(bounds, angle_deg: float, center=None) -> ConvexPolygon:
-    """Rectangle rotated about its centroid (or an explicit center)."""
+def rotate_rect(bounds, angle_deg: float) -> ConvexPolygon:
+    """Rectangle rotated about its centroid."""
     x0, x1, y0, y1 = bounds
     rect = rect_polygon(x0, x1, y0, y1)
-    if center is None:
-        center = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
-    else:
-        center = np.asarray(center, dtype=float)
+    center = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
     theta = math.radians(angle_deg)
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])

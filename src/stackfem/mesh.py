@@ -54,7 +54,7 @@ class TriMesh:
     boundary_markers: np.ndarray = field(default=None)
     h: float = field(default=0.0)
 
-    def __init__(self, nodes, cells, boundary_markers=None):
+    def __init__(self, nodes, cells):
         self.nodes = np.asarray(nodes, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
@@ -62,12 +62,7 @@ class TriMesh:
         self._geom_cache = None
         self._check_orientation()
         self.boundary_facets = self._extract_boundary()
-        if boundary_markers is None:
-            self.boundary_markers = np.zeros(len(self.boundary_facets), dtype=np.int64)
-        else:
-            self.boundary_markers = np.asarray(boundary_markers, dtype=np.int64)
-            if len(self.boundary_markers) != len(self.boundary_facets):
-                raise MeshError("boundary marker count does not match facet count")
+        self.boundary_markers = np.zeros(len(self.boundary_facets), dtype=np.int64)
         diam = self.cell_diameters()
         self.h = float(diam.max())
 

@@ -202,18 +202,19 @@ class QuadBatch:
 
 class UncutCells(NamedTuple):
     """The uncut active cells (nc,) of mesh `mesh`, integrated on the
-    reference triangle. The basis at the rule points is the same in every
-    cell and is tabulated once per degree and order; each cell adds only its
-    inverse Jacobian and area, read off the mesh's cached affine maps."""
+    reference triangle by the rule of order `order`, whose basis is the same
+    in every cell and is tabulated once per degree and order; each cell adds
+    only its inverse Jacobian and area, read off the cached affine maps."""
 
     mesh: int
     space: FeSpace
     cells: np.ndarray
+    order: int
 
-    def rule(self, order: int):
+    def rule(self):
         """Barycentric points (nq, 3), unit-sum weights (nq,), basis values
-        (nq, nd) and reference gradients (nq, nd, 2) of the order's rule."""
-        return reference_rule(self.space.degree, order)
+        (nq, nd) and reference gradients (nq, nd, 2) of the rule."""
+        return reference_rule(self.space.degree, self.order)
 
     def gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Part-local dofs (nc, nd), inverse Jacobians (nc, 2, 2) and areas
@@ -221,10 +222,10 @@ class UncutCells(NamedTuple):
         _, _, invJ, det = self.space.mesh.geometry()
         return self.space.cell_dofs[self.cells], invJ[self.cells], 0.5 * det[self.cells]
 
-    def points(self, order: int) -> np.ndarray:
-        """Physical points (nc * nq, 2) of the order's rule, cell by cell."""
+    def points(self) -> np.ndarray:
+        """Physical points (nc * nq, 2) of the rule, cell by cell."""
         mesh = self.space.mesh
-        return (self.rule(order)[0] @ mesh.nodes[mesh.cells[self.cells]]).reshape(-1, 2)
+        return (self.rule()[0] @ mesh.nodes[mesh.cells[self.cells]]).reshape(-1, 2)
 
 
 def _triangle_batch(parts: list[MultiMeshPart], meshes: tuple[int, ...], cells: np.ndarray,
@@ -430,11 +431,11 @@ class CutTopology:
             return np.zeros(0, dtype=np.int64)
         return np.unique(space.cell_dofs[self.active[i]].ravel())
 
-    def cell_quadrature(self, order: int | None = None) -> list[tuple[UncutCells, QuadBatch]]:
+    def cell_quadrature(self, order: int) -> list[tuple[UncutCells, QuadBatch]]:
         """Quadrature over the visible region of every active cell, per mesh:
         its uncut active cells, on the reference triangle, and the batch
         over the visible pieces of its cut cells."""
-        return [(UncutCells(i, part.space, self.uncut[i]), batch)
+        return [(UncutCells(i, part.space, self.uncut[i], order), batch)
                 for i, (part, batch) in enumerate(zip(self.parts, self.cell_batches(order)))]
 
     def cell_batches(self, order: int | None = None) -> list[QuadBatch]:

@@ -99,7 +99,7 @@ def cg_solve(
     of b or A, and NotSPDError on a nonpositive-curvature direction, which
     flags an indefinite (or unpinned) system.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     n = A.dim
     if maxit is None:

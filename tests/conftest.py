@@ -10,6 +10,7 @@ from hypothesis import settings
 from stackfem.geom2d import ConvexPolygon, rect_polygon, rotate_rect
 from stackfem.mesh import FeSpace, build_structured_mesh
 from stackfem.multimesh import MultiMeshConfig, MultiMeshPart
+from stackfem.solver import CsrMatrix
 
 # Property tests draw the same examples on every run and store none, so the
 # suite stays reproducible; geometry examples have no time limit.
@@ -78,6 +79,15 @@ def random_rect_stack(rng: np.random.Generator, max_extra=3) -> MultiMeshConfig:
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+def blocks_matrix(blocks, dim: int) -> CsrMatrix:
+    """The matrix of an assembly term's blocks, pairs of global dofs
+    (ne, nd) and local matrices (ne, nd, nd), scattered in list order."""
+    trip = [(np.broadcast_to(d[:, :, None], m.shape).ravel(),
+             np.broadcast_to(d[:, None, :], m.shape).ravel(), m.ravel()) for d, m in blocks]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*trip)) if trip else ([], [], [])
+    return CsrMatrix.from_triplets(rows, cols, vals, dim)
+
 
 def classical_p1_system(mesh, f):
     """Dense classical P1 stiffness and load, assembled from closed-form

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import config_I, config_II, fit_rate, nan_in_cut_pieces, single_config
+from conftest import blocks_matrix, config_I, config_II, fit_rate, nan_in_cut_pieces, single_config
 from stackfem.analysis import (
     EnergyBreakdown,
     MultimeshFunction,
@@ -26,12 +26,6 @@ from stackfem.assembly import (
     build_dirichlet,
 )
 from stackfem.multimesh import build_cut_topology
-from stackfem.solver import CsrMatrix
-
-
-def _stab_matrix(topo, params) -> CsrMatrix:
-    rows, cols, vals = assemble_stabilization(topo, params)
-    return CsrMatrix.from_triplets(rows, cols, vals, topo.total_dim)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +150,7 @@ class TestEnergyNorm:
         # beta1 * term_II must equal the assembled stabilization quadratic form
         topo = build_cut_topology(builder(), 2)
         params = FormParams.defaults(1)
-        S = _stab_matrix(topo, params)
+        S = blocks_matrix(assemble_stabilization(topo, params), topo.total_dim)
         for _ in range(20):
             v = rng.standard_normal(topo.total_dim)
             u = MultimeshFunction.from_global(topo, v)

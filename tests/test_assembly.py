@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.io import mmread
 
-from conftest import classical_p1_system, config_I, config_II, single_config
+from conftest import blocks_matrix, classical_p1_system, config_I, config_II, single_config
 from stackfem.analysis import MultimeshFunction, global_interpolant
 from stackfem.assembly import (
     STAB_VALUE,
@@ -23,12 +23,7 @@ from stackfem.assembly import (
 )
 from stackfem.cli import build_stack, standard_predomains
 from stackfem.multimesh import build_cut_topology
-from stackfem.solver import CsrMatrix, cg_solve
-
-
-def _matrix_from(trip, dim) -> CsrMatrix:
-    rows, cols, vals = trip
-    return CsrMatrix.from_triplets(rows, cols, vals, dim)
+from stackfem.solver import cg_solve
 
 
 class TestKappaWeights:
@@ -45,8 +40,10 @@ class TestKappaWeights:
             assert ki + kj == 1.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            kappa_weights(0.0, 0.1)
+        # NaN fails every comparison, so it must not slip past a `<= 0` test
+        for h_i, h_j in [(0.0, 0.1), (math.nan, 0.1), (0.1, math.nan)]:
+            with pytest.raises(ValueError):
+                kappa_weights(h_i, h_j)
 
 
 class TestVolume:
@@ -54,7 +51,7 @@ class TestVolume:
         f = lambda x, y: 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
         topo = build_cut_topology(single_config(3), 2)
         params = FormParams.defaults(1)
-        A = _matrix_from(assemble_volume(topo, params), topo.total_dim).todense()
+        A = blocks_matrix(assemble_volume(topo, params), topo.total_dim).todense()
         b = assemble_load(topo, f, params)
         A_ref, b_ref = classical_p1_system(topo.parts[0].mesh, f)
         assert np.max(np.abs(A - A_ref)) <= 1e-12
@@ -62,7 +59,7 @@ class TestVolume:
 
     def test_constant_nullspace(self):
         topo = build_cut_topology(config_I(), 2)
-        A = _matrix_from(assemble_volume(topo, FormParams.defaults(1)), topo.total_dim)
+        A = blocks_matrix(assemble_volume(topo, FormParams.defaults(1)), topo.total_dim)
         off = topo.block_offsets()
         v = np.zeros(topo.total_dim)
         for i in range(3):
@@ -72,14 +69,14 @@ class TestVolume:
     def test_linear_energy(self):
         # |grad(x + y)|^2 = 2 on every visible piece, so the form gives 2|Omega|
         topo = build_cut_topology(config_I(), 2)
-        A = _matrix_from(assemble_volume(topo, FormParams.defaults(1)), topo.total_dim)
+        A = blocks_matrix(assemble_volume(topo, FormParams.defaults(1)), topo.total_dim)
         v = global_interpolant(topo, lambda x, y: x + y).to_global()
         assert v @ A.matvec(v) == pytest.approx(2.0, rel=1e-12)
 
     def test_reaction_term(self):
         topo = build_cut_topology(single_config(3), 2)
         params = FormParams.defaults(1, reaction_eps=0.5)
-        A = _matrix_from(assemble_volume(topo, params), topo.total_dim)
+        A = blocks_matrix(assemble_volume(topo, params), topo.total_dim)
         ones = np.ones(topo.total_dim)
         assert ones @ A.matvec(ones) == pytest.approx(0.5 ** -2 * 1.0, rel=1e-12)
 
@@ -87,7 +84,7 @@ class TestVolume:
 class TestInterface:
     def test_global_linear_has_zero_jump_energy(self):
         topo = build_cut_topology(config_II(), 2)
-        A = _matrix_from(assemble_interface(topo, FormParams.defaults(1)), topo.total_dim)
+        A = blocks_matrix(assemble_interface(topo, FormParams.defaults(1)), topo.total_dim)
         v = global_interpolant(topo, lambda x, y: 1 + 2 * x - 3 * y).to_global()
         assert abs(v @ A.matvec(v)) <= 1e-11
 
@@ -96,7 +93,7 @@ class TestInterface:
         # on Gamma_2 survives: beta0 |Gamma_2| / (h_1 + h_2)
         topo = build_cut_topology(config_I(), 2)
         params = FormParams.defaults(1)
-        A = _matrix_from(assemble_interface(topo, params), topo.total_dim)
+        A = blocks_matrix(assemble_interface(topo, params), topo.total_dim)
         off = topo.block_offsets()
         v = np.zeros(topo.total_dim)
         v[off[2]:off[3]] = 1.0
@@ -113,7 +110,7 @@ class TestInterface:
 class TestStabilization:
     def test_global_linear_zero(self):
         topo = build_cut_topology(config_I(), 2)
-        S = _matrix_from(assemble_stabilization(topo, FormParams.defaults(1)), topo.total_dim)
+        S = blocks_matrix(assemble_stabilization(topo, FormParams.defaults(1)), topo.total_dim)
         v = global_interpolant(topo, lambda x, y: 4 - x + 2 * y).to_global()
         assert abs(v @ S.matvec(v)) <= 1e-12
 
@@ -121,7 +118,7 @@ class TestStabilization:
         # v_0 = x, other parts 0: [grad v] = (1, 0) on the overlaps of mesh 0
         topo = build_cut_topology(config_I(), 2)
         params = FormParams.defaults(1)
-        S = _matrix_from(assemble_stabilization(topo, params), topo.total_dim)
+        S = blocks_matrix(assemble_stabilization(topo, params), topo.total_dim)
         off = topo.block_offsets()
         v = np.zeros(topo.total_dim)
         coords = topo.parts[0].space.dof_coords
@@ -132,7 +129,7 @@ class TestStabilization:
     def test_value_variant_closed_form(self):
         topo = build_cut_topology(config_I(), 2)
         params = FormParams.defaults(1, stab_variant=STAB_VALUE)
-        S = _matrix_from(assemble_stabilization(topo, params), topo.total_dim)
+        S = blocks_matrix(assemble_stabilization(topo, params), topo.total_dim)
         off = topo.block_offsets()
         v = np.zeros(topo.total_dim)
         v[off[2]:off[3]] = 1.0
@@ -234,16 +231,15 @@ class TestSystemProperties:
 
     @pytest.mark.parametrize("name, k, degree", [("II", 6, 1), ("I", 4, 2)])
     def test_system_is_the_three_terms_in_order(self, name, k, degree):
-        """assemble_system writes the terms into one set of arrays; its CSR
-        arrays equal, bit for bit, those of the three terms' triplets
-        concatenated (volume, interface, stabilization)."""
+        """assemble_system scatters the terms into one set of arrays; its CSR
+        arrays equal, bit for bit, those of the three terms' blocks
+        concatenated (volume, interface, stabilization) and scattered."""
         topo = build_cut_topology(build_stack(standard_predomains(name), [k] * 3, degree),
                                   2 * degree)
         params = FormParams.defaults(degree)
         got = assemble_system(topo, params).matrix.csr
-        want = _matrix_from(map(np.concatenate, zip(
-            assemble_volume(topo, params), assemble_interface(topo, params),
-            assemble_stabilization(topo, params))), topo.total_dim).csr
+        want = blocks_matrix([*assemble_volume(topo, params), *assemble_interface(topo, params),
+                              *assemble_stabilization(topo, params)], topo.total_dim).csr
         for attr in ("indptr", "indices", "data"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.dtype == b.dtype and np.array_equal(a, b), attr

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import build_stack_config, config_I, config_II, single_config
+from conftest import blocks_matrix, build_stack_config, config_I, config_II, single_config
 from stackfem.analysis import MultimeshFunction, energy_norm, error_norms
 from stackfem.assembly import (
     STAB_VALUE,
@@ -22,7 +22,6 @@ from stackfem.assembly import (
 from stackfem.cli import boundary_layer_stack, poisson_fields
 from stackfem.geom2d import rect_polygon
 from stackfem.multimesh import build_cut_topology
-from stackfem.solver import CsrMatrix
 
 SCALAR_RTOL = 1e-12
 ENTRY_RTOL = 1e-13
@@ -73,11 +72,6 @@ def case(request):
     return topo, params, MultimeshFunction.from_global(topo, rng.standard_normal(topo.total_dim))
 
 
-def _matrix(trip, dim):
-    rows, cols, vals = trip
-    return CsrMatrix.from_triplets(rows, cols, vals, dim).csr
-
-
 def _assert_entries_close(got, want):
     scale = abs(want).max()
     assert scale > 0
@@ -95,7 +89,7 @@ def _assert_entries_close(got, want):
 )
 def test_matrices_match_oracle(case, batched, oracle):
     topo, params, _ = case
-    got = _matrix(batched(topo, params), topo.total_dim)
+    got = blocks_matrix(batched(topo, params), topo.total_dim).csr
     want = oracle(topo, params)
     assert got.nnz == want.nnz
     if want.nnz == 0:

@@ -190,7 +190,9 @@ def test_topology_build_memory_peak(name):
 
 # tracemalloc peaks of a cold `assemble_volume` and `error_norms` (a fresh
 # topology, no quadrature built yet) on config II, k = 7, P1, measured at
-# 10.8 MB and 13.2 MB with numpy 2.4; the bounds leave 2x headroom. Mapping
+# 4.3 MB and 13.4 MB with numpy 2.4 (the volume term returns its local
+# matrices and makes no triplets); the bounds leave 2x headroom over the
+# 10.8 MB and 13.2 MB measured when it scattered its own triplets. Mapping
 # and tabulating the points of every uncut cell peaked at 27.7 MB and
 # 33.5 MB in this test, 23.8 MB and 29.6 MB with the affine maps cached.
 INTEGRAL_PEAK_MB = {"assemble_volume": 21.6, "error_norms": 26.3}

@@ -269,6 +269,7 @@ class TestConvergenceCommand:
         assert 2.7 <= rate_l2 <= 3.2
         assert 1.8 <= rate_h1 <= 2.2
 
+    @pytest.mark.filterwarnings("ignore:target_h exceeds rectangle extent")
     def test_equal_refinement_rows_are_permutation_endpoints(self):
         from stackfem.analysis import csv_row
         from stackfem.cli import run_permutation_study
@@ -296,6 +297,7 @@ class TestConvergenceCommand:
             assert abs(c[0].l2_err / coarse.l2_err - 1.0) <= 0.01
             assert abs(c[-1].l2_err / fine.l2_err - 1.0) <= 0.01
 
+    @pytest.mark.filterwarnings("ignore:target_h exceeds rectangle extent")
     def test_permutation_study_solves_each_stack_once(self, monkeypatch):
         from stackfem import cli
 
@@ -341,6 +343,7 @@ class TestConditionCommand:
         rows, _ = cli.run_condition_study(pres, [4], 1)
         assert rows[0][1] == pytest.approx(195.45174264295414, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:target_h exceeds rectangle extent")
     def test_larger_penalty_raises_kappa_keeps_slope(self):
         from stackfem.assembly import FormParams
         from stackfem.cli import run_condition_study

@@ -90,6 +90,7 @@ def test_boundary_layer_matches_golden(tmp_path):
     assert np.max(np.abs(u_got[~hole] - u_want[~hole])) <= 1e-14
 
 
+@pytest.mark.filterwarnings("ignore:target_h exceeds rectangle extent")
 def test_condition_matches_golden(tmp_path):
     """`stackfem condition --mm-config I --k-min 2 --k-max 4`, recorded before
     the study drivers shared one solve loop. h exactly: it is geometry only.

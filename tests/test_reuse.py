@@ -15,6 +15,7 @@ import weakref
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from stackfem import cli, multimesh
 from stackfem.cli import (
@@ -56,6 +57,7 @@ def _assert_identical(got, want, where):
         assert got == want, where
 
 
+@pytest.mark.filterwarnings("ignore:target_h exceeds rectangle extent")
 def test_shared_parts_give_the_topology_of_fresh_ones(monkeypatch):
     solved = []  # (meshes' levels, topology) of every stack the study solves
     level = {}   # id of each mesh built -> (mesh, k)
@@ -89,6 +91,7 @@ def test_shared_parts_give_the_topology_of_fresh_ones(monkeypatch):
                           f"{ks} overlap batches")
 
 
+@pytest.mark.filterwarnings("ignore:target_h exceeds rectangle extent")
 def test_each_mesh_and_step_runs_once_per_study(monkeypatch):
     calls = []
     alive = []  # the objects whose ids key the calls, so that no id is reused
@@ -160,6 +163,7 @@ def _alive(refs) -> int:
     return sum(r() is not None for r in refs)
 
 
+@pytest.mark.filterwarnings("ignore:target_h exceeds rectangle extent")
 def test_study_parts_die_with_the_study(monkeypatch):
     refs = _record_parts(monkeypatch)
     _study()
@@ -167,6 +171,7 @@ def test_study_parts_die_with_the_study(monkeypatch):
     assert _alive(refs) == 0
 
 
+@pytest.mark.filterwarnings("ignore:target_h exceeds rectangle extent")
 def test_condition_level_parts_die_with_the_level(monkeypatch):
     """By the time a level's condition number is estimated, its parts,
     meshes and whatever the topology kept on them are gone."""

@@ -88,6 +88,12 @@ class TestCG:
         with pytest.raises(NotSPDError):
             cg_solve(A, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_rejects_nonpositive_tol(self, tol):
+        # NaN fails every comparison; it must not reach the iteration
+        with pytest.raises(ValueError, match="tol must be positive"):
+            cg_solve(_csr([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, 1.0]), tol=tol)
+
     def test_zero_rhs(self):
         x, rep = cg_solve(_csr(np.eye(3)), np.zeros(3))
         assert np.all(x == 0) and rep.converged and rep.iterations == 0
@@ -341,6 +347,7 @@ class TestHelperThread:
 
 
 class TestDeterminism:
+    @pytest.mark.filterwarnings("ignore:target_h exceeds rectangle extent")
     def test_condition_study_repeats_bitwise(self):
         pre = standard_predomains("I")
         first = run_condition_study(pre, [2, 3, 4, 5], 1)
