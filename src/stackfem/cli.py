@@ -344,12 +344,18 @@ def run_boundary_layer(
     params: FormParams | None = None,
 ) -> BoundaryLayerResult:
     """Solve the obstacle demo at level k. `params` (default: the defaults
-    for `degree`) sets the forms; the reaction weight is always eps."""
+    for `degree`) sets the forms; the reaction weight is always eps. A CG
+    run that stops short of cg_tol raises SolveDidNotConverge."""
     config, eps = boundary_layer_stack(k, degree)
     params = replace(params or FormParams.defaults(degree), reaction_eps=eps)
     zero = lambda x, y: np.zeros_like(x)
     one = lambda x, y: np.ones_like(x)
     res = solve_poisson(config, params, zero, zero, g_inner=one, cg_tol=cg_tol)
+    if not res.report.converged:
+        raise SolveDidNotConverge(
+            f"boundary layer (k = {k}): residual {res.report.relative_residual:.3e} "
+            f"after {res.report.iterations} iterations"
+        )
 
     xs = np.linspace(0.0, 1.0, probe_n)
     x, y = np.meshgrid(xs, xs)

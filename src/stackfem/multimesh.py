@@ -583,6 +583,12 @@ def _predomain_edge_normals(pre: ConvexPolygon, a: np.ndarray, b: np.ndarray, pa
     return np.stack([u[:, 1], -u[:, 0]], axis=1)
 
 
+# Points per pass of `_locate_cells`. A pass holds every (point, candidate
+# cell) pair of its points, about 12 per point on a structured mesh, so its
+# memory is bounded by the chunk, not by the number of points.
+LOCATE_CHUNK = 2048
+
+
 def _locate_cells(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray,
                   active_mask: np.ndarray) -> np.ndarray:
     """For each point x[p], the lowest-index cell containing it (boundary-
@@ -590,8 +596,19 @@ def _locate_cells(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray
 
     When a point sits exactly on a shared edge, active cells win the tie:
     covered cells carry pinned dofs and must not be paired with interface
-    or evaluation points.
+    or evaluation points. Each point is decided on its own, so the points
+    go through in chunks of LOCATE_CHUNK.
     """
+    out = np.empty(len(x), dtype=np.int64)
+    for s in range(0, len(x), LOCATE_CHUNK):
+        chunk = slice(s, s + LOCATE_CHUNK)
+        out[chunk] = _locate_chunk(mesh, grid, x[chunk], tol[chunk], active_mask)
+    return out
+
+
+def _locate_chunk(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray,
+                  active_mask: np.ndarray) -> np.ndarray:
+    """`_locate_cells` on one chunk of points."""
     p, c = grid.query_bboxes(x, x)
     v = mesh.nodes.take(mesh.cells.take(c, axis=0), axis=0)  # take: no fancy-index overhead
     e = np.roll(v, -1, axis=1) - v

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,17 @@ def nan_in_cut_pieces(topo):
         return np.where(np.any([q.contains_strict(xy) for q in pieces], axis=0), np.nan, 1.0)
 
     return f
+
+
+def traced_peak_mb(fn) -> float:
+    """tracemalloc peak, in MB, of one call fn(); tracing stops also when
+    fn raises."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def fit_rate(hs, errs) -> float:

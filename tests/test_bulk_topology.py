@@ -9,11 +9,10 @@ and the cell, facet and overlap batches, which the loops concatenate from
 one rule per entity. Each batch carries its basis in each of its meshes,
 read-only and tabulated exactly once. The two bulk building blocks are
 checked on their own against brute force with hypothesis, and the memory
-peaks of one topology build, on two stacks, and of the cell integrals of
-volume and error norms are bounded.
+peaks of one topology build, on two stacks, of the cell integrals of
+volume and error norms, and of point location on two grids are bounded.
 """
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
-from conftest import build_stack_config, config_I, config_II
+from conftest import build_stack_config, config_I, config_II, traced_peak_mb
 from stackfem.analysis import MultimeshFunction, error_norms
 from stackfem.assembly import FormParams, assemble_volume
 from stackfem.cli import (
@@ -41,6 +40,7 @@ from stackfem.multimesh import (
     _part_regions,
     _sat_separated,
     build_cut_topology,
+    point_locate,
 )
 
 UNIT = rect_polygon(0.0, 1.0, 0.0, 1.0)
@@ -179,23 +179,19 @@ def test_topology_build_memory_peak(name):
 
     build_cut_topology(stack())
     config = stack()
-    tracemalloc.start()
-    try:
-        build_cut_topology(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / 1e6 <= MEMORY_PEAK_MB[name]
+    assert traced_peak_mb(lambda: build_cut_topology(config)) <= MEMORY_PEAK_MB[name]
 
 
 # tracemalloc peaks of a cold `assemble_volume` and `error_norms` (a fresh
 # topology, no quadrature built yet) on config II, k = 7, P1, measured at
-# 4.3 MB and 13.4 MB with numpy 2.4 (the volume term returns its local
-# matrices and makes no triplets); the bounds leave 2x headroom over the
-# 10.8 MB and 13.2 MB measured when it scattered its own triplets. Mapping
+# 4.3 MB and 7.2 MB with numpy 2.4. The volume term returns its local
+# matrices and makes no triplets; its bound leaves 2x headroom over the
+# 10.8 MB measured when it scattered its own triplets. The norms integrate
+# the uncut cells in chunks of analysis.UNCUT_CHUNK (21,707 of them in the
+# background mesh); on all of them at once they peaked at 13.4 MB. Mapping
 # and tabulating the points of every uncut cell peaked at 27.7 MB and
 # 33.5 MB in this test, 23.8 MB and 29.6 MB with the affine maps cached.
-INTEGRAL_PEAK_MB = {"assemble_volume": 21.6, "error_norms": 26.3}
+INTEGRAL_PEAK_MB = {"assemble_volume": 21.6, "error_norms": 14.4}
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRAL_PEAK_MB))
@@ -206,13 +202,25 @@ def test_cell_integral_memory_peak(name):
     u_exact, _, grad_u = poisson_fields()
     run = {"assemble_volume": lambda: assemble_volume(topo, FormParams.defaults(1)),
            "error_norms": lambda: error_norms(u, topo, u_exact, grad_u)}[name]
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / 1e6 <= INTEGRAL_PEAK_MB[name]
+    assert traced_peak_mb(run) <= INTEGRAL_PEAK_MB[name]
+
+
+# tracemalloc peaks of `point_locate` on the k = 1 boundary-layer stack, on
+# n x n grids over the unit square, measured at 6.8 MB (n = 101) and
+# 21.2 MB (n = 301) with numpy 2.4; the bounds leave 2x headroom. Located
+# in chunks of multimesh.LOCATE_CHUNK points, the transient (point,
+# candidate cell) pairs no longer grow with the grid: located all at once,
+# the peaks were 26.4 MB and 234.6 MB.
+LOCATE_PEAK_MB = {101: 13.6, 301: 42.4}
+
+
+@pytest.mark.parametrize("n", sorted(LOCATE_PEAK_MB))
+def test_point_locate_memory_peak(n):
+    topo = build_cut_topology(boundary_layer_stack(1)[0])
+    xs = np.linspace(0.0, 1.0, n)
+    x, y = np.meshgrid(xs, xs)
+    grid = np.column_stack([x.ravel(), y.ravel()])
+    assert traced_peak_mb(lambda: point_locate(topo, grid)) <= LOCATE_PEAK_MB[n]
 
 
 def _assert_batches_equal(config, got, want):

@@ -541,6 +541,24 @@ class TestBoundaryLayer:
         assert r.solve.report.converged
         assert r.layer_halfwidth == pytest.approx(r.eps * np.log(2.0), rel=0.15)
 
+    def test_nonconvergence_aborts_before_any_output(self, tmp_path, monkeypatch):
+        """A CG run that stops short of its tolerance ends the study with
+        SolveDidNotConverge naming k, the residual and the iteration count;
+        no probe or results file is written."""
+        from stackfem import cli
+        from stackfem.solver import SolveReport
+
+        def stalled(A, b, tol=1e-10):
+            return np.zeros_like(b), SolveReport(5, 0.25, False)
+
+        monkeypatch.setattr(cli, "cg_solve", stalled)
+        out = tmp_path / "bl"
+        msg = r"^boundary layer \(k = 0\): residual 2\.500e-01 after 5 iterations$"
+        with pytest.raises(cli.SolveDidNotConverge, match=msg):
+            main(["boundary-layer", "--k-min", "0", "--k-max", "0", "--out", str(out)])
+        assert not (out / "probe_k0.csv").exists()
+        assert not (out / "results.csv").exists()
+
     def test_command_writes_outputs(self, tmp_path):
         out = tmp_path / "bl"
         rc = main(["boundary-layer", "--k-min", "0", "--k-max", "0", "--out", str(out)])

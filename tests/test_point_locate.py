@@ -271,3 +271,72 @@ def test_boundary_layer_measures_no_edge_with_math_hypot(monkeypatch):
         ties += np.count_nonzero(np.abs(cross - bound) <= 8 * np.finfo(float).eps * np.abs(bound))
     assert len(calls) >= 4
     assert sum(measured) <= ties
+
+
+# ---------------------------------------------------------------------------
+# Chunks: `_locate_cells` takes its points LOCATE_CHUNK at a time
+# ---------------------------------------------------------------------------
+
+def _nodes_and_midpoints(mesh):
+    v = mesh.nodes[mesh.cells]
+    mid = (0.5 * (v + np.roll(v, -1, axis=1))).reshape(-1, 2)
+    return np.unique(np.concatenate([mesh.nodes, mid]), axis=0)
+
+
+def _spans_chunks(n):
+    return n > 2 * multimesh.LOCATE_CHUNK and n % multimesh.LOCATE_CHUNK
+
+
+def test_chunked_point_locate_equals_one_point_at_a_time(monkeypatch):
+    """One point_locate call whose background pass spans more than two
+    chunks plus a remainder, on the k = 1 obstacle stack, locates every
+    point as a call on that point alone does. The points are nodes and
+    cell-edge midpoints of both meshes, where cells sharing an edge or a
+    vertex tie, points inside the hexagonal void and points outside the unit
+    square. The boundary-layer golden (tests/test_golden.py, 10,201 probe
+    points, most of them on the background) crosses chunk boundaries too."""
+    topo = build_cut_topology(boundary_layer_stack(1)[0])
+    sizes = []
+    locate = multimesh._locate_cells
+
+    def recording(mesh, grid, x, tol, active_mask):
+        sizes.append(len(x))
+        return locate(mesh, grid, x, tol, active_mask)
+
+    parts = [_nodes_and_midpoints(p.mesh) for p in topo.parts]
+    rng = np.random.default_rng(7)
+    hexagon = topo.parts[1].void.vertices
+    void = 0.5 + rng.uniform(0.0, 0.85, (100, 1)) * (hexagon[rng.integers(0, 6, 100)] - 0.5)
+    outside = np.column_stack([rng.uniform(-0.5, 1.5, 100), rng.choice([-0.2, 1.2], 100)])
+    pts = np.concatenate([parts[0][::12], parts[1][::8], void, outside])
+    monkeypatch.setattr(multimesh, "_locate_cells", recording)
+    mesh, cell = point_locate(topo, pts)
+    assert any(_spans_chunks(n) for n in sizes)
+    alone = np.array([np.concatenate(point_locate(topo, x[None])) for x in pts])
+    assert np.array_equal(np.column_stack([mesh, cell]), alone)
+    assert (mesh == 0).any() and (mesh == 1).any()
+    assert (mesh[-200:] < 0).all()  # the void and outside
+
+
+def test_chunked_locate_cells_lets_active_cells_win_ties():
+    """`_locate_cells` on the background of the k = 1 obstacle stack, over
+    the nodes and edge midpoints in a ring around the edge of the covered
+    region, in one call of more than two chunks plus a remainder: each point
+    gets the cell that a call on it alone gives. At some of them an active
+    cell wins the tie against a lower-index covered cell."""
+    topo = build_cut_topology(boundary_layer_stack(1)[0])
+    part = topo.parts[0]
+    mesh, grid = part.mesh, multimesh._grid(part)
+    active = multimesh._per_part(multimesh._part_regions, topo.config, 0).active_mask
+    x = _nodes_and_midpoints(mesh)
+    r = np.hypot(x[:, 0] - 0.5, x[:, 1] - 0.5)
+    x = x[(0.18 <= r) & (r <= 0.25)]
+    assert _spans_chunks(len(x))
+    tol = np.full(len(x), REL_TOL)
+    got = multimesh._locate_cells(mesh, grid, x, tol, active)
+    alone = [multimesh._locate_cells(mesh, grid, x[k:k + 1], tol[k:k + 1], active)[0]
+             for k in range(len(x))]
+    assert np.array_equal(got, alone)
+    assert (got >= 0).all()
+    lowest = multimesh._locate_cells(mesh, grid, x, tol, np.ones_like(active))
+    assert (active[got] & ~active[lowest]).any()
