@@ -63,6 +63,8 @@ STAB_FLAGS = {"grad": "gradient-jump", "l2": "scaled-value-jump"}
 
 HEX_OBSTACLE_INRADIUS = 0.15
 HEX_OBSTACLE_CENTER = (0.5, 0.5)
+# the levels k the boundary layer demo supports
+BOUNDARY_LAYER_KS = range(0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +90,15 @@ def standard_predomains(name: str) -> list[ConvexPolygon]:
 def custom_predomains(entries) -> list[ConvexPolygon]:
     """The unit square, then per entry {"bounds": [x0, x1, y0, y1],
     "angle": degrees} that rectangle rotated about its centre, strictly
-    inside the square. A malformed entry raises a ValueError naming it."""
+    inside the square. A malformed entry, or one with another key, raises a
+    ValueError naming it."""
     pres = [rect_polygon(0.0, 1.0, 0.0, 1.0)]
     for n, entry in enumerate(entries):
         try:
             bounds = [float(x) for x in entry["bounds"]]
+            unknown = sorted(set(entry) - {"bounds", "angle"})
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}; accepted keys: angle, bounds")
             if len(bounds) != 4:
                 raise ValueError(f"bounds must be [x0, x1, y0, y1], got {entry['bounds']!r}")
             pres.append(rotate_rect(bounds, float(entry.get("angle", 0.0))))
@@ -189,7 +195,8 @@ def _error_report(name: str, degree: int, res: SolveResult, u_exact,
 
 
 class SolveDidNotConverge(RuntimeError):
-    """Raised when a study solve fails to reach the CG tolerance."""
+    """Raised when a solve fails to reach the CG tolerance; `main` logs it
+    and exits with status 1."""
 
 
 def _solve_and_report(tag: str, ks, parts: list[MultiMeshPart], degree: int, params: FormParams,
@@ -321,7 +328,7 @@ def hexagon_obstacle() -> ConvexPolygon:
 def boundary_layer_stack(k: int, degree: int = 1) -> tuple[MultiMeshConfig, float]:
     """Background mesh at H = 2^-(6+k) under a boundary-fitted band of width
     w = 0.1 * 2^-k around the hexagonal obstacle; returns (config, eps)."""
-    if not 0 <= k <= 4:
+    if k not in BOUNDARY_LAYER_KS:
         raise ValueError("boundary layer runs support k = 0..4")
     H = 2.0 ** -(6 + k)
     w = 0.1 * 2.0 ** -k
@@ -439,10 +446,24 @@ _CONFIG_KEYS = ("config", "k_min", "k_max", "degree", "beta0", "beta1", "stab", 
 def _read_config_file(args) -> dict:
     """The JSON config file args.config_file, each value that a flag also
     sets parsed by that flag; null stays null, as for a flag not given. A
-    bad value is the subcommand's usage error (exit status 2) naming the key
-    and the file."""
+    file that cannot be read, is not a JSON object or has a key other than
+    _CONFIG_KEYS, full and parts, and a bad value, are the subcommand's
+    usage error (exit status 2) naming the file."""
     path = args.config_file
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        args.parser.error(f"cannot read config file {path}: {exc.strerror}")
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        args.parser.error(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        args.parser.error(f"config file {path} must hold a JSON object, "
+                          f"not {type(data).__name__}")
+    accepted = sorted({*_CONFIG_KEYS, "full", "parts"})
+    unknown = sorted(set(data) - set(accepted))
+    if unknown:
+        args.parser.error(f"unknown key {unknown[0]!r} in {path}; "
+                          f"accepted keys: {', '.join(accepted)}")
     values = argparse.ArgumentParser(prog="stackfem", exit_on_error=False)
     _add_common(values)
     for flag in values._actions:
@@ -486,6 +507,18 @@ def _predomains(args, cfg: ExperimentConfig) -> list[ConvexPolygon]:
     return cfg.predomains()
 
 
+def _k_levels(args, cfg: ExperimentConfig, supported: range | None = None) -> range:
+    """The levels k_min..k_max of a study. An empty range, or one reaching
+    outside the supported levels, is the subcommand's usage error (exit
+    status 2)."""
+    if cfg.k_min > cfg.k_max:
+        args.parser.error(f"empty k range: k_min {cfg.k_min} > k_max {cfg.k_max}")
+    if supported is not None and not (cfg.k_min in supported and cfg.k_max in supported):
+        args.parser.error(f"k range {cfg.k_min}..{cfg.k_max} outside the supported "
+                          f"{supported[0]}..{supported[-1]}")
+    return range(cfg.k_min, cfg.k_max + 1)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -516,9 +549,8 @@ def _cmd_solve(args) -> int:
     config = build_stack(predomains, [k] * len(predomains), cfg.degree)
     res = solve_poisson(config, cfg.form_params(), f, u_exact)
     if not res.report.converged:
-        logger.error("solver did not converge on %s at k=%d: residual %.3e",
-                     cfg.config, k, res.report.relative_residual)
-        return 1
+        raise SolveDidNotConverge(f"solver did not converge on {cfg.config} at k={k}: "
+                                  f"residual {res.report.relative_residual:.3e}")
     rep = _error_report(f"{cfg.config}:k{k}", cfg.degree, res, u_exact, grad_u)
     _write_csv(outdir / "results.csv", analysis.csv_header(len(predomains)),
                [analysis.csv_row(rep)])
@@ -538,12 +570,12 @@ def _cmd_solve(args) -> int:
 def _cmd_convergence(args) -> int:
     cfg = _load_experiment(args)
     predomains = _predomains(args, cfg)
+    ks = _k_levels(args, cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     mode = "equal" if args.equal else "permutations"
     if args.equal:
-        reports = run_equal_refinement(cfg.config, predomains, range(cfg.k_min, cfg.k_max + 1),
-                                       cfg.degree, cfg.form_params())
+        reports = run_equal_refinement(cfg.config, predomains, ks, cfg.degree, cfg.form_params())
     else:
         reports = run_permutation_study(cfg.config, predomains, cfg.k_min, cfg.k_max,
                                         cfg.degree, cfg.form_params())
@@ -559,12 +591,11 @@ def _cmd_convergence(args) -> int:
 def _cmd_condition(args) -> int:
     cfg = _load_experiment(args, k_range=(2, 5))
     predomains = _predomains(args, cfg)
+    ks = _k_levels(args, cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows, slope = run_condition_study(
-        predomains, range(cfg.k_min, cfg.k_max + 1), cfg.degree,
-        cfg.form_params(), seed=cfg.seed,
-    )
+    rows, slope = run_condition_study(predomains, ks, cfg.degree, cfg.form_params(),
+                                      seed=cfg.seed)
     _write_csv(outdir / "results.csv", ["h", "kappa"],
                [_g17(h, kappa) for h, kappa in rows] + [["slope", *_g17(slope)]])
     _write_meta(outdir, cfg, {"command": "condition", "slope": slope})
@@ -574,10 +605,11 @@ def _cmd_condition(args) -> int:
 
 def _cmd_boundary_layer(args) -> int:
     cfg = _load_experiment(args, k_range=(0, 2), full_range=None)
+    ks = _k_levels(args, cfg, BOUNDARY_LAYER_KS)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for k in range(cfg.k_min, cfg.k_max + 1):
+    for k in ks:
         result = run_boundary_layer(k, cfg.degree, params=cfg.form_params())
         rows.append(result)
         with open(outdir / f"probe_k{k}.csv", "w", newline="") as fh:
@@ -656,7 +688,11 @@ def main(argv=None) -> int:
     p_bl.set_defaults(parser=p_bl, func=_cmd_boundary_layer)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SolveDidNotConverge as exc:
+        logger.error("%s", exc)
+        return 1
 
 
 if __name__ == "__main__":

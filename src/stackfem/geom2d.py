@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "polygons",
     "centroids",
     "stack_padded",
-    "math_hypot",
     "edge_vectors",
     "triangles_quadrature",
     "segments_quadrature",
@@ -37,7 +36,6 @@ __all__ = [
     "rect_polygon",
     "regular_polygon",
     "offset_polygon",
-    "polygon_area",
 ]
 
 # Relative geometric tolerance; scaled by local feature size everywhere.
@@ -53,45 +51,43 @@ class GeometryError(ValueError):
     """Raised for degenerate or invalid geometric input."""
 
 
-def polygon_area(vertices) -> float:
-    """Signed shoelace area of a closed polygon, (n, 2) array or vertex list."""
-    if isinstance(vertices, np.ndarray):
-        vertices = vertices.tolist()
-    s = 0.0
-    xp, yp = vertices[-1]
-    for x, y in vertices:
-        s += xp * y - x * yp
-        xp, yp = x, y
-    return 0.5 * s
-
-
 @dataclass
 class ConvexPolygon:
-    """Convex polygon with counterclockwise vertices, stored as (n, 2)."""
+    """Convex polygon with counterclockwise vertices, stored as (n, 2), with
+    its area and its scale (the larger bounding-box extent)."""
 
     vertices: np.ndarray
-    _area: float = field(init=False, repr=False)
+    area: float
+    scale: float
 
     def __init__(self, vertices, validate: bool = True):
+        """With validate, the vertices go through `_finish` as a clipped
+        piece does, and a polygon left with fewer than 3 vertices, an area
+        under the floor or a reflex corner raises."""
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise GeometryError(f"expected (n, 2) vertex array, got {verts.shape}")
+        counts = np.array([len(verts)])
         if validate:
-            verts = _validated_convex(verts)
+            if len(verts) < 3:
+                raise GeometryError("polygon needs at least 3 vertices")
+            if not np.all(np.isfinite(verts)):
+                raise GeometryError("non-finite vertex coordinates")
+            scale = _feature_scales(verts[None], counts)
+            v, counts, area = _finish(verts[None], counts, scale)
+            if counts[0] == 0:
+                raise GeometryError("degenerate polygon: fewer than 3 distinct vertices "
+                                    f"or area {area[0]:g} not positive")
+            verts = v[0, :counts[0]]
+            e = np.roll(verts, -1, axis=0) - verts
+            cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+            if np.any(cross < -REL_TOL * scale[0] * scale[0]):
+                raise GeometryError("polygon is not convex (or not counterclockwise)")
+        else:
+            area = _shoelace(verts[None], counts)
         self.vertices = verts
-        self._area = polygon_area(verts)
-
-    @property
-    def area(self) -> float:
-        return self._area
-
-    @property
-    def scale(self) -> float:
-        s = getattr(self, "_scale", None)
-        if s is None:
-            s = float(_feature_scales(self.vertices[None], np.array([len(self.vertices)]))[0])
-            self._scale = s
-        return s
+        self.area = float(area[0])
+        self.scale = float(_feature_scales(verts[None], counts)[0])
 
     def _edge_cross(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Cross products e_k x (point - v_k) per point and edge (..., nedges),
@@ -123,36 +119,6 @@ class ConvexPolygon:
         return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
 
-def _validated_convex(verts: np.ndarray) -> np.ndarray:
-    if len(verts) < 3:
-        raise GeometryError("polygon needs at least 3 vertices")
-    if not np.all(np.isfinite(verts)):
-        raise GeometryError("non-finite vertex coordinates")
-    scale = float(_feature_scales(verts[None], np.array([len(verts)]))[0])
-    verts = _dedupe_vertices(verts, REL_TOL * scale)
-    if len(verts) < 3:
-        raise GeometryError("degenerate polygon: fewer than 3 distinct vertices")
-    area = polygon_area(verts)
-    if area <= AREA_FLOOR * scale * scale:
-        raise GeometryError(f"polygon area {area:g} not positive")
-    e = np.roll(verts, -1, axis=0) - verts
-    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-    if np.any(cross < -REL_TOL * scale * scale):
-        raise GeometryError("polygon is not convex (or not counterclockwise)")
-    return verts
-
-
-def _dedupe_vertices(verts: np.ndarray, tol_len: float) -> np.ndarray:
-    keep = []
-    n = len(verts)
-    for k in range(n):
-        if not keep or np.hypot(*(verts[k] - verts[keep[-1]])) > tol_len:
-            keep.append(k)
-    if len(keep) > 1 and np.hypot(*(verts[keep[-1]] - verts[keep[0]])) <= tol_len:
-        keep.pop()
-    return verts[keep]
-
-
 @dataclass
 class PolySet:
     """Disjoint collection of convex polygons (a possibly nonconvex region)."""
@@ -178,25 +144,6 @@ class Segment:
 # is verts[r, :counts[r]] of verts (n, M, 2). Every kernel does the
 # Sutherland-Hodgman arithmetic of clipping one polygon at a time, element
 # by element, so a batch clips bit for bit like the polygons one by one.
-
-_EPS = np.finfo(float).eps
-
-
-def math_hypot(ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-    """`math.hypot` of each (ex, ey): `np.hypot` may round differently."""
-    return np.array([math.hypot(x, y) for x, y in zip(ex.ravel().tolist(), ey.ravel().tolist())],
-                    dtype=float).reshape(np.shape(ex))
-
-
-def _farther(dx: np.ndarray, dy: np.ndarray, tol_len: np.ndarray) -> np.ndarray:
-    """hypot(dx, dy) > tol_len, decided as `math.hypot` decides it: where
-    `np.hypot` lands within a few ulps of tol_len, it is measured again."""
-    h = np.hypot(dx, dy)
-    near = np.nonzero(np.abs(h - tol_len) <= 4 * _EPS * tol_len)
-    if len(near[0]):
-        h[near] = math_hypot(dx[near], dy[near])
-    return h > tol_len
-
 
 def _compact(slots: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The slots (n, S, 2) where mask (n, S) holds, moved to the front of
@@ -274,6 +221,18 @@ def split_polygons(verts, counts, p, e, inv_norm, tol):
             _compact(slots, np.stack([keep_right, cross], axis=2).reshape(n, 2 * width)))
 
 
+def _shoelace(verts, counts):
+    """Signed areas of the polygons of a padded batch: the shoelace sum in
+    vertex order, starting from the last vertex."""
+    n = len(verts)
+    end = np.maximum(counts - 1, 0)
+    prev = np.empty_like(verts)
+    prev[:, 1:] = verts[:, :-1]
+    prev[:, 0] = verts[np.arange(n), end]
+    terms = prev[..., 0] * verts[..., 1] - verts[..., 0] * prev[..., 1]
+    return 0.5 * np.cumsum(terms, axis=1)[np.arange(n), end]
+
+
 def _finish(verts, counts, scale):
     """Raw split output as polygons: vertices within REL_TOL * scale of the
     last one kept dropped (and the last within that of the first), then
@@ -289,35 +248,29 @@ def _finish(verts, counts, scale):
     # where one goes are thinned again vertex by vertex
     step = verts[:, 1:] - verts[:, :-1]
     keep = valid.copy()
-    keep[:, 1:] &= _farther(step[..., 0], step[..., 1], tol_len[:, None])
+    keep[:, 1:] &= np.hypot(step[..., 0], step[..., 1]) > tol_len[:, None]
     rows = np.flatnonzero((keep != valid).any(axis=1))
     last = verts[rows, 0]
     for k in range(1, width):
-        far = (k < counts[rows]) & _farther(verts[rows, k, 0] - last[:, 0],
-                                            verts[rows, k, 1] - last[:, 1], tol_len[rows])
+        d = verts[rows, k] - last
+        far = (k < counts[rows]) & (np.hypot(d[:, 0], d[:, 1]) > tol_len[rows])
         keep[rows, k] = far
         last[far] = verts[rows[far], k]
     lastk = width - 1 - np.argmax(keep[:, ::-1], axis=1)
     d = verts[np.arange(n), lastk] - verts[:, 0]
-    closes = (keep.sum(axis=1) > 1) & ~_farther(d[:, 0], d[:, 1], tol_len)
+    closes = (keep.sum(axis=1) > 1) & (np.hypot(d[:, 0], d[:, 1]) <= tol_len)
     keep[np.flatnonzero(closes), lastk[closes]] = False
     verts, counts = _compact(verts, keep)
-    # shoelace sum in vertex order, starting from the last vertex
-    end = np.maximum(counts - 1, 0)
-    prev = np.empty_like(verts)
-    prev[:, 1:] = verts[:, :-1]
-    prev[:, 0] = verts[np.arange(n), end]
-    terms = prev[..., 0] * verts[..., 1] - verts[..., 0] * prev[..., 1]
-    areas = 0.5 * np.cumsum(terms, axis=1)[np.arange(n), end]
+    areas = _shoelace(verts, counts)
     counts = np.where((counts >= 3) & (areas > AREA_FLOOR * scale * scale), counts, 0)
     return verts, counts, areas
 
 
 def edge_vectors(verts):
-    """Edge vectors v[k+1] - v[k] and edge lengths (`math.hypot`) of
-    polygons (..., K, 2) that all have K vertices."""
+    """Edge vectors v[k+1] - v[k] and edge lengths of polygons (..., K, 2)
+    that all have K vertices."""
     e = np.roll(verts, -1, axis=-2) - verts
-    return e, math_hypot(e[..., 0], e[..., 1])
+    return e, np.hypot(e[..., 0], e[..., 1])
 
 
 def clip_polygons(verts, counts, clip, which):
@@ -431,16 +384,10 @@ def clip_segments(a: np.ndarray, b: np.ndarray, Q: ConvexPolygon):
             (out_a[mask], out_b[mask], np.repeat(rows, 2).reshape(-1, 2)[mask]))
 
 
-def polygons(verts, counts, areas) -> list[ConvexPolygon]:
+def polygons(verts, counts) -> list[ConvexPolygon]:
     """The nonempty polygons of a batch as ConvexPolygons, in row order."""
-    out = []
-    for r in np.flatnonzero(counts).tolist():
-        poly = ConvexPolygon.__new__(ConvexPolygon)
-        poly.vertices = verts[r, :counts[r]]
-        poly._area = float(areas[r])
-        poly._scale = None
-        out.append(poly)
-    return out
+    return [ConvexPolygon(verts[r, :counts[r]], validate=False)
+            for r in np.flatnonzero(counts).tolist()]
 
 
 def centroids(verts: np.ndarray, counts: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -463,12 +410,13 @@ def _batch_of(P: ConvexPolygon):
 
 def convex_intersect(P: ConvexPolygon, Q: ConvexPolygon) -> PolySet:
     """Intersection P ∩ Q as a PolySet with zero or one convex piece."""
-    return PolySet(polygons(*clip_polygons(*_batch_of(P), Q.vertices[None], np.zeros(1, int))))
+    verts, counts, _ = clip_polygons(*_batch_of(P), Q.vertices[None], np.zeros(1, int))
+    return PolySet(polygons(verts, counts))
 
 
 def convex_difference(P: ConvexPolygon, Q: ConvexPolygon) -> PolySet:
     """Difference P \\ Q as a disjoint convex decomposition."""
-    return PolySet(polygons(*subtract_polygon(*_batch_of(P), Q)[:3]))
+    return PolySet(polygons(*subtract_polygon(*_batch_of(P), Q)[:2]))
 
 
 def clip_segment(s: Segment, Q: ConvexPolygon, keep_inside: bool = True) -> list[Segment]:
@@ -603,7 +551,7 @@ def offset_polygon(P: ConvexPolygon, width: float) -> ConvexPolygon:
     for k in range(n):
         a, b = v[k], v[(k + 1) % n]
         e = b - a
-        nrm = np.array([e[1], -e[0]]) / math.hypot(e[0], e[1])  # outward for CCW
+        nrm = np.array([e[1], -e[0]]) / np.hypot(e[0], e[1])  # outward for CCW
         lines.append((a + width * nrm, b + width * nrm))
     verts = []
     for k in range(n):

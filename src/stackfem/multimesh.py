@@ -42,7 +42,6 @@ from .geom2d import (
     clip_segments,
     edge_vectors,
     fan_triangles,
-    math_hypot,
     segment_params,
     segments_quadrature,
     stack_padded,
@@ -542,20 +541,6 @@ def _cell_batch(config: MultiMeshConfig, i: int, order: int) -> QuadBatch:
                            np.searchsorted(r.cut, r.visible.cell[piece]), order)
 
 
-def _cell_edges(mesh: TriMesh, cells: np.ndarray):
-    """Vertices (n, 3, 2), edge vectors v[k+1] - v[k] and edge lengths of
-    the given cells, for the segment clip of `_split_owned`.
-
-    The lengths come from `math.hypot`, as in the clipping kernels: they
-    feed the arithmetic of `segment_params`, which must match the scalar
-    clip bit for bit. Each distinct cell is measured once.
-    """
-    uniq, inv = np.unique(cells, return_inverse=True)
-    v = mesh.nodes[mesh.cells[uniq]]
-    e, ln = edge_vectors(v)
-    return v[inv], e[inv], ln[inv]
-
-
 def _predomain_edge_normals(pre: ConvexPolygon, a: np.ndarray, b: np.ndarray, part: int,
                             cells: np.ndarray) -> np.ndarray:
     """Outward normal (n, 2) of the predomain edge each segment a[n] -> b[n],
@@ -614,13 +599,7 @@ def _locate_chunk(mesh: TriMesh, grid: _CellGrid, x: np.ndarray, tol: np.ndarray
     e = np.roll(v, -1, axis=1) - v
     xp, neg_tol = x.take(p, axis=0), -tol.take(p)
     cross = e[..., 0] * (xp[:, 1, None] - v[..., 1]) - e[..., 1] * (xp[:, 0, None] - v[..., 0])
-    bound = neg_tol[:, None] * np.hypot(e[..., 0], e[..., 1])
-    # the test is against math.hypot's length, as in the scalar code: where
-    # np.hypot's rounding could flip it, the edge is measured again
-    tie = np.nonzero(np.abs(cross - bound) <= 4 * np.finfo(float).eps * np.abs(bound))
-    if len(tie[0]):
-        bound[tie] = neg_tol[tie[0]] * math_hypot(e[tie][:, 0], e[tie][:, 1])
-    inside = np.all(cross >= bound, axis=1)
+    inside = np.all(cross >= neg_tol[:, None] * np.hypot(e[..., 0], e[..., 1]), axis=1)
     out = np.full(len(x), -1, dtype=np.int64)
     # pairs are sorted by (point, cell): the first hit of each point's run is
     # its lowest cell; active hits are written last so they win
@@ -702,8 +681,8 @@ def _split_owned(mesh: TriMesh, grid: _CellGrid, mask: np.ndarray, tol: float, a
     d = b - a
     length = np.hypot(d[:, 0], d[:, 1])
     q, c = grid.query_bboxes(np.minimum(a, b) - tol, np.maximum(a, b) + tol)
-    tris, e, ln = _cell_edges(mesh, c)
-    t_lo, t_hi, hit = segment_params(a[q], b[q], tris, e, ln, np.full(len(q), tol))
+    tris = mesh.nodes[mesh.cells[c]]
+    t_lo, t_hi, hit = segment_params(a[q], b[q], tris, *edge_vectors(tris), np.full(len(q), tol))
     # split parameters per segment: both ends and every cell entry and exit,
     # sorted, exact repeats dropped (ends first, so 0.0 beats -0.0)
     seg = np.concatenate([np.arange(n), np.arange(n), q[hit], q[hit]])

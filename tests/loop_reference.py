@@ -43,8 +43,10 @@ before it took arrays: one point, one grid bin and one cell at a time.
 The topology oracles clip with the scalar Sutherland-Hodgman code below
 (`_split_by_line`, `_as_piece`, `convex_intersect`, `convex_difference`,
 `clip_segment`): one polygon or segment at a time in pure Python, as
-`stackfem.geom2d` did before it clipped in batches. They share no clipping
-code with the batched kernels, which must match them bit for bit.
+`stackfem.geom2d` did before it clipped in batches, with their own
+duplicate-vertex removal (`_dedupe_list`) and shoelace area
+(`polygon_area`). They share no clipping code with the batched kernels,
+which must match them bit for bit.
 `_predomain_edge_normal` finds the normal of one facet at a time.
 
 `visible_regions` and `grid_table` are the cell bookkeeping of the cut
@@ -75,7 +77,6 @@ from stackfem.geom2d import (
     PolySet,
     Segment,
     offset_polygon,
-    polygon_area,
     triangle_rule,
     triangles_quadrature,
 )
@@ -128,6 +129,20 @@ class OverlapPiece:
     lower_cell: int
     upper_mesh: int
     upper_cell: int
+
+
+def polygon_area(vertices) -> float:
+    """Signed shoelace area of a closed polygon, (n, 2) array or vertex
+    list: the terms summed one by one in vertex order, starting from the
+    last vertex."""
+    if isinstance(vertices, np.ndarray):
+        vertices = vertices.tolist()
+    s = 0.0
+    xp, yp = vertices[-1]
+    for x, y in vertices:
+        s += xp * y - x * yp
+        xp, yp = x, y
+    return 0.5 * s
 
 
 def length(seg: Segment) -> float:
@@ -513,7 +528,7 @@ def _split_by_line(verts: list, px: float, py: float, qx: float, qy: float, tol:
     """
     ex = qx - px
     ey = qy - py
-    inv_norm = 1.0 / math.hypot(ex, ey)
+    inv_norm = 1.0 / np.hypot(ex, ey)
     d = [(ex * (y - py) - ey * (x - px)) * inv_norm for x, y in verts]
     neg_tol = -tol
     if all(v >= neg_tol for v in d):
@@ -552,19 +567,17 @@ def _as_piece(verts: list, scale: float) -> ConvexPolygon | None:
     area = polygon_area(verts)
     if area <= AREA_FLOOR * scale * scale:
         return None
-    poly = ConvexPolygon.__new__(ConvexPolygon)
-    poly.vertices = np.array(verts)
-    poly._area = area
-    poly._scale = None
+    poly = ConvexPolygon(np.array(verts), validate=False)
+    poly.area = area  # the oracle's own shoelace sum, not the kernel's
     return poly
 
 
 def _dedupe_list(verts: list, tol_len: float) -> list:
     out = []
     for v in verts:
-        if not out or math.hypot(v[0] - out[-1][0], v[1] - out[-1][1]) > tol_len:
+        if not out or np.hypot(v[0] - out[-1][0], v[1] - out[-1][1]) > tol_len:
             out.append(v)
-    if len(out) > 1 and math.hypot(out[-1][0] - out[0][0], out[-1][1] - out[0][1]) <= tol_len:
+    if len(out) > 1 and np.hypot(out[-1][0] - out[0][0], out[-1][1] - out[0][1]) <= tol_len:
         out.pop()
     return out
 
@@ -629,7 +642,7 @@ def clip_segment(s: Segment, Q: ConvexPolygon, keep_inside: bool = True) -> list
     t_lo, t_hi = 0.0, 1.0
     dir_vec = s.b - s.a
     for p, q in edges(Q):
-        norm = math.hypot(q[0] - p[0], q[1] - p[1])
+        norm = np.hypot(q[0] - p[0], q[1] - p[1])
         da = ((q[0] - p[0]) * (s.a[1] - p[1]) - (q[1] - p[1]) * (s.a[0] - p[0])) / norm
         db = ((q[0] - p[0]) * (s.b[1] - p[1]) - (q[1] - p[1]) * (s.b[0] - p[0])) / norm
         if da >= -tol and db >= -tol:
@@ -733,7 +746,7 @@ def _segment_poly_params(a, b, poly_verts, tol):
     for k in range(n):
         p = poly_verts[k]
         q = poly_verts[(k + 1) % n]
-        norm = math.hypot(q[0] - p[0], q[1] - p[1])
+        norm = np.hypot(q[0] - p[0], q[1] - p[1])
         da = ((q[0] - p[0]) * (a[1] - p[1]) - (q[1] - p[1]) * (a[0] - p[0])) / norm
         db = ((q[0] - p[0]) * (b[1] - p[1]) - (q[1] - p[1]) * (b[0] - p[0])) / norm
         if da >= -tol and db >= -tol:
@@ -760,7 +773,7 @@ def locate_cell(mesh, grid, x, tol, active_mask=None):
         ok = True
         for k in range(3):
             p, q = v[k], v[(k + 1) % 3]
-            ln = math.hypot(q[0] - p[0], q[1] - p[1])
+            ln = np.hypot(q[0] - p[0], q[1] - p[1])
             if (q[0] - p[0]) * (x[1] - p[1]) - (q[1] - p[1]) * (x[0] - p[0]) < -tol * ln:
                 ok = False
                 break
@@ -798,7 +811,7 @@ def _predomain_edge_normal(pre: ConvexPolygon, seg: Segment, part: int,
     mid = 0.5 * (seg.a + seg.b)
     for p, q in edges(pre):
         e = q - p
-        ln = math.hypot(e[0], e[1])
+        ln = np.hypot(e[0], e[1])
         u = e / ln
         off = abs(u[0] * (mid[1] - p[1]) - u[1] * (mid[0] - p[0]))
         along = u[0] * (mid[0] - p[0]) + u[1] * (mid[1] - p[1])

@@ -214,6 +214,36 @@ class TestSolveCommand:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["k"] == 3 and meta["beta0"] == 10.0
 
+    @pytest.mark.parametrize("content, why", [
+        (None, "cannot read config file {}: No such file or directory"),
+        ("{\"k_min\": 2,", "config file {} is not valid JSON: "),
+        ("[1, 2]", "config file {} must hold a JSON object, not list"),
+    ])
+    def test_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys, content, why):
+        cfg_path = tmp_path / "exp.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--k", "2", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stackfem solve ")
+        assert f"error: {why.format(cfg_path)}" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
+        """A misspelled key is not dropped: `p` is the flag, `degree` the key."""
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"k_min": 2, "p": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stackfem solve ")
+        assert (f"error: unknown key 'p' in {cfg_path}; accepted keys: beta0, beta1, config, "
+                "degree, full, k_max, k_min, out, parts, seed, stab") in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestConvergenceCommand:
     def test_equal_mode_csv(self, tmp_path):
@@ -236,6 +266,25 @@ class TestConvergenceCommand:
         meta, results = run("default")
         assert run("flags", "--seed", "9") == (meta, results)
         assert "seed" not in json.loads(meta)
+
+    def test_nonconvergence_is_logged_with_exit_code_1(self, tmp_path, monkeypatch, caplog):
+        from stackfem import cli
+        from stackfem.solver import SolveReport
+
+        def stalled(A, b, tol=1e-10):
+            return np.zeros_like(b), SolveReport(5, 0.25, False)
+
+        monkeypatch.setattr(cli, "cg_solve", stalled)
+        out = tmp_path / "conv"
+        with caplog.at_level("ERROR", logger="stackfem.cli"):
+            rc = main(["convergence", "--mm-config", "single", "--k-min", "2", "--k-max", "2",
+                       "--equal", "--out", str(out)])
+        assert rc == 1
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("ERROR", "single:k2 (k = (2,)): residual 2.500e-01 after 5 iterations")
+        ]
+        assert not (out / "results.csv").exists()
+        assert not (out / "meta.json").exists()
 
     def test_config_II_k4_runs_to_convergence(self):
         from stackfem.assembly import FormParams
@@ -455,6 +504,20 @@ class TestCustomStack:
         assert f"error: parts in {cfg_path}: entry 0: " in err and why in err
         assert not (tmp_path / "run").exists()
 
+    def test_unknown_part_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "custom.json"
+        cfg_path.write_text(json.dumps({
+            "config": "custom", "parts": [{"bounds": [0.2, 0.6, 0.25, 0.7], "angel": 15.0}],
+        }))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stackfem solve ")
+        assert (f"error: parts in {cfg_path}: entry 0: ValueError: unknown key 'angel'; "
+                "accepted keys: angle, bounds") in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["solve", "convergence", "condition"])
     def test_custom_without_parts_is_a_usage_error(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -541,10 +604,10 @@ class TestBoundaryLayer:
         assert r.solve.report.converged
         assert r.layer_halfwidth == pytest.approx(r.eps * np.log(2.0), rel=0.15)
 
-    def test_nonconvergence_aborts_before_any_output(self, tmp_path, monkeypatch):
+    def test_nonconvergence_aborts_before_any_output(self, tmp_path, monkeypatch, caplog):
         """A CG run that stops short of its tolerance ends the study with
-        SolveDidNotConverge naming k, the residual and the iteration count;
-        no probe or results file is written."""
+        exit status 1 and an error naming k, the residual and the iteration
+        count; no probe or results file is written."""
         from stackfem import cli
         from stackfem.solver import SolveReport
 
@@ -553,9 +616,12 @@ class TestBoundaryLayer:
 
         monkeypatch.setattr(cli, "cg_solve", stalled)
         out = tmp_path / "bl"
-        msg = r"^boundary layer \(k = 0\): residual 2\.500e-01 after 5 iterations$"
-        with pytest.raises(cli.SolveDidNotConverge, match=msg):
-            main(["boundary-layer", "--k-min", "0", "--k-max", "0", "--out", str(out)])
+        with caplog.at_level("ERROR", logger="stackfem.cli"):
+            rc = main(["boundary-layer", "--k-min", "0", "--k-max", "0", "--out", str(out)])
+        assert rc == 1
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("ERROR", "boundary layer (k = 0): residual 2.500e-01 after 5 iterations")
+        ]
         assert not (out / "probe_k0.csv").exists()
         assert not (out / "results.csv").exists()
 
@@ -621,3 +687,29 @@ class TestBoundaryLayer:
         params = ExperimentConfig(stab="l2", beta0=80.0).form_params()
         direct = run_boundary_layer(0, params=params)
         assert np.array_equal(direct.probe[:, 2], u_l2, equal_nan=True)
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["condition", "--k-min", "4", "--k-max", "3"], "empty k range: k_min 4 > k_max 3"),
+    (["convergence", "--k-min", "3", "--k-max", "2"], "empty k range: k_min 3 > k_max 2"),
+    (["boundary-layer", "--k-min", "2", "--k-max", "1"], "empty k range: k_min 2 > k_max 1"),
+    (["boundary-layer", "--k-min", "5", "--k-max", "5"],
+     "k range 5..5 outside the supported 0..4"),
+    (["boundary-layer", "--k-min", "-1", "--k-max", "0"],
+     "k range -1..0 outside the supported 0..4"),
+])
+def test_bad_k_range_is_a_usage_error(tmp_path, capsys, argv, why):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--mm-config", "single", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: stackfem {argv[0]} ")
+    assert f"error: {why}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_solve_runs_one_k_whatever_the_k_range(tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", "--mm-config", "single", "--k", "2", "--k-min", "4", "--k-max", "3",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text())["k"] == 2

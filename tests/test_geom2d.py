@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from conftest import monomial_integral_polygon
-from stackfem import geom2d
 from stackfem.geom2d import (
     REL_TOL,
     ConvexPolygon,
@@ -20,9 +19,7 @@ from stackfem.geom2d import (
     convex_difference,
     convex_intersect,
     fan_triangles,
-    math_hypot,
     offset_polygon,
-    polygon_area,
     rect_polygon,
     regular_polygon,
     rotate_rect,
@@ -252,7 +249,7 @@ JUNK = 7.25
 
 
 def _ccw(v: np.ndarray) -> np.ndarray:
-    area = polygon_area(v)
+    area = ref.polygon_area(v)
     return v if area >= 0.0 else v[::-1].copy()
 
 
@@ -390,7 +387,7 @@ def test_fan_and_centroids_match_one_polygon_at_a_time(polys, extra):
     want = [(r, t) for r, v in enumerate(polys) for t in ref.polygon_fan(v)]
     assert owner.tolist() == [r for r, _ in want]
     assert np.array_equal(tris, np.array([t for _, t in want]).reshape(-1, 3, 2))
-    got = centroids(verts, counts, np.array([polygon_area(v) for v in polys]))
+    got = centroids(verts, counts, np.array([ref.polygon_area(v) for v in polys]))
     assert np.array_equal(got, np.array([ref.centroid(_poly(v)) for v in polys]).reshape(-1, 2))
 
 
@@ -493,7 +490,7 @@ def test_split_polygons_matches_scalar_split(rows, extra):
     verts, counts = _padded([P for P, *_ in rows], extra)
     p = np.array([r[1] for r in rows])
     e = np.array([r[2] for r in rows]) - p
-    inv_norm = np.array([1.0 / math.hypot(x, y) for x, y in e.tolist()])
+    inv_norm = 1.0 / np.hypot(e[:, 0], e[:, 1])
     tol = np.array([r[3] for r in rows])
     (lv, ln), (rv, rn) = split_polygons(verts, counts, p, e, inv_norm, tol)
     for r, (P, pr, qr, tol_r) in enumerate(rows):
@@ -501,32 +498,6 @@ def test_split_polygons_matches_scalar_split(rows, extra):
         assert ln[r] == len(left) and rn[r] == len(right)
         assert np.array_equal(lv[r, :ln[r]], np.array(left).reshape(-1, 2))
         assert np.array_equal(rv[r, :rn[r]], np.array(right).reshape(-1, 2))
-
-
-def _hypot_sensitive(n):
-    """n edge vectors whose `np.hypot` and `math.hypot` differ, where this
-    platform has such vectors (else any)."""
-    rng = np.random.default_rng(7)
-    x, y = rng.uniform(-1, 1, (2, 20000))
-    differ = np.flatnonzero(np.hypot(x, y) != [math.hypot(a, b) for a, b in zip(x, y)])
-    pick = differ[:n] if len(differ) >= n else np.arange(n)
-    return x[pick], y[pick]
-
-
-def test_edge_lengths_and_dedupe_distances_round_as_math_hypot():
-    x, y = _hypot_sensitive(16)
-    assert math_hypot(x, y).tolist() == [math.hypot(a, b) for a, b in zip(x, y)]
-    # the polygon edge lengths the kernels divide by
-    tri = np.stack([np.zeros((16, 2)), np.stack([x, y], axis=1), np.stack([x - y, y + x], axis=1)],
-                   axis=1)
-    _, lengths = geom2d.edge_vectors(tri)
-    assert lengths[:, 0].tolist() == [math.hypot(a, b) for a, b in zip(x, y)]
-    # the de-duplication test decides a distance equal to tol_len, or one
-    # ulp off it, as math.hypot does
-    for tol_len in (math_hypot(x, y), np.nextafter(math_hypot(x, y), 0.0),
-                    np.nextafter(math_hypot(x, y), 1.0)):
-        want = [math.hypot(a, b) > t for a, b, t in zip(x, y, tol_len)]
-        assert geom2d._farther(x, y, tol_len).tolist() == want
 
 
 def test_kernels_take_empty_batches():

@@ -8,7 +8,6 @@ nodes, cell edges, predomain edges and the void boundary, exactly and
 1e-13 off, and outside the unit square.
 """
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from conftest import build_stack_config, config_I, config_II
-from stackfem import analysis, geom2d, multimesh
+from stackfem import analysis, multimesh
 from stackfem.cli import boundary_layer_stack, run_boundary_layer
 from stackfem.geom2d import REL_TOL, rect_polygon
 from stackfem.multimesh import build_cut_topology, point_locate
@@ -140,137 +139,20 @@ def test_boundary_layer_probe_at_k1(monkeypatch):
         assert np.max(np.abs(vals[sel] - per_cell)) <= 1e-14
 
 
-# ---------------------------------------------------------------------------
-# Edge-length ties: the test against -tol * |e| where np.hypot could decide
-# it otherwise than math.hypot
-# ---------------------------------------------------------------------------
-
-def _recheck_counter(monkeypatch):
-    """Count the edges `_locate_cells` measures again with `math_hypot`."""
-    measured = []
-    math_hypot = multimesh.math_hypot
-
-    def counting(ex, ey):
-        measured.append(np.size(ex))
-        return math_hypot(ex, ey)
-
-    monkeypatch.setattr(multimesh, "math_hypot", counting)
-    return measured
-
-
-def _edge_ties(mesh, per_mesh=60):
-    """Points x and tolerances tol at which a cell edge e of the mesh, one
-    whose np.hypot and math.hypot differ, decides x by a tie: x lies 1e-9
-    outside the edge, near its midpoint, and the cross product lands within
-    a few ulps of -tol * math.hypot(e), on the side opposite to the one
-    -tol * np.hypot(e) would give.
-
-    At point_locate's own tol such ties need a vertex within about 1e-11 of
-    an axis, where the cross product is fine-grained enough; away from the
-    axes they need a tol chosen per point, as here."""
-    v = mesh.nodes[mesh.cells]
-    e = np.roll(v, -1, axis=1) - v
-    ln_np = np.hypot(e[..., 0], e[..., 1])
-    ln = np.array([[math.hypot(*ek) for ek in ec] for ec in e.tolist()])
-    pts, tols = [], []
-    for c, k in zip(*np.nonzero(ln_np != ln)):
-        p, ek = v[c, k], e[c, k]
-        x = p + 0.5 * ek + 1e-9 * np.array([ek[1], -ek[0]]) / ln[c, k]
-        cross = ek[0] * (x[1] - p[1]) - ek[1] * (x[0] - p[0])
-        tol = -cross / ln[c, k]
-        for _ in range(8):  # walk tol down by ulps until the two lengths disagree
-            if (cross >= -tol * ln[c, k]) != (cross >= -tol * ln_np[c, k]):
-                pts.append(x)
-                tols.append(tol)
-                break
-            tol = np.nextafter(tol, 0.0)
-        if len(pts) == per_mesh:
-            break
-    return np.array(pts), np.array(tols)
-
-
-def test_tie_rechecks_decide_as_math_hypot(monkeypatch):
-    """On config II edges whose np.hypot and math.hypot differ, points and
-    tolerances that tie: each mesh's cell location equals the scalar oracle,
-    which measures with math.hypot. The re-check runs, and measuring again
-    with np.hypot would change some answers."""
-    topo = build_cut_topology(config_II((6, 6, 6)))  # (4, 3, 5) has no such edge
-    measured = _recheck_counter(monkeypatch)
-    npoints = flipped = 0
-    for i, part in enumerate(topo.parts):
-        mesh, grid = part.mesh, multimesh._grid(part)
-        active = multimesh._per_part(multimesh._part_regions, topo.config, i).active_mask
-        x, tol = _edge_ties(mesh)
-        if len(x) == 0:
-            continue
-        npoints += len(x)
-        got = multimesh._locate_cells(mesh, grid, x, tol, active)
-        want = [ref.locate_cell(mesh, grid, xk, tk, active) for xk, tk in zip(x, tol)]
-        assert got.tolist() == [-1 if c is None else c for c in want]
-        with monkeypatch.context() as m:
-            m.setattr(multimesh, "math_hypot", np.hypot)
-            flipped += np.count_nonzero(multimesh._locate_cells(mesh, grid, x, tol, active) != got)
-    assert npoints >= 60
-    assert sum(measured) >= npoints
-    assert flipped > 0
-
-
-def test_point_locate_ties_on_the_domain_boundary(monkeypatch):
+def test_point_locate_ties_on_the_domain_boundary():
     """Points at, and a few ulps either side of, y = -tol below the bottom
     edges of the config II background: the cross product with each edge
     (h, 0) is exactly h * y, so at y = -tol it equals -tol * |e|.
-    point_locate equals the scalar oracle, and the re-check runs."""
+    point_locate equals the scalar oracle."""
     topo = _topology("II")
     tol = REL_TOL * max(topo.parts[0].predomain.scale, 1.0)
     ys = [-tol]
     for _ in range(4):
         ys = [np.nextafter(ys[0], -1.0), *ys, np.nextafter(ys[-1], 1.0)]
     pts = np.array([(x, y) for x in np.linspace(0.0, 1.0, 13) for y in ys])
-    measured = _recheck_counter(monkeypatch)
     mesh, cell = point_locate(topo, pts)
     assert np.array_equal(np.column_stack([mesh, cell]), _oracle(topo, pts))
     assert (mesh == 0).any() and (mesh < 0).any()
-    assert sum(measured) > 0
-
-
-def test_boundary_layer_measures_no_edge_with_math_hypot(monkeypatch):
-    """Counting guard for the per-edge math.hypot loop: over the whole k = 1
-    obstacle demo, `_locate_cells` hands `math_hypot` at most its tie
-    entries, and there are none (it measured about 118k edges that way when
-    every candidate edge went through math.hypot)."""
-    calls = []
-    inside = []
-    measured = []
-    locate, math_hypot = multimesh._locate_cells, geom2d.math_hypot
-
-    def recording(mesh, grid, x, tol, active_mask):
-        calls.append((mesh, grid, x.copy(), tol.copy()))
-        inside.append(True)
-        try:
-            return locate(mesh, grid, x, tol, active_mask)
-        finally:
-            inside.pop()
-
-    def counting(ex, ey):
-        if inside:
-            measured.append(np.size(ex))
-        return math_hypot(ex, ey)
-
-    monkeypatch.setattr(multimesh, "_locate_cells", recording)
-    monkeypatch.setattr(multimesh, "math_hypot", counting)
-    monkeypatch.setattr(geom2d, "math_hypot", counting)
-    run_boundary_layer(1)
-    ties = 0
-    for mesh, grid, x, tol in calls:
-        p, c = grid.query_bboxes(x, x)
-        v = mesh.nodes[mesh.cells[c]]
-        e = np.roll(v, -1, axis=1) - v
-        cross = e[..., 0] * (x[p, 1, None] - v[..., 1]) - e[..., 1] * (x[p, 0, None] - v[..., 0])
-        bound = -tol[p, None] * np.hypot(e[..., 0], e[..., 1])
-        # twice the window the code re-measures, so none of its entries is missed
-        ties += np.count_nonzero(np.abs(cross - bound) <= 8 * np.finfo(float).eps * np.abs(bound))
-    assert len(calls) >= 4
-    assert sum(measured) <= ties
 
 
 # ---------------------------------------------------------------------------
