@@ -21,7 +21,6 @@ from . import analysis
 from .assembly import (
     FormParams,
     ReducedSystem,
-    SystemMatrix,
     apply_dirichlet,
     assemble_load,
     assemble_system,
@@ -147,7 +146,6 @@ def poisson_fields():
 class SolveResult:
     u: analysis.MultimeshFunction
     topology: CutTopology
-    system: SystemMatrix
     reduced: ReducedSystem
     report: SolveReport
 
@@ -160,15 +158,18 @@ def solve_poisson(
     g_inner=None,
     cg_tol: float = 1e-10,
 ) -> SolveResult:
-    """Assemble, constrain and solve one multimesh problem."""
+    """Assemble, constrain and solve one multimesh problem. The full
+    matrix is freed once reduced; `assemble_system(result.topology, params)`
+    makes it again."""
     topology = build_cut_topology(config, params.quad_order)
     system = assemble_system(topology, params)
     load = assemble_load(topology, f, params)
     bc = build_dirichlet(topology, g_outer, g_inner)
     reduced = apply_dirichlet(system, load, bc, topology)
+    del system, load
     x, report = cg_solve(reduced.matrix, reduced.rhs, tol=cg_tol)
     u = analysis.MultimeshFunction.from_global(topology, reduced.expand(x))
-    return SolveResult(u, topology, system, reduced, report)
+    return SolveResult(u, topology, reduced, report)
 
 
 def _error_report(name: str, degree: int, res: SolveResult, u_exact,
@@ -507,15 +508,23 @@ def _predomains(args, cfg: ExperimentConfig) -> list[ConvexPolygon]:
     return cfg.predomains()
 
 
+def _check_level(args, name: str, k: int) -> None:
+    """A negative level (mesh size 2^-k above 1) is the subcommand's usage
+    error (exit status 2)."""
+    if k < 0:
+        args.parser.error(f"{name} must be at least 0, got {k}")
+
+
 def _k_levels(args, cfg: ExperimentConfig, supported: range | None = None) -> range:
-    """The levels k_min..k_max of a study. An empty range, or one reaching
-    outside the supported levels, is the subcommand's usage error (exit
-    status 2)."""
+    """The levels k_min..k_max of a study. An empty range, one reaching
+    outside the supported levels, or a negative k_min is the subcommand's
+    usage error (exit status 2)."""
     if cfg.k_min > cfg.k_max:
         args.parser.error(f"empty k range: k_min {cfg.k_min} > k_max {cfg.k_max}")
     if supported is not None and not (cfg.k_min in supported and cfg.k_max in supported):
         args.parser.error(f"k range {cfg.k_min}..{cfg.k_max} outside the supported "
                           f"{supported[0]}..{supported[-1]}")
+    _check_level(args, "k_min", cfg.k_min)
     return range(cfg.k_min, cfg.k_max + 1)
 
 
@@ -542,12 +551,14 @@ def _write_meta(outdir: Path, cfg: ExperimentConfig, extra: dict | None = None,
 def _cmd_solve(args) -> int:
     cfg = _load_experiment(args)
     predomains = _predomains(args, cfg)
+    k = cfg.k_min if args.k is None else args.k
+    _check_level(args, "k" if args.k is not None else "k_min", k)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     u_exact, f, grad_u = poisson_fields()
-    k = cfg.k_min if args.k is None else args.k
     config = build_stack(predomains, [k] * len(predomains), cfg.degree)
-    res = solve_poisson(config, cfg.form_params(), f, u_exact)
+    params = cfg.form_params()
+    res = solve_poisson(config, params, f, u_exact)
     if not res.report.converged:
         raise SolveDidNotConverge(f"solver did not converge on {cfg.config} at k={k}: "
                                   f"residual {res.report.relative_residual:.3e}")
@@ -559,7 +570,7 @@ def _cmd_solve(args) -> int:
                               "residual": res.report.relative_residual},
                 omit=("seed", "k_min", "k_max", "full"))
     if args.dump_matrix:
-        dump_matrixmarket(res.system, outdir / "system.mtx")
+        dump_matrixmarket(assemble_system(res.topology, params), outdir / "system.mtx")
     if args.dump_topology:
         dump_topology_csv(res.topology, outdir / "facets.csv", outdir / "overlaps.csv")
     print(f"solved {cfg.config} at k={k}: {len(res.reduced.free)} dofs, "
@@ -606,27 +617,32 @@ def _cmd_condition(args) -> int:
 def _cmd_boundary_layer(args) -> int:
     cfg = _load_experiment(args, k_range=(0, 2), full_range=None)
     ks = _k_levels(args, cfg, BOUNDARY_LAYER_KS)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # per level only the reported numbers and the probe outlive the solve;
+    # nothing is written until every level has succeeded
     rows = []
     for k in ks:
-        result = run_boundary_layer(k, cfg.degree, params=cfg.form_params())
-        rows.append(result)
+        r = run_boundary_layer(k, cfg.degree, params=cfg.form_params())
+        rows.append((k, r.eps, r.layer_halfwidth, r.corner_value, len(r.solve.reduced.free),
+                     r.probe))
+        del r  # not alive during the next level's solve
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for k, *_, probe in rows:
         with open(outdir / f"probe_k{k}.csv", "w", newline="") as fh:
             # the bytes of _write_csv with _g17 rows, in one formatted pass
-            fh.write("x,y,u\r\n" + ("%.17g,%.17g,%.17g\r\n" * len(result.probe))
-                     % tuple(result.probe.ravel().tolist()))
+            fh.write("x,y,u\r\n" + ("%.17g,%.17g,%.17g\r\n" * len(probe))
+                     % tuple(probe.ravel().tolist()))
     _write_csv(outdir / "results.csv", ["k", "eps", "layer_halfwidth", "corner_value", "dofs"],
-               [[r.k, *_g17(r.eps, r.layer_halfwidth, r.corner_value),
-                 len(r.solve.reduced.free)] for r in rows])
+               [[k, *_g17(eps, halfwidth, corner), dofs]
+                for k, eps, halfwidth, corner, dofs, _ in rows])
     # the stack, the reaction term and the k range are fixed: --mm-config,
     # --seed and --full do not reach the run
     _write_meta(outdir, cfg, {"command": "boundary-layer",
                               "obstacle": "regular hexagon, inradius 0.15, center (0.5, 0.5)"},
                 omit=("config", "seed", "full"))
-    for r in rows:
-        print(f"k={r.k}: eps={r.eps:.4g}, layer halfwidth {r.layer_halfwidth:.4g}, "
-              f"corner value {r.corner_value:.3e}")
+    for k, eps, halfwidth, corner, *_ in rows:
+        print(f"k={k}: eps={eps:.4g}, layer halfwidth {halfwidth:.4g}, "
+              f"corner value {corner:.3e}")
     return 0
 
 

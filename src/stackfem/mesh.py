@@ -105,7 +105,7 @@ class TriMesh:
 
     def cell_areas(self) -> np.ndarray:
         """Signed cell areas, half the cached Jacobian determinants."""
-        return 0.5 * self.geometry()[3]
+        return 0.5 * self.geometry()[2]
 
     @property
     def area(self) -> float:
@@ -118,25 +118,27 @@ class TriMesh:
     # -- affine geometry (cached) -------------------------------------------
 
     def geometry(self):
-        """Per-cell affine maps: origin v0, Jacobian J, inverse, |det J|."""
+        """Per-cell affine maps x = v0 + J xi: origin v0 (m, 2), inverse
+        Jacobian (m, 2, 2) and det J (m,), each owning its data. J itself is
+        not kept."""
         if self._geom_cache is None:
-            v = self.nodes[self.cells]
-            v0 = v[:, 0]
-            J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)  # (m, 2, 2) columns
-            det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            invJ = np.empty_like(J)
+            v0 = self.nodes[self.cells[:, 0]]
+            e1 = self.nodes[self.cells[:, 1]] - v0                        # columns of J
+            e2 = self.nodes[self.cells[:, 2]] - v0
+            det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+            invJ = np.empty((len(det), 2, 2))
             # a cell with det <= 0 fails the orientation check of __init__
             with np.errstate(divide="ignore", invalid="ignore"):
-                invJ[:, 0, 0] = J[:, 1, 1] / det
-                invJ[:, 0, 1] = -J[:, 0, 1] / det
-                invJ[:, 1, 0] = -J[:, 1, 0] / det
-                invJ[:, 1, 1] = J[:, 0, 0] / det
-            self._geom_cache = (v0, J, invJ, det)
+                invJ[:, 0, 0] = e2[:, 1] / det
+                invJ[:, 0, 1] = -e2[:, 0] / det
+                invJ[:, 1, 0] = -e1[:, 1] / det
+                invJ[:, 1, 1] = e1[:, 0] / det
+            self._geom_cache = (v0, invJ, det)
         return self._geom_cache
 
     def ref_coords(self, cell: int, pts: np.ndarray) -> np.ndarray:
         """Map physical points (n, 2) to reference coordinates of one cell."""
-        v0, _, invJ, _ = self.geometry()
+        v0, invJ, _ = self.geometry()
         return (np.atleast_2d(pts) - v0[cell]) @ invJ[cell].T
 
 
@@ -228,8 +230,10 @@ class FeSpace:
         self.mesh = mesh
         self.degree = degree
         if degree == 1:
-            self.cell_dofs = mesh.cells.copy()
-            self.dof_coords = mesh.nodes.copy()
+            # read-only views: the dofs are the mesh's nodes
+            self.cell_dofs, self.dof_coords = mesh.cells.view(), mesh.nodes.view()
+            self.cell_dofs.setflags(write=False)
+            self.dof_coords.setflags(write=False)
         else:
             # edge dofs in (lo, hi) node order; local edges opposite v0, v1, v2
             nn = len(mesh.nodes)
@@ -245,7 +249,7 @@ class FeSpace:
     def tabulate(self, cells: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Basis values (n, nd) and physical gradients (n, nd, 2) at points
         (n, 2), point k taken in cell cells[k]."""
-        v0, _, invJ, _ = self.mesh.geometry()
+        v0, invJ, _ = self.mesh.geometry()
         Jinv = invJ[cells]
         ref = np.einsum("nkl,nl->nk", Jinv, pts - v0[cells])
         return ref_basis(self.degree, ref), ref_basis_grad(self.degree, ref) @ Jinv
@@ -257,7 +261,7 @@ class FeSpace:
 
     def grad_in_cell(self, coeffs: np.ndarray, cell: int, pts: np.ndarray) -> np.ndarray:
         """Physical gradients of the FE function, shape (npts, 2)."""
-        _, _, invJ, _ = self.mesh.geometry()
+        _, invJ, _ = self.mesh.geometry()
         ref = self.mesh.ref_coords(cell, pts)
         gref = ref_basis_grad(self.degree, ref)
         gphys = gref @ invJ[cell]  # chain rule: grad_x = J^{-T} grad_ref

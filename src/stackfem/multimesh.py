@@ -218,7 +218,7 @@ class UncutCells(NamedTuple):
     def gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Part-local dofs (nc, nd), inverse Jacobians (nc, 2, 2) and areas
         (nc,) of the cells."""
-        _, _, invJ, det = self.space.mesh.geometry()
+        _, invJ, det = self.space.mesh.geometry()
         return self.space.cell_dofs[self.cells], invJ[self.cells], 0.5 * det[self.cells]
 
     def points(self) -> np.ndarray:

@@ -18,6 +18,10 @@ from stackfem.solver import CsrMatrix
 settings.register_profile("stackfem", derandomize=True, deadline=None, database=None)
 settings.load_profile("stackfem")
 
+# Assembled matrices and load vectors that sum the same products in another
+# order agree entrywise within ENTRY_RTOL * max|entry|, not bit for bit.
+ENTRY_RTOL = 1e-13
+
 
 def build_stack_config(predomains, ks, degree=1) -> MultiMeshConfig:
     parts = []

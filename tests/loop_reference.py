@@ -340,7 +340,7 @@ def _trace(space, cell, pts, offset):
     mesh = space.mesh
     ref = mesh.ref_coords(cell, pts)
     phi = ref_basis(space.degree, ref)
-    grad = ref_basis_grad(space.degree, ref) @ mesh.geometry()[2][cell]
+    grad = ref_basis_grad(space.degree, ref) @ mesh.geometry()[1][cell]
     return phi, grad, offset + space.cell_dofs[cell]
 
 
@@ -358,7 +358,7 @@ def volume_matrix(topology, params) -> sparse.csr_matrix:
         mass_ref = np.einsum("q,qa,qb->ab", w, phi, phi)
         cells = topology.uncut[i]
         if len(cells):
-            _, _, invJ, _ = part.mesh.geometry()
+            _, invJ, _ = part.mesh.geometry()
             areas = part.mesh.cell_areas()[cells]
             gp = np.einsum("qak,ckl->cqal", gref, invJ[cells])
             K = np.einsum("q,cqal,cqbl->cab", w, gp, gp)

@@ -5,9 +5,18 @@ import numpy as np
 import pytest
 from scipy.io import mmread
 
-from conftest import blocks_matrix, classical_p1_system, config_I, config_II, single_config
+from conftest import (
+    ENTRY_RTOL,
+    blocks_matrix,
+    classical_p1_system,
+    config_I,
+    config_II,
+    single_config,
+)
+from stackfem import assembly
 from stackfem.analysis import MultimeshFunction, global_interpolant
 from stackfem.assembly import (
+    FOLD_TRIPLETS,
     STAB_VALUE,
     DirichletBC,
     FormParams,
@@ -231,18 +240,54 @@ class TestSystemProperties:
 
     @pytest.mark.parametrize("name, k, degree", [("II", 6, 1), ("I", 4, 2)])
     def test_system_is_the_three_terms_in_order(self, name, k, degree):
-        """assemble_system scatters the terms into one set of arrays; its CSR
-        arrays equal, bit for bit, those of the three terms' blocks
-        concatenated (volume, interface, stabilization) and scattered."""
+        """assemble_system sums the triplets of the three terms' blocks
+        (volume, interface, stabilization, in that order) in folds of about
+        FOLD_TRIPLETS. Its CSR pattern is that of all blocks scattered at
+        once, less the entries that sum to exactly zero. In one fold its data
+        are those bit for bit; in two, each entry is the sum of two partial
+        sums, within ENTRY_RTOL of the largest entry."""
         topo = build_cut_topology(build_stack(standard_predomains(name), [k] * 3, degree),
                                   2 * degree)
         params = FormParams.defaults(degree)
+        blocks = [*assemble_volume(topo, params), *assemble_interface(topo, params),
+                  *assemble_stabilization(topo, params)]
+        folds = math.ceil(sum(m.size for _, m in blocks) / FOLD_TRIPLETS)
+        assert folds == (2 if name == "II" else 1)
         got = assemble_system(topo, params).matrix.csr
-        want = blocks_matrix([*assemble_volume(topo, params), *assemble_interface(topo, params),
-                              *assemble_stabilization(topo, params)], topo.total_dim).csr
-        for attr in ("indptr", "indices", "data"):
+        want = blocks_matrix(blocks, topo.total_dim).csr
+        want.eliminate_zeros()
+        for attr in ("indptr", "indices"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.dtype == b.dtype and np.array_equal(a, b), attr
+        if folds == 1:
+            assert np.array_equal(got.data, want.data)
+        else:
+            assert abs(got.data - want.data).max() <= ENTRY_RTOL * abs(want.data).max()
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_system_stores_no_zeros(self, degree):
+        """The crossed-diagonal meshes couple the ends of each hypotenuse by
+        exactly zero stiffness; the assembled matrix does not store it."""
+        topo = build_cut_topology(config_II((4, 5, 6), degree), 2 * degree)
+        params = FormParams.defaults(degree)
+        one_shot = blocks_matrix([*assemble_volume(topo, params), *assemble_interface(topo, params),
+                                  *assemble_stabilization(topo, params)], topo.total_dim).csr
+        assert np.count_nonzero(one_shot.data == 0.0) > 0
+        assert np.all(assemble_system(topo, params).matrix.csr.data != 0.0)
+
+    def test_folded_equals_one_shot(self, monkeypatch):
+        """42 folds of 1000 to 2000 triplets, which split blocks between
+        entities, give the matrix of one fold within ENTRY_RTOL of its
+        largest entry. The patterns may differ only where the partial sums
+        of an exactly cancelling coupling round to a residue below that: on
+        this stack 6 of 12.5k entries, none above 3.5e-18 against a largest
+        entry of 6.5."""
+        topo = build_cut_topology(config_II((4, 5, 6)))
+        params = FormParams.defaults(1)
+        one = assemble_system(topo, params).matrix.csr
+        monkeypatch.setattr(assembly, "FOLD_TRIPLETS", 1000)
+        folded = assemble_system(topo, params).matrix.csr
+        assert abs(folded - one).max() <= ENTRY_RTOL * abs(one.data).max()
 
     def test_p2_patch_single_mesh(self):
         # P2 reproduces quadratics: u = x^2 + y^2 with f = -4

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import blocks_matrix, build_stack_config, config_I, config_II, single_config
+from conftest import (
+    ENTRY_RTOL,
+    blocks_matrix,
+    build_stack_config,
+    config_I,
+    config_II,
+    single_config,
+)
 from stackfem.analysis import MultimeshFunction, energy_norm, error_norms
 from stackfem.assembly import (
     STAB_VALUE,
@@ -24,7 +31,6 @@ from stackfem.geom2d import rect_polygon
 from stackfem.multimesh import build_cut_topology
 
 SCALAR_RTOL = 1e-12
-ENTRY_RTOL = 1e-13
 
 
 def _band():

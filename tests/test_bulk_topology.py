@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import loop_reference as ref
 from conftest import build_stack_config, config_I, config_II, traced_peak_mb
 from stackfem.analysis import MultimeshFunction, error_norms
-from stackfem.assembly import FormParams, assemble_volume
+from stackfem.assembly import FormParams, assemble_system, assemble_volume
 from stackfem.cli import (
     _error_report,
     boundary_layer_stack,
@@ -182,16 +182,20 @@ def test_topology_build_memory_peak(name):
     assert traced_peak_mb(lambda: build_cut_topology(config)) <= MEMORY_PEAK_MB[name]
 
 
-# tracemalloc peaks of a cold `assemble_volume` and `error_norms` (a fresh
-# topology, no quadrature built yet) on config II, k = 7, P1, measured at
-# 4.3 MB and 7.2 MB with numpy 2.4. The volume term returns its local
-# matrices and makes no triplets; its bound leaves 2x headroom over the
-# 10.8 MB measured when it scattered its own triplets. The norms integrate
-# the uncut cells in chunks of analysis.UNCUT_CHUNK (21,707 of them in the
-# background mesh); on all of them at once they peaked at 13.4 MB. Mapping
-# and tabulating the points of every uncut cell peaked at 27.7 MB and
-# 33.5 MB in this test, 23.8 MB and 29.6 MB with the affine maps cached.
-INTEGRAL_PEAK_MB = {"assemble_volume": 21.6, "error_norms": 14.4}
+# tracemalloc peaks of a cold `assemble_volume`, `assemble_system` and
+# `error_norms` (a fresh topology, no quadrature built yet) on config II,
+# k = 7, P1, measured at 4.3 MB, 10.3 MB and 7.2 MB with numpy 2.4 and
+# scipy 1.17. The volume term returns its local matrices as a list and makes
+# no triplets; its bound leaves 2x headroom over the 10.8 MB measured when it
+# scattered its own triplets. The system converts its 458k triplets in folds
+# of assembly.FOLD_TRIPLETS; with every term's blocks, all triplets and one
+# unsummed CSR alive together it peaked at 18.3 MB, above its bound. The
+# norms integrate the uncut cells in chunks of analysis.UNCUT_CHUNK (21,707
+# of them in the background mesh); on all of them at once they peaked at
+# 13.4 MB. Mapping and tabulating the points of every uncut cell peaked at
+# 27.7 MB and 33.5 MB in this test, 23.8 MB and 29.6 MB with the affine maps
+# cached.
+INTEGRAL_PEAK_MB = {"assemble_volume": 21.6, "assemble_system": 14.4, "error_norms": 14.4}
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRAL_PEAK_MB))
@@ -201,6 +205,7 @@ def test_cell_integral_memory_peak(name):
     u = MultimeshFunction.from_global(topo, np.ones(topo.total_dim))
     u_exact, _, grad_u = poisson_fields()
     run = {"assemble_volume": lambda: assemble_volume(topo, FormParams.defaults(1)),
+           "assemble_system": lambda: assemble_system(topo, FormParams.defaults(1)),
            "error_norms": lambda: error_norms(u, topo, u_exact, grad_u)}[name]
     assert traced_peak_mb(run) <= INTEGRAL_PEAK_MB[name]
 

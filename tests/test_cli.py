@@ -89,12 +89,23 @@ class TestSolveCommand:
         assert meta["beta0"] == 10.0
 
     def test_dump_matrix(self, tmp_path):
+        """The solve keeps no full matrix; --dump-matrix writes the one
+        assemble_system makes for the solved stack."""
+        from dataclasses import fields
+
+        from stackfem.assembly import FormParams, assemble_system
+        from stackfem.cli import SolveResult, build_stack
+        from stackfem.multimesh import build_cut_topology
+
+        assert "system" not in {f.name for f in fields(SolveResult)}
         out = tmp_path / "run"
         rc = main(["solve", "--mm-config", "single", "--k", "3", "--out", str(out),
                    "--dump-matrix"])
         assert rc == 0
-        A = mmread(out / "system.mtx")
+        A = mmread(out / "system.mtx").tocsr()
         assert A.shape[0] == A.shape[1] == 81
+        topo = build_cut_topology(build_stack(standard_predomains("single"), [3], 1))
+        assert (A != assemble_system(topo, FormParams.defaults(1)).matrix.csr).nnz == 0
 
     def test_dump_topology(self, tmp_path):
         from stackfem.cli import build_stack
@@ -607,23 +618,30 @@ class TestBoundaryLayer:
     def test_nonconvergence_aborts_before_any_output(self, tmp_path, monkeypatch, caplog):
         """A CG run that stops short of its tolerance ends the study with
         exit status 1 and an error naming k, the residual and the iteration
-        count; no probe or results file is written."""
+        count; no file is written, also when an earlier level succeeded."""
         from stackfem import cli
-        from stackfem.solver import SolveReport
+        from stackfem.solver import SolveReport, cg_solve
 
-        def stalled(A, b, tol=1e-10):
-            return np.zeros_like(b), SolveReport(5, 0.25, False)
+        for k_max in (0, 1):
+            calls = []
 
-        monkeypatch.setattr(cli, "cg_solve", stalled)
-        out = tmp_path / "bl"
-        with caplog.at_level("ERROR", logger="stackfem.cli"):
-            rc = main(["boundary-layer", "--k-min", "0", "--k-max", "0", "--out", str(out)])
-        assert rc == 1
-        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-            ("ERROR", "boundary layer (k = 0): residual 2.500e-01 after 5 iterations")
-        ]
-        assert not (out / "probe_k0.csv").exists()
-        assert not (out / "results.csv").exists()
+            def stalled_last(A, b, tol=1e-10):
+                calls.append(1)
+                if len(calls) <= k_max:
+                    return cg_solve(A, b, tol=tol)
+                return np.zeros_like(b), SolveReport(5, 0.25, False)
+
+            monkeypatch.setattr(cli, "cg_solve", stalled_last)
+            out = tmp_path / f"bl{k_max}"
+            caplog.clear()
+            with caplog.at_level("ERROR", logger="stackfem.cli"):
+                rc = main(["boundary-layer", "--k-min", "0", "--k-max", str(k_max),
+                           "--out", str(out)])
+            assert rc == 1 and len(calls) == k_max + 1
+            assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+                ("ERROR", f"boundary layer (k = {k_max}): residual 2.500e-01 after 5 iterations")
+            ]
+            assert not out.exists()
 
     def test_command_writes_outputs(self, tmp_path):
         out = tmp_path / "bl"
@@ -697,6 +715,12 @@ class TestBoundaryLayer:
      "k range 5..5 outside the supported 0..4"),
     (["boundary-layer", "--k-min", "-1", "--k-max", "0"],
      "k range -1..0 outside the supported 0..4"),
+    # a level k < 0 would mesh coarser than the unit square
+    (["convergence", "--k-min", "-2", "--k-max", "-1", "--equal"],
+     "k_min must be at least 0, got -2"),
+    (["condition", "--k-min", "-1", "--k-max", "0"], "k_min must be at least 0, got -1"),
+    (["solve", "--k", "-1"], "k must be at least 0, got -1"),
+    (["solve", "--k-min", "-1"], "k_min must be at least 0, got -1"),
 ])
 def test_bad_k_range_is_a_usage_error(tmp_path, capsys, argv, why):
     with pytest.raises(SystemExit) as exc:

@@ -246,6 +246,31 @@ class TestFeSpace:
         with pytest.raises(ValueError):
             FeSpace(m, 3)
 
+    def test_p1_space_shares_the_mesh_arrays(self):
+        """The P1 dofs are the mesh's nodes: cell_dofs and dof_coords are
+        read-only views of the mesh's cells and nodes, not copies."""
+        m = build_structured_mesh(UNIT, 2.0 ** -3)
+        space = FeSpace(m, 1)
+        for mine, theirs in ((space.cell_dofs, m.cells), (space.dof_coords, m.nodes)):
+            assert np.shares_memory(mine, theirs) and np.array_equal(mine, theirs)
+            with pytest.raises(ValueError, match="read-only"):
+                mine[0] = 0
+
+
+@pytest.mark.parametrize("name", ["II", "band"])
+def test_geometry_keeps_56_bytes_per_cell(name):
+    """The cached affine maps are the origin, the inverse Jacobian and the
+    determinant: 56 bytes per cell, each array owning its data, so no
+    view keeps the (m, 3, 2) cell vertices alive."""
+    config = boundary_layer_stack(1)[0] if name == "band" else config_II((4, 5, 6))
+    mesh = config.parts[-1].mesh
+    m = len(mesh.cells)
+    v0, invJ, det = geo = mesh.geometry()
+    assert (v0.shape, invJ.shape, det.shape) == ((m, 2), (m, 2, 2), (m,))
+    assert sum(a.nbytes for a in geo) == 56 * m
+    assert all(a.base is None and a.flags.owndata for a in geo)
+    assert mesh.geometry() is geo
+
 
 class TestInterpolation:
     def test_constant(self):
