@@ -37,7 +37,14 @@ from .multimesh import (
     check_inside,
     dump_topology_csv,
 )
-from .solver import DEFAULT_SEED, SolveReport, cg_solve, condition_number
+from .solver import (
+    DEFAULT_SEED,
+    EigenEstimationError,
+    NotSPDError,
+    SolveReport,
+    cg_solve,
+    condition_number,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -150,6 +157,26 @@ class SolveResult:
     report: SolveReport
 
 
+def _restater(topology: CutTopology, free: np.ndarray):
+    """restate(exc): a NotSPDError of the system reduced to `free`, naming
+    the part, the part-local dof and its coordinates in place of the
+    reduced index; any other exception as it is. It keeps the free dofs,
+    the block offsets and the dof coordinates, not the topology."""
+    offsets = topology.block_offsets()
+    coords = [part.space.dof_coords for part in topology.parts]
+
+    def restate(exc: Exception) -> Exception:
+        if not isinstance(exc, NotSPDError) or exc.dof is None:
+            return exc
+        full = int(free[exc.dof])
+        part = int(np.searchsorted(offsets, full, side="right")) - 1
+        local = full - int(offsets[part])
+        x, y = coords[part][local]
+        return NotSPDError(exc.reason, exc.dof, f"dof {local} of part {part} at ({x}, {y})")
+
+    return restate
+
+
 def solve_poisson(
     config: MultiMeshConfig,
     params: FormParams,
@@ -160,14 +187,18 @@ def solve_poisson(
 ) -> SolveResult:
     """Assemble, constrain and solve one multimesh problem. The full
     matrix is freed once reduced; `assemble_system(result.topology, params)`
-    makes it again."""
+    makes it again. A NotSPDError from CG names the part, the part-local
+    dof and its coordinates."""
     topology = build_cut_topology(config, params.quad_order)
     system = assemble_system(topology, params)
     load = assemble_load(topology, f, params)
     bc = build_dirichlet(topology, g_outer, g_inner)
     reduced = apply_dirichlet(system, load, bc, topology)
     del system, load
-    x, report = cg_solve(reduced.matrix, reduced.rhs, tol=cg_tol)
+    try:
+        x, report = cg_solve(reduced.matrix, reduced.rhs, tol=cg_tol)
+    except NotSPDError as exc:
+        raise _restater(topology, reduced.free)(exc) from None
     u = analysis.MultimeshFunction.from_global(topology, reduced.expand(x))
     return SolveResult(u, topology, reduced, report)
 
@@ -273,15 +304,17 @@ def run_permutation_study(
 
 
 def _reduced_matrix(predomains, k: int, degree: int, params: FormParams):
-    """Mesh size and Dirichlet-reduced matrix at level k. Only these outlive
-    the call, so the assembly data is freed before the eigensolver runs. The
-    reduced matrix does not depend on the load, so a zero load stands in."""
+    """Mesh size, Dirichlet-reduced matrix and `_restater` at level k. Only
+    these outlive the call, so the assembly data is freed before the
+    eigensolver runs. The reduced matrix does not depend on the load, so a
+    zero load stands in."""
     config = build_stack(predomains, [k] * len(predomains), degree)
     topology = build_cut_topology(config, params.quad_order)
     system = assemble_system(topology, params)
     bc = build_dirichlet(topology, lambda x, y: np.zeros_like(x))
     reduced = apply_dirichlet(system, np.zeros(system.dim), bc, topology)
-    return float(max(topology.mesh_sizes())), reduced.matrix
+    return (float(max(topology.mesh_sizes())), reduced.matrix,
+            _restater(topology, reduced.free))
 
 
 def run_condition_study(
@@ -290,17 +323,16 @@ def run_condition_study(
 ) -> tuple[list[tuple[float, float]], float]:
     """Condition number of the reduced matrix per common mesh size, with the
     fitted log-log slope. Rows where the eigenvalue estimation fails carry
-    NaN and are excluded from the fit."""
-    from .solver import EigenEstimationError, NotSPDError
-
+    NaN and are excluded from the fit; the warning of a matrix that is not
+    SPD names the part, the part-local dof and its coordinates."""
     params = params if params is not None else FormParams.defaults(degree)
     rows = []
     for k in k_values:
-        h, matrix = _reduced_matrix(predomains, k, degree, params)
+        h, matrix, restate = _reduced_matrix(predomains, k, degree, params)
         try:
             kappa = condition_number(matrix, seed=seed)
         except (EigenEstimationError, NotSPDError) as exc:
-            logger.warning("condition estimation failed at k=%d: %s", k, exc)
+            logger.warning("condition estimation failed at k=%d: %s", k, restate(exc))
             kappa = float("nan")
         rows.append((h, kappa))
     good = [(h, kappa) for h, kappa in rows if np.isfinite(kappa)]

@@ -93,9 +93,6 @@ class TriMesh:
         rows = np.flatnonzero(counts[inverse] == 1)
         return np.stack([rows // 3, rows % 3], axis=1)
 
-    def cell_vertices(self, cell: int) -> np.ndarray:
-        return self.nodes[self.cells[cell]]
-
     def cell_diameters(self) -> np.ndarray:
         v = self.nodes[self.cells]
         e0 = np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
@@ -110,10 +107,6 @@ class TriMesh:
     @property
     def area(self) -> float:
         return float(self.cell_areas().sum())
-
-    def facet_endpoints(self, cell: int, ledge: int) -> tuple[np.ndarray, np.ndarray]:
-        tri = self.cells[cell]
-        return self.nodes[tri[ledge]], self.nodes[tri[(ledge + 1) % 3]]
 
     # -- affine geometry (cached) -------------------------------------------
 
@@ -135,11 +128,6 @@ class TriMesh:
                 invJ[:, 1, 1] = e1[:, 0] / det
             self._geom_cache = (v0, invJ, det)
         return self._geom_cache
-
-    def ref_coords(self, cell: int, pts: np.ndarray) -> np.ndarray:
-        """Map physical points (n, 2) to reference coordinates of one cell."""
-        v0, invJ, _ = self.geometry()
-        return (np.atleast_2d(pts) - v0[cell]) @ invJ[cell].T
 
 
 def _edge_keys(pairs: np.ndarray, nnodes: int) -> np.ndarray:
@@ -253,19 +241,6 @@ class FeSpace:
         Jinv = invJ[cells]
         ref = np.einsum("nkl,nl->nk", Jinv, pts - v0[cells])
         return ref_basis(self.degree, ref), ref_basis_grad(self.degree, ref) @ Jinv
-
-    def eval_in_cell(self, coeffs: np.ndarray, cell: int, pts: np.ndarray) -> np.ndarray:
-        ref = self.mesh.ref_coords(cell, pts)
-        phi = ref_basis(self.degree, ref)
-        return phi @ coeffs[self.cell_dofs[cell]]
-
-    def grad_in_cell(self, coeffs: np.ndarray, cell: int, pts: np.ndarray) -> np.ndarray:
-        """Physical gradients of the FE function, shape (npts, 2)."""
-        _, invJ, _ = self.mesh.geometry()
-        ref = self.mesh.ref_coords(cell, pts)
-        gref = ref_basis_grad(self.degree, ref)
-        gphys = gref @ invJ[cell]  # chain rule: grad_x = J^{-T} grad_ref
-        return np.einsum("qdk,d->qk", gphys, coeffs[self.cell_dofs[cell]])
 
     def boundary_dofs(self, marker: int | None = None) -> np.ndarray:
         """Sorted unique dofs whose basis functions are nonzero on boundary

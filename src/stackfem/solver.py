@@ -2,7 +2,7 @@
 extreme-eigenvalue estimation for condition number studies."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -28,11 +28,27 @@ PIVOT_RTOL = 1e-10
 # extreme eigenvalue is within ARPACK_TOL relative, and kappa within about
 # twice that, of its converged value.
 ARPACK_TOL = 1e-10
+# Lanczos basis sizes. Shift-invert separates lambda_min widely, so 8 vectors
+# take 13 solves on config I at k = 5 and 7. For lambda_max, 12 vectors take
+# the matvecs of scipy's default 20 at k = 7 (91) and 6 more at k = 6, and
+# ARPACK's own work per restart falls with the basis (see README).
+LAMBDA_MIN_NCV = 8
+LAMBDA_MAX_NCV = 12
 
 
 class NotSPDError(RuntimeError):
     """Raised when a matrix that must be SPD is not: CG meets a direction of
-    nonpositive curvature, or symmetric LU a pivot <= PIVOT_RTOL * A_jj."""
+    nonpositive curvature, or symmetric LU a pivot <= PIVOT_RTOL * A_jj.
+
+    The message is "<reason> at <site>". `dof` is the index of the dof at
+    fault in the matrix that was checked (None if no dof is named), and the
+    site defaults to "dof <dof>"; a caller that knows where that dof lives
+    restates the error with its own site.
+    """
+
+    def __init__(self, reason: str, dof: int | None = None, site: str | None = None):
+        super().__init__(reason if dof is None else f"{reason} at {site or f'dof {dof}'}")
+        self.reason, self.dof = reason, dof
 
 
 class EigenEstimationError(RuntimeError):
@@ -66,24 +82,26 @@ class CsrMatrix:
     def diagonal(self) -> np.ndarray:
         return self.csr.diagonal()
 
-    def symmetry_defect(self) -> float:
-        """max |A - A^T| entrywise; 0 for exactly symmetric matrices."""
-        d = self.csr - self.csr.T
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
-
     def max_abs(self) -> float:
         return float(np.abs(self.csr.data).max()) if self.csr.nnz else 0.0
-
-    def todense(self) -> np.ndarray:
-        return self.csr.toarray()
 
 
 @dataclass
 class SolveReport:
+    """How a CG run went. `alphas[s]` and `betas[s]` are the step sizes
+    alpha_j = r_j'z_j / p_j'Ap_j and beta_j = r_{j+1}'z_{j+1} / r_j'z_j of
+    Lanczos segment s: a restart from the true residual begins a new one.
+    A segment of m steps gives the Lanczos tridiagonal T of D^-1 A with
+    T_00 = 1/alpha_0, T_jj = 1/alpha_j + beta_{j-1}/alpha_{j-1} and
+    T_j,j+1 = sqrt(beta_j)/alpha_j for j < m - 1; the extreme eigenvalues of
+    T estimate those of D^-1/2 A D^-1/2 at no extra matrix-vector product."""
+
     iterations: int
     relative_residual: float
     converged: bool
     residual_history: np.ndarray | None = None
+    alphas: list[np.ndarray] = field(default_factory=list)
+    betas: list[np.ndarray] = field(default_factory=list)
 
 
 def cg_solve(
@@ -118,7 +136,7 @@ def cg_solve(
     diag = A.diagonal()
     if np.any(diag <= 0):
         bad = int(np.argmin(diag))
-        raise NotSPDError(f"nonpositive diagonal entry {diag[bad]:.3e} at dof {bad}")
+        raise NotSPDError(f"nonpositive diagonal entry {diag[bad]:.3e}", bad)
     inv_diag = 1.0 / diag
     x = np.zeros(n)
     r = b - A.matvec(x)
@@ -127,6 +145,7 @@ def cg_solve(
     tmp = np.empty(n)  # alpha * p, then alpha * Ap
     rz = float(np.dot(r, z))
     history = [float(np.sqrt(rz))]
+    alphas, betas = [[]], [[]]
     k = 0
     while k < maxit:
         if np.linalg.norm(r) <= tol * normb:
@@ -139,25 +158,29 @@ def cg_solve(
             np.multiply(inv_diag, r, out=z)
             p = z.copy()
             rz = float(np.dot(r, z))
+            alphas.append([])
+            betas.append([])
         Ap = A.matvec(p)
         pAp = float(np.dot(p, Ap))
         if pAp <= 0.0:
             j = int(np.argmax(np.abs(p)))
-            raise NotSPDError(
-                f"negative curvature p'Ap = {pAp:.3e} in direction peaking at dof {j}"
-            )
+            raise NotSPDError(f"negative curvature p'Ap = {pAp:.3e} in direction peaking", j)
         alpha = rz / pAp
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, Ap, out=tmp)
         np.multiply(inv_diag, r, out=z)
         rz_new = float(np.dot(r, z))
-        p *= rz_new / rz
+        beta = rz_new / rz
+        p *= beta
         p += z
         rz = rz_new
         history.append(float(np.sqrt(max(rz, 0.0))))
+        alphas[-1].append(alpha)
+        betas[-1].append(beta)
         k += 1
     true_res = float(np.linalg.norm(b - A.matvec(x)) / normb)
-    return x, SolveReport(k, true_res, true_res <= tol, np.array(history))
+    return x, SolveReport(k, true_res, true_res <= tol, np.array(history),
+                          [np.array(seg) for seg in alphas], [np.array(seg) for seg in betas])
 
 
 def _first_bad_pivot(lu, diag: np.ndarray) -> int | None:
@@ -184,27 +207,25 @@ def _spd_factor(A: CsrMatrix):
         # a slight negative shift turns that pivot negative, which locates it
         shifted = A.csr - 1e-12 * (A.max_abs() or 1.0) * sparse.identity(A.dim, format="csr")
         dof = _first_bad_pivot(factor(shifted), shifted.diagonal())
-        raise NotSPDError(f"singular matrix: zero pivot at dof {dof}") from None
+        raise NotSPDError("singular matrix: zero pivot", dof) from None
     dof = _first_bad_pivot(lu, A.diagonal())
     if dof is not None:
-        raise NotSPDError(f"not positive definite: pivot at dof {dof} is <= "
-                          f"{PIVOT_RTOL:g} times its diagonal entry")
+        raise NotSPDError(f"not positive definite: pivot <= {PIVOT_RTOL:g} times its "
+                          "diagonal entry", dof)
     return lu
 
 
 def extreme_eigs(A: CsrMatrix, seed: int = DEFAULT_SEED) -> tuple[float, float]:
     """(lambda_max, lambda_min) of an SPD matrix; NotSPDError otherwise.
 
-    Both come from ARPACK, stopped at relative residual ARPACK_TOL. lambda_max
-    runs on a helper thread while this thread factors A, which proves it SPD,
-    and finds lambda_min in shift-invert mode at sigma = 0 on that factor.
-    SuperLU and ARPACK release the GIL and keep their state per call, so the
-    two overlap and give the results of a sequential run; the helper calls
-    scipy only. A failed factor raises only after lambda_max has stopped, and
-    its result is dropped. The seed sets both start vectors.
+    One thread, in sequence: `_spd_factor` factors A, which proves it SPD, so
+    a rejected matrix raises before any eigenvalue iteration; ARPACK finds
+    lambda_min in shift-invert mode at sigma = 0 on that factor with a
+    LAMBDA_MIN_NCV-vector basis; the factor is dropped; ARPACK finds
+    lambda_max on A with a LAMBDA_MAX_NCV-vector basis. So the L+U factor and
+    the lambda_max basis are never alive together. Both stop at relative
+    residual ARPACK_TOL, and the seed sets both start vectors.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     # imported here so that runs without eigenvalues skip its ~10 MB and 0.15 s
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -214,15 +235,14 @@ def extreme_eigs(A: CsrMatrix, seed: int = DEFAULT_SEED) -> tuple[float, float]:
         return float(A.csr[0, 0]), float(A.csr[0, 0])
     rng = np.random.default_rng(seed)
     v_max, v_min = rng.standard_normal(n), rng.standard_normal(n)
+    inverse = LinearOperator((n, n), matvec=_spd_factor(A).solve, dtype=float)
     try:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            upper = helper.submit(eigsh, A.csr, k=1, which="LA", v0=v_max, tol=ARPACK_TOL,
-                                  return_eigenvectors=False)
-            inverse = LinearOperator((n, n), matvec=_spd_factor(A).solve, dtype=float)
-            # 8 Lanczos vectors suffice: shift-invert separates lambda_min widely
-            lam_min = eigsh(A.csr, k=1, sigma=0.0, which="LM", OPinv=inverse, v0=v_min,
-                            tol=ARPACK_TOL, ncv=min(8, n), return_eigenvectors=False)[0]
-            lam_max = upper.result()[0]
+        lam_min = eigsh(A.csr, k=1, sigma=0.0, which="LM", OPinv=inverse, v0=v_min,
+                        tol=ARPACK_TOL, ncv=min(LAMBDA_MIN_NCV, n),
+                        return_eigenvectors=False)[0]
+        del inverse  # the last reference to the factor
+        lam_max = eigsh(A.csr, k=1, which="LA", v0=v_max, tol=ARPACK_TOL,
+                        ncv=min(LAMBDA_MAX_NCV, n), return_eigenvectors=False)[0]
     except ArpackNoConvergence as exc:
         raise EigenEstimationError(f"ARPACK did not converge: {exc}") from exc
     return float(lam_max), float(lam_min)

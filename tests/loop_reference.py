@@ -102,6 +102,45 @@ STAB_GRADIENT = "gradient-jump"
 
 
 # ---------------------------------------------------------------------------
+# One cell at a time
+# ---------------------------------------------------------------------------
+
+def cell_vertices(mesh, cell: int) -> np.ndarray:
+    return mesh.nodes[mesh.cells[cell]]
+
+
+def facet_endpoints(mesh, cell: int, ledge: int) -> tuple[np.ndarray, np.ndarray]:
+    tri = mesh.cells[cell]
+    return mesh.nodes[tri[ledge]], mesh.nodes[tri[(ledge + 1) % 3]]
+
+
+def ref_coords(mesh, cell: int, pts: np.ndarray) -> np.ndarray:
+    """Map physical points (n, 2) to reference coordinates of one cell."""
+    v0, invJ, _ = mesh.geometry()
+    return (np.atleast_2d(pts) - v0[cell]) @ invJ[cell].T
+
+
+def eval_in_cell(space, coeffs: np.ndarray, cell: int, pts: np.ndarray) -> np.ndarray:
+    """Values of the FE function at points (n, 2), from one cell."""
+    phi = ref_basis(space.degree, ref_coords(space.mesh, cell, pts))
+    return phi @ coeffs[space.cell_dofs[cell]]
+
+
+def grad_in_cell(space, coeffs: np.ndarray, cell: int, pts: np.ndarray) -> np.ndarray:
+    """Physical gradients of the FE function, shape (npts, 2), from one cell."""
+    _, invJ, _ = space.mesh.geometry()
+    gref = ref_basis_grad(space.degree, ref_coords(space.mesh, cell, pts))
+    gphys = gref @ invJ[cell]  # chain rule: grad_x = J^{-T} grad_ref
+    return np.einsum("qdk,d->qk", gphys, coeffs[space.cell_dofs[cell]])
+
+
+def symmetry_defect(A) -> float:
+    """max |A - A^T| entrywise of a CsrMatrix; 0 for exactly symmetric matrices."""
+    d = A.csr - A.csr.T
+    return float(np.abs(d.data).max()) if d.nnz else 0.0
+
+
+# ---------------------------------------------------------------------------
 # Cut entities one at a time
 # ---------------------------------------------------------------------------
 
@@ -332,13 +371,13 @@ def _ref_rule(order):
 def _visible_quadrature(mesh, cut_cells, cell, order):
     cc = cut_cells.get(cell)
     if cc is None:
-        return triangle_quadrature(mesh.cell_vertices(cell), order)
+        return triangle_quadrature(cell_vertices(mesh, cell), order)
     return polyset_quadrature(cc.visible, order)
 
 
 def _trace(space, cell, pts, offset):
     mesh = space.mesh
-    ref = mesh.ref_coords(cell, pts)
+    ref = ref_coords(mesh, cell, pts)
     phi = ref_basis(space.degree, ref)
     grad = ref_basis_grad(space.degree, ref) @ mesh.geometry()[1][cell]
     return phi, grad, offset + space.cell_dofs[cell]
@@ -462,8 +501,8 @@ def error_norms(u_h, topology, u_exact, grad_exact, order=None) -> tuple[float, 
             pts, wq = _visible_quadrature(part.mesh, cut, int(cell), order)
             if not len(pts):
                 continue
-            uh = space.eval_in_cell(ci, int(cell), pts)
-            guh = space.grad_in_cell(ci, int(cell), pts)
+            uh = eval_in_cell(space, ci, int(cell), pts)
+            guh = grad_in_cell(space, ci, int(cell), pts)
             ue = np.broadcast_to(np.asarray(u_exact(pts[:, 0], pts[:, 1]), dtype=float), uh.shape)
             ge = np.asarray(grad_exact(pts[:, 0], pts[:, 1]), dtype=float).reshape(guh.shape)
             l2 += float(np.dot(wq, (uh - ue) ** 2))
@@ -482,18 +521,16 @@ def energy_terms(u, topology) -> tuple[float, float, float, float]:
             pts, wq = _visible_quadrature(part.mesh, cut, int(cell), topology.quad_order)
             if not len(pts):
                 continue
-            g = space.grad_in_cell(u.coeffs[i], int(cell), pts)
+            g = grad_in_cell(space, u.coeffs[i], int(cell), pts)
             term_I += float(np.dot(wq, (g ** 2).sum(axis=1)))
 
     term_II = 0.0
     for o in overlaps_of(topology):
         pts, wq = polyset_quadrature(PolySet([o.polygon]), topology.quad_order)
-        gl = topology.parts[o.lower_mesh].space.grad_in_cell(
-            u.coeffs[o.lower_mesh], o.lower_cell, pts
-        )
-        gu = topology.parts[o.upper_mesh].space.grad_in_cell(
-            u.coeffs[o.upper_mesh], o.upper_cell, pts
-        )
+        gl = grad_in_cell(topology.parts[o.lower_mesh].space, u.coeffs[o.lower_mesh],
+                          o.lower_cell, pts)
+        gu = grad_in_cell(topology.parts[o.upper_mesh].space, u.coeffs[o.upper_mesh],
+                          o.upper_cell, pts)
         term_II += float(np.dot(wq, ((gl - gu) ** 2).sum(axis=1)))
 
     term_III = 0.0
@@ -503,10 +540,10 @@ def energy_terms(u, topology) -> tuple[float, float, float, float]:
         su = topology.parts[i].space
         sl = topology.parts[j].space
         pts, wq = segment_quadrature(f.segment, topology.quad_order)
-        gu = su.grad_in_cell(u.coeffs[i], f.upper_cell, pts)
-        gl = sl.grad_in_cell(u.coeffs[j], f.lower_cell, pts)
-        vu = su.eval_in_cell(u.coeffs[i], f.upper_cell, pts)
-        vl = sl.eval_in_cell(u.coeffs[j], f.lower_cell, pts)
+        gu = grad_in_cell(su, u.coeffs[i], f.upper_cell, pts)
+        gl = grad_in_cell(sl, u.coeffs[j], f.lower_cell, pts)
+        vu = eval_in_cell(su, u.coeffs[i], f.upper_cell, pts)
+        vl = eval_in_cell(sl, u.coeffs[j], f.lower_cell, pts)
         term_III += float(
             h[i] * np.dot(wq, (gu ** 2).sum(axis=1)) + h[j] * np.dot(wq, (gl ** 2).sum(axis=1))
         )
@@ -837,7 +874,7 @@ def interface_facets(config, active, grids):
         for (cell, ledge), marker in zip(mesh.boundary_facets, mesh.boundary_markers):
             if marker != MARKER_OUTER or not masks[i][cell]:
                 continue
-            a, b = mesh.facet_endpoints(int(cell), int(ledge))
+            a, b = facet_endpoints(mesh, int(cell), int(ledge))
             whole = Segment(a, b)
             normal = _predomain_edge_normal(part.predomain, whole, i, int(cell))
             pieces = [whole]

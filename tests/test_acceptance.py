@@ -99,12 +99,12 @@ def test_criterion_2_single_mesh_reduction():
     system = assemble_system(topo, params)
     load = assemble_load(topo, f, params)
     A_ref, b_ref = classical_p1_system(topo.parts[0].mesh, f)
-    mat_defect = float(np.max(np.abs(system.matrix.todense() - A_ref)))
+    mat_defect = float(np.max(np.abs(system.matrix.csr.toarray() - A_ref)))
     load_defect = float(np.max(np.abs(load - b_ref)))
 
     bc = build_dirichlet(topo, lambda x, y: np.zeros_like(x))
     red = apply_dirichlet(system, load, bc, topo)
-    x_ours = np.linalg.solve(red.matrix.todense(), red.rhs)
+    x_ours = np.linalg.solve(red.matrix.csr.toarray(), red.rhs)
     free = red.free
     A_ff = A_ref[np.ix_(free, free)]
     x_ref = np.linalg.solve(A_ff, b_ref[free])
@@ -203,7 +203,7 @@ def test_criterion_7_condition_scaling():
 
 def _asymmetry(system) -> float:
     """max |A - A^T| relative to max |A| of an assembled system."""
-    return system.matrix.symmetry_defect() / system.matrix.max_abs()
+    return loop_reference.symmetry_defect(system.matrix) / system.matrix.max_abs()
 
 
 def test_criterion_8_symmetry_and_spd(flexible_run):
@@ -221,7 +221,7 @@ def test_criterion_8_symmetry_and_spd(flexible_run):
         system = assemble_system(topo, params)
         load = assemble_load(topo, f, params)
         red = apply_dirichlet(system, load, build_dirichlet(topo, zero), topo)
-        lam_min = float(np.linalg.eigvalsh(red.matrix.todense())[0])
+        lam_min = float(np.linalg.eigvalsh(red.matrix.csr.toarray())[0])
         cases.append((name, _asymmetry(system), lam_min))
     # the solve keeps no full matrix; assemble the flexible run's again
     sym_flex = _asymmetry(assemble_system(flexible_run.topology, FormParams.defaults(1)))

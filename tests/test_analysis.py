@@ -313,9 +313,9 @@ def _independent_errors(space, coeffs, f, gf, order):
     mesh = space.mesh
     l2 = h1 = 0.0
     for c in range(len(mesh.cells)):
-        pts, w = triangles_quadrature(mesh.cell_vertices(c)[None], order)
-        vals = space.eval_in_cell(coeffs, c, pts)
-        grads = space.grad_in_cell(coeffs, c, pts)
+        pts, w = triangles_quadrature(ref.cell_vertices(mesh, c)[None], order)
+        vals = ref.eval_in_cell(space, coeffs, c, pts)
+        grads = ref.grad_in_cell(space, coeffs, c, pts)
         fe = f(pts[:, 0], pts[:, 1])
         ge = gf(pts[:, 0], pts[:, 1])
         l2 += float(np.dot(w, (vals - fe) ** 2))
@@ -333,8 +333,8 @@ def _energy_error(u, topo, f, gf) -> float:
     for fac in ref.facets_of(topo):
         i, j = fac.upper_mesh, fac.lower_mesh
         pts, wq = ref.segment_quadrature(fac.segment, topo.quad_order)
-        gu = topo.parts[i].space.grad_in_cell(u.coeffs[i], fac.upper_cell, pts)
-        gl = topo.parts[j].space.grad_in_cell(u.coeffs[j], fac.lower_cell, pts)
+        gu = ref.grad_in_cell(topo.parts[i].space, u.coeffs[i], fac.upper_cell, pts)
+        gl = ref.grad_in_cell(topo.parts[j].space, u.coeffs[j], fac.lower_cell, pts)
         ge = gf(pts[:, 0], pts[:, 1])
         term_III += float(
             h[i] * np.dot(wq, ((gu - ge) ** 2).sum(axis=1))

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,11 +33,12 @@ def _read_csv(path) -> list[list[str]]:
 
 def test_import_skips_optional_scipy_modules():
     """The matrix dump and the eigensolver import their scipy modules on
-    first use, so commands that use neither do not load them."""
+    first use, so commands that use neither do not load them, nor
+    scipy.linalg (0.13 s and 7 MB to import after stackfem.cli)."""
     src = str(Path(stackfem.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, stackfem.cli; "
-            "print(sorted(m for m in ('scipy.io', 'scipy.sparse.linalg') if m in sys.modules))")
+    optional = ("scipy.io", "scipy.linalg", "scipy.sparse.linalg")
+    code = f"import sys, stackfem.cli; print(sorted(m for m in {optional} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
@@ -390,7 +392,7 @@ class TestConditionCommand:
 
         params = FormParams.defaults(1)
         pres = standard_predomains("I")
-        h, got = cli._reduced_matrix(pres, 4, 1, params)
+        h, got, _ = cli._reduced_matrix(pres, 4, 1, params)
         topo = cli.build_cut_topology(cli.build_stack(pres, [4] * 3, 1), params.quad_order)
         system = cli.assemble_system(topo, params)
         load = cli.assemble_load(topo, cli.poisson_fields()[1], params)
@@ -471,6 +473,65 @@ class TestConditionCommand:
         meta = json.loads((out / "meta.json").read_text())
         assert (meta["k_min"], meta["k_max"]) == (3, 4)
         assert len(_read_csv(out / "results.csv")) == 4  # header, 2 levels, slope
+
+
+# a config-II-shaped stack at k = 7 whose P1 system is indefinite at the
+# default penalties: CG meets negative curvature and the factor a bad pivot
+FOUND_ANGLES = (25.7302, 44.6945)
+SITE = re.compile(r" at dof (\d+) of part (\d+) at \((\S+), (\S+)\)$")
+
+
+@pytest.fixture(scope="module")
+def found_stack():
+    """Predomains, cut topology and reduced system of the FOUND pair at k = 7."""
+    from stackfem import cli
+
+    pres = cli.custom_predomains([{"bounds": b, "angle": a} for b, a in
+                                  zip([[0.2, 0.8, 0.3, 0.75], [0.3, 0.5, 0.05, 0.8]], FOUND_ANGLES)])
+    params = cli.FormParams.defaults(1)
+    topo = cli.build_cut_topology(cli.build_stack(pres, [7] * 3, 1), params.quad_order)
+    system = cli.assemble_system(topo, params)
+    bc = cli.build_dirichlet(topo, lambda x, y: np.zeros_like(x))
+    return pres, topo, cli.apply_dirichlet(system, np.zeros(system.dim), bc, topo)
+
+
+def _check_site(message: str, topo, free, dof: int):
+    """The message ends in the part, part-local dof and coordinates of
+    reduced dof `dof`, and names no other dof."""
+    local, part, x, y = SITE.search(message).groups()
+    local, part = int(local), int(part)
+    assert topo.block_offsets()[part] + local == free[dof]
+    assert (float(x), float(y)) == tuple(topo.parts[part].space.dof_coords[local])
+    assert message.count("dof ") == 1
+
+
+class TestNotSPDNamesThePart:
+    """A NotSPDError from CG in `solve_poisson`, and the factor's in the
+    condition study's warning, say where the dof at fault lives."""
+
+    def test_cg_in_solve_poisson(self, found_stack):
+        from stackfem import cli
+        from stackfem.solver import NotSPDError
+
+        pres, topo, reduced = found_stack
+        u, f, _ = cli.poisson_fields()
+        with pytest.raises(NotSPDError, match=r"^negative curvature .* of part ") as info:
+            cli.solve_poisson(cli.build_stack(pres, [7] * 3, 1), cli.FormParams.defaults(1), f, u)
+        _check_site(str(info.value), topo, reduced.free, info.value.dof)
+
+    def test_factor_in_condition_study(self, found_stack, caplog):
+        from stackfem import cli
+        from stackfem.solver import NotSPDError, extreme_eigs
+
+        pres, topo, reduced = found_stack
+        with pytest.raises(NotSPDError) as info:
+            extreme_eigs(reduced.matrix)
+        with caplog.at_level("WARNING", logger="stackfem.cli"):
+            rows, _ = cli.run_condition_study(pres, [7], 1)
+        assert np.isnan(rows[0][1])
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert message.startswith("condition estimation failed at k=7: not positive definite")
+        _check_site(message, topo, reduced.free, info.value.dof)
 
 
 class TestCustomStack:

@@ -134,7 +134,7 @@ def test_boundary_layer_probe_at_k1(monkeypatch):
     for m in range(topo.nparts):
         space = topo.parts[m].space
         sel = np.flatnonzero(mesh == m)
-        per_cell = [space.eval_in_cell(u.coeffs[m], c, x[None])[0]
+        per_cell = [ref.eval_in_cell(space, u.coeffs[m], c, x[None])[0]
                     for c, x in zip(cell[sel], pts[sel])]
         assert np.max(np.abs(vals[sel] - per_cell)) <= 1e-14
 

@@ -1,5 +1,6 @@
 import re
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -63,8 +64,7 @@ NOT_SPD = {
 
 @pytest.fixture
 def threads_stay():
-    """Fails the test if it leaves a thread running, such as the helper
-    thread that `extreme_eigs` estimates lambda_max on."""
+    """Fails the test if it leaves a thread running."""
     before = threading.active_count()
     yield
     assert threading.active_count() == before
@@ -204,6 +204,62 @@ def test_cg_reusing_buffers_matches_allocating_loop_bitwise(tol, maxit, restarts
             assert len(calls) > rep.iterations + 2
 
 
+def test_cg_keeps_one_lanczos_segment_per_restart():
+    """At tol 1e-15 CG on config II at k = 4 restarts from the true residual;
+    each restart begins a new segment of alpha and beta, one of each per
+    iteration. beta_j is the ratio of consecutive r'z, whose square roots
+    the residual history holds for the first segment."""
+    from stackfem.cli import build_stack, poisson_fields, solve_poisson
+
+    u, f, _ = poisson_fields()
+    reduced = solve_poisson(build_stack(standard_predomains("II"), [4] * 3, 1),
+                            FormParams.defaults(1), f, u).reduced
+    A, b = reduced.matrix, reduced.rhs
+    calls = []
+    matvec = A.matvec
+
+    def counted(v):
+        calls.append(1)
+        return matvec(v)
+
+    A.matvec = counted
+    _, rep = cg_solve(A, b, tol=1e-15, maxit=300)
+    # one matvec per iteration and per true-residual check, one for the first
+    # residual and one for the final check; a passing check ends the run
+    restarts = len(calls) - rep.iterations - 2 - rep.converged
+    assert restarts > 0
+    assert len(rep.alphas) == len(rep.betas) == restarts + 1
+    assert [len(a) for a in rep.alphas] == [len(b) for b in rep.betas]
+    assert sum(len(a) for a in rep.alphas) == rep.iterations
+    m = len(rep.betas[0])
+    h = rep.residual_history
+    assert np.allclose(rep.betas[0], (h[1:m + 1] / h[:m]) ** 2, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name, k", [("I", 5), ("II", 7)])
+def test_cg_lanczos_tridiagonal_gives_kappa_of_scaled_matrix(name, k):
+    """The tridiagonal T that one CG run's alpha and beta define has the
+    extreme eigenvalues of D^-1/2 A D^-1/2: kappa from T matches ARPACK run
+    to machine precision on the scaled matrix within 1e-10 relative."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    from stackfem.cli import build_stack, poisson_fields, solve_poisson
+
+    u, f, _ = poisson_fields()
+    res = solve_poisson(build_stack(standard_predomains(name), [k] * 3, 1),
+                        FormParams.defaults(1), f, u)
+    rep = res.report
+    assert rep.converged and len(rep.alphas) == 1  # no restart at the default tol
+    alpha, beta = rep.alphas[0], rep.betas[0]
+    assert len(alpha) == len(beta) == rep.iterations
+    diag = 1.0 / alpha
+    diag[1:] += beta[:-1] / alpha[:-1]
+    theta = eigvalsh_tridiagonal(diag, np.sqrt(beta[:-1]) / alpha[:-1])
+    scale = sparse.diags(1.0 / np.sqrt(res.reduced.matrix.diagonal()))
+    scaled = CsrMatrix(scale @ res.reduced.matrix.csr @ scale)
+    assert theta[-1] / theta[0] == pytest.approx(_converged_kappa(scaled), rel=1e-10, abs=0)
+
+
 class TestExtremeEigs:
     def test_diagonal(self):
         lam_max, lam_min = extreme_eigs(_csr(np.diag([1.0, 4.0])))
@@ -232,7 +288,7 @@ class TestExtremeEigs:
         evals = np.concatenate([[1.0, 2.5], rng.uniform(4.0, 80.0, 58)])
         Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
         A = _csr(Q @ np.diag(evals) @ Q.T)
-        w = np.linalg.eigvalsh(A.todense())
+        w = np.linalg.eigvalsh(A.csr.toarray())
         lam_max, lam_min = extreme_eigs(A)
         assert lam_max == pytest.approx(w[-1], rel=1e-5)
         assert lam_min == pytest.approx(w[0], rel=1e-4)
@@ -315,18 +371,49 @@ class TestEigenSolverBudget:
         assert len(factors) == 1 and 0 < factors[0].solves <= 13
 
 
-class TestHelperThread:
-    """lambda_max runs on a helper thread beside the factor and lambda_min;
-    failures surface as before, and no thread outlives the call."""
+class TestSequentialEstimates:
+    """The factor, lambda_min and then lambda_max run in turn on the calling
+    thread: a rejected matrix raises before any lambda_max iteration, the
+    factor is dropped before lambda_max starts, failures surface as before,
+    and no thread is started."""
 
-    def test_indefinite_raises_naming_dof(self, threads_stay):
-        # a large indefinite matrix keeps lambda_max busy while the factor fails
+    @staticmethod
+    def _count_lambda_max(monkeypatch, record):
+        """Calls record() at each eigsh(which="LA") before it runs."""
+        eigsh = sparse_linalg.eigsh
+
+        def counted(*args, **kwargs):
+            if kwargs.get("which") == "LA":
+                record()
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sparse_linalg, "eigsh", counted)
+
+    def test_indefinite_raises_naming_dof(self, monkeypatch, threads_stay):
         n = 400
         diag = np.linspace(1.0, 50.0, n)
         diag[137] = -2.0
         A = _csr(np.diag(diag) + 0.1 * np.diag(np.ones(n - 1), 1) + 0.1 * np.diag(np.ones(n - 1), -1))
-        with pytest.raises(NotSPDError, match="at dof 137"):
+        calls = []
+        self._count_lambda_max(monkeypatch, lambda: calls.append(1))
+        with pytest.raises(NotSPDError, match="at dof 137") as info:
             extreme_eigs(A)
+        assert info.value.dof == 137
+        assert calls == []
+
+    def test_factor_dropped_before_lambda_max(self, monkeypatch):
+        factors, alive = [], []
+        spd_factor = solver._spd_factor
+
+        def counted(matrix):
+            factor = _CountedFactor(spd_factor(matrix))
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(solver, "_spd_factor", counted)
+        self._count_lambda_max(monkeypatch, lambda: alive.append(factors[0]() is not None))
+        extreme_eigs(_reduced_poisson(config_I((4, 4, 4))))
+        assert len(factors) == 1 and alive == [False]
 
     def test_unconverged_lambda_max_raises(self, rng, monkeypatch, threads_stay):
         eigsh = sparse_linalg.eigsh
@@ -341,9 +428,18 @@ class TestHelperThread:
         with pytest.raises(EigenEstimationError, match="ARPACK did not converge"):
             extreme_eigs(_random_spd(rng, 30))
 
-    def test_spd_leaves_no_thread(self, rng, threads_stay):
+    def test_spd_starts_no_thread(self, rng, monkeypatch, threads_stay):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
         lam_max, lam_min = extreme_eigs(_random_spd(rng, 30))
         assert lam_max > lam_min > 0
+        assert started == []
 
 
 class TestDeterminism:
@@ -375,7 +471,7 @@ class TestConditionNumber:
         # a Lanczos stop on two agreeing but unconverged Ritz values once gave
         # lambda_max 1.1e-3 short here at seed 13
         A = _reduced_poisson(config_I((5, 5, 5)))
-        w = np.linalg.eigvalsh(A.todense())
+        w = np.linalg.eigvalsh(A.csr.toarray())
         assert condition_number(A, seed=seed) == pytest.approx(w[-1] / w[0], rel=1e-8)
 
     def test_poisson_h_scaling(self):
@@ -390,12 +486,12 @@ class TestConditionNumber:
 class TestCsrMatrix:
     def test_triplet_duplicates_summed(self):
         A = CsrMatrix.from_triplets([0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0], dim=2)
-        assert np.allclose(A.todense(), [[3.0, 0.0], [0.0, 5.0]])
+        assert np.allclose(A.csr.toarray(), [[3.0, 0.0], [0.0, 5.0]])
 
     def test_fields(self):
         A = CsrMatrix.from_triplets([0, 1, 1], [1, 0, 1], [2.0, 2.0, 1.0], dim=2)
         assert A.dim == 2
         assert A.csr.indptr.tolist() == [0, 1, 3]
         assert A.csr.indices.tolist() == [1, 0, 1]
-        assert A.symmetry_defect() == 0.0
+        assert ref.symmetry_defect(A) == 0.0
         assert A.max_abs() == 2.0
