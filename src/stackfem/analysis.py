@@ -74,22 +74,17 @@ def _uncut_values(u: MultimeshFunction, uncut: UncutCells):
     return (c @ phi.T).ravel(), g.reshape(-1, 2), np.outer(area, w).ravel()
 
 
-# Uncut cells per chunk of `_cell_values`: the values, gradients and points
-# of a chunk take memory in proportion to its cells, not to the mesh.
-UNCUT_CHUNK = 8192
-
-
 def _cell_values(u: MultimeshFunction, topology: CutTopology, order: int, with_points: bool):
     """u, its gradient, the weights and, if asked, the points of the order's
     rule over the visible region of every active cell, with the place of
-    each point for field_values: per mesh, its uncut cells in chunks of
-    UNCUT_CHUNK, then the pieces of its cut cells."""
-    for uncut, batch in topology.cell_quadrature(order):
-        i, nq = uncut.mesh, len(uncut.rule()[1])
-        for s in range(0, len(uncut.cells), UNCUT_CHUNK):
-            chunk = uncut._replace(cells=uncut.cells[s:s + UNCUT_CHUNK])
-            yield (*_uncut_values(u, chunk), chunk.points() if with_points else None,
-                   lambda q: f"in cell {chunk.cells[q // nq]} of part {i}")
+    each point for field_values: per mesh, each chunk of its uncut cells
+    that `cell_quadrature` makes, then the pieces of its cut cells."""
+    for chunks, batch in topology.cell_quadrature(order):
+        i = batch.meshes[0]
+        for uncut in chunks:
+            nq = len(uncut.rule()[1])
+            yield (*_uncut_values(u, uncut), uncut.points() if with_points else None,
+                   lambda q: f"in cell {uncut.cells[q // nq]} of part {i}")
         yield (*_values(u, batch, 0), batch.weights, batch.points,
                lambda q: f"in cell {batch.per_point(batch.cells[:, 0])[q]} of part {i}")
 

@@ -4,11 +4,11 @@ Volume terms integrate over each cell's visible region only; interface
 facets contribute the symmetric Nitsche consistency terms plus a penalty
 weighted by beta0 / (h_i + h_j); overlap pieces contribute the jump
 stabilization in one of two variants. Uncut cells are integrated on the
-reference triangle: their local matrices are one product of per-cell
-geometry with sums tabulated once per degree and order. Every cut integral
-runs on the flat quadrature batches of the cut topology, which carry their
-basis in each of their meshes: assembly only contracts it, and local
-matrices are reduced per entity. Each matrix term returns its local
+reference triangle, in the chunks `CutTopology.cell_quadrature` makes: their
+local matrices are one product of per-cell geometry with sums tabulated once
+per degree and order. Every cut integral runs on the flat quadrature batches
+of the cut topology, which carry their basis in each of their meshes:
+assembly only contracts it, and local matrices are reduced per entity. Each matrix term returns its local
 matrices as blocks, pairs of global dofs (ne, nd) and matrices
 (ne, nd, nd); `assemble_system` scatters the blocks of the three terms
 into COO triplets and sums them in folds of bounded size.
@@ -45,9 +45,10 @@ STAB_VALUE = "scaled-value-jump"
 
 # Triplets after which `assemble_system` scatters and converts a fold. A fold
 # takes blocks whole, a larger one in pieces of at most this many triplets,
-# so it holds fewer than twice as many. It costs 16 B per triplet (int32 row
-# and column, float64 value) plus 12 B per entry of its unsummed CSR (int32
-# column, float64 value): 3.7 to 7.3 MB, whatever the size of the stack.
+# so it holds fewer than twice as many; it also closes at the end of a term.
+# It costs 16 B per triplet (int32 row and column, float64 value) plus 12 B
+# per entry of its unsummed CSR (int32 column, float64 value): 3.7 to 7.3 MB,
+# whatever the size of the stack.
 FOLD_TRIPLETS = 1 << 17
 
 
@@ -157,12 +158,13 @@ def assemble_volume(topology: CutTopology, params: FormParams) -> list:
     """Stiffness (plus optional reaction mass) over every visible region."""
     blocks = []
     offsets = topology.block_offsets()
-    for uncut, batch in topology.cell_quadrature(params.quad_order):
-        blocks.append(_uncut_volume(uncut, params, offsets[uncut.mesh]))
+    for chunks, batch in topology.cell_quadrature(params.quad_order):
+        offset = offsets[batch.meshes[0]]
+        blocks += [_uncut_volume(uncut, params, offset) for uncut in chunks]
         phi, grad, dofs = batch.basis[0]
         if params.reaction_eps is not None:
             grad = np.concatenate([grad, phi[:, :, None] / params.reaction_eps], axis=2)
-        blocks.append((offsets[uncut.mesh] + dofs, _entity_blocks(batch, grad, grad)))
+        blocks.append((offset + dofs, _entity_blocks(batch, grad, grad)))
     return blocks
 
 
@@ -219,14 +221,15 @@ def assemble_load(topology: CutTopology, f, params: FormParams) -> np.ndarray:
     A non-finite value of f raises a ValueError naming its part, cell and point."""
     offsets = topology.block_offsets()
     b = np.zeros(topology.total_dim)
-    for uncut, batch in topology.cell_quadrature(params.quad_order):
-        i = uncut.mesh
-        _, w, phi, _ = uncut.rule()
-        dofs, _, area = uncut.gather()
-        fx = field_values(f, "load f", uncut.points(),
-                          lambda q: f"in cell {uncut.cells[q // len(w)]} of part {i}")
-        local = (fx.reshape(-1, len(w)) * w) @ phi * area[:, None]
-        b += np.bincount((offsets[i] + dofs).ravel(), weights=local.ravel(), minlength=len(b))
+    for chunks, batch in topology.cell_quadrature(params.quad_order):
+        i = batch.meshes[0]
+        for uncut in chunks:
+            _, w, phi, _ = uncut.rule()
+            dofs, _, area = uncut.gather()
+            fx = field_values(f, "load f", uncut.points(),
+                              lambda q: f"in cell {uncut.cells[q // len(w)]} of part {i}")
+            local = (fx.reshape(-1, len(w)) * w) @ phi * area[:, None]
+            b += np.bincount((offsets[i] + dofs).ravel(), weights=local.ravel(), minlength=len(b))
         phi, _, dofs = batch.basis[0]
         fx = field_values(f, "load f", batch.points, lambda q: (
             f"in cell {batch.per_point(batch.cells[:, 0])[q]} of part {i}"))
@@ -246,7 +249,9 @@ def assemble_system(topology: CutTopology, params: FormParams) -> SystemMatrix:
     """Full coupled matrix: the blocks of volume, interface and
     stabilization, in that order, scattered into triplets and converted in
     folds of about FOLD_TRIPLETS triplets, each added to the sum of the
-    earlier ones. Entries that sum to exactly zero are not stored."""
+    earlier ones. A fold closes at the end of each term too, so the next
+    term builds its blocks beside no open fold. Entries that sum to exactly
+    zero are not stored."""
     dim = topology.total_dim
     total, fold, size = None, [], 0
     for term in (assemble_volume, assemble_interface, assemble_stabilization):
@@ -263,7 +268,9 @@ def assemble_system(topology: CutTopology, params: FormParams) -> SystemMatrix:
             del d, m  # the fold list alone holds the piece
             if size >= FOLD_TRIPLETS:
                 total, size = _add_fold(total, fold, dim), 0
-    if fold or total is None:
+        if fold:  # the next term builds its blocks beside an empty fold
+            total, size = _add_fold(total, fold, dim), 0
+    if total is None:
         total = _add_fold(total, fold, dim)
     total.eliminate_zeros()
     return SystemMatrix(CsrMatrix(total))

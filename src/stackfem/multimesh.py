@@ -199,6 +199,10 @@ class QuadBatch:
         return np.repeat(values, np.diff(self.starts), axis=0)
 
 
+# Rule points per chunk of uncut cells in `CutTopology.cell_quadrature`.
+CELL_CHUNK_POINTS = 1 << 13
+
+
 class UncutCells(NamedTuple):
     """The uncut active cells (nc,) of mesh `mesh`, integrated on the
     reference triangle by the rule of order `order`, whose basis is the same
@@ -430,12 +434,21 @@ class CutTopology:
             return np.zeros(0, dtype=np.int64)
         return np.unique(space.cell_dofs[self.active[i]].ravel())
 
-    def cell_quadrature(self, order: int) -> list[tuple[UncutCells, QuadBatch]]:
+    def cell_quadrature(self, order: int) -> list[tuple[list[UncutCells], QuadBatch]]:
         """Quadrature over the visible region of every active cell, per mesh:
-        its uncut active cells, on the reference triangle, and the batch
-        over the visible pieces of its cut cells."""
-        return [(UncutCells(i, part.space, self.uncut[i], order), batch)
-                for i, (part, batch) in enumerate(zip(self.parts, self.cell_batches(order)))]
+        its uncut active cells, on the reference triangle, in chunks of at
+        most CELL_CHUNK_POINTS rule points (at least one cell each), and the
+        batch over the visible pieces of its cut cells. Every cell integral
+        takes its uncut cells from here, so what it makes per point or per
+        cell grows with the chunk, not with the mesh."""
+        out = []
+        for i, (part, batch) in enumerate(zip(self.parts, self.cell_batches(order))):
+            nq = len(reference_rule(part.space.degree, order)[1])
+            step = max(1, CELL_CHUNK_POINTS // nq)
+            cells = self.uncut[i]
+            out.append(([UncutCells(i, part.space, cells[s:s + step], order)
+                         for s in range(0, len(cells), step)], batch))
+        return out
 
     def cell_batches(self, order: int | None = None) -> list[QuadBatch]:
         """Quadrature over the visible pieces of the cut cells, one batch per

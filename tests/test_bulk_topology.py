@@ -10,9 +10,12 @@ one rule per entity. Each batch carries its basis in each of its meshes,
 read-only and tabulated exactly once. The two bulk building blocks are
 checked on their own against brute force with hypothesis, and the memory
 peaks of one topology build, on two stacks, of the cell integrals of
-volume and error norms, and of point location on two grids are bounded.
+volume, system, load and error norms, of one whole solve and report, and
+of point location on two grids are bounded. Cell integrals over uncut
+cells in chunks equal those over whole meshes.
 """
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
-from conftest import build_stack_config, config_I, config_II, traced_peak_mb
-from stackfem.analysis import MultimeshFunction, error_norms
-from stackfem.assembly import FormParams, assemble_system, assemble_volume
+from conftest import ENTRY_RTOL, build_stack_config, config_I, config_II, traced_peak_mb
+from stackfem import multimesh
+from stackfem.analysis import MultimeshFunction, energy_norm, error_norms
+from stackfem.assembly import FormParams, assemble_load, assemble_system, assemble_volume
 from stackfem.cli import (
     _error_report,
     boundary_layer_stack,
@@ -182,20 +186,24 @@ def test_topology_build_memory_peak(name):
     assert traced_peak_mb(lambda: build_cut_topology(config)) <= MEMORY_PEAK_MB[name]
 
 
-# tracemalloc peaks of a cold `assemble_volume`, `assemble_system` and
-# `error_norms` (a fresh topology, no quadrature built yet) on config II,
-# k = 7, P1, measured at 4.3 MB, 10.3 MB and 7.2 MB with numpy 2.4 and
-# scipy 1.17. The volume term returns its local matrices as a list and makes
-# no triplets; its bound leaves 2x headroom over the 10.8 MB measured when it
-# scattered its own triplets. The system converts its 458k triplets in folds
-# of assembly.FOLD_TRIPLETS; with every term's blocks, all triplets and one
-# unsummed CSR alive together it peaked at 18.3 MB, above its bound. The
-# norms integrate the uncut cells in chunks of analysis.UNCUT_CHUNK (21,707
-# of them in the background mesh); on all of them at once they peaked at
-# 13.4 MB. Mapping and tabulating the points of every uncut cell peaked at
-# 27.7 MB and 33.5 MB in this test, 23.8 MB and 29.6 MB with the affine maps
-# cached.
-INTEGRAL_PEAK_MB = {"assemble_volume": 21.6, "assemble_system": 14.4, "error_norms": 14.4}
+# tracemalloc peaks of a cold `assemble_volume`, `assemble_system`,
+# `assemble_load` and `error_norms` (a fresh topology, no quadrature built
+# yet) on config II, k = 7, P1, measured at 3.9 MB, 8.6 MB, 1.3 MB and
+# 2.0 MB with numpy 2.4 and scipy 1.17. Each takes the uncut cells in the
+# chunks of multimesh.CELL_CHUNK_POINTS rule points that `cell_quadrature`
+# makes (21,707 of them in the background mesh). With the load on whole
+# meshes and the norms in chunks of 8192 cells, they peaked at 4.7 MB and
+# 7.2 MB, above their bounds, 2x the measured peaks. The volume term
+# returns its local matrices as a list and makes no triplets; its bound
+# leaves 2x headroom over the 10.8 MB measured when it scattered its own
+# triplets. The system converts its 458k triplets in folds of
+# assembly.FOLD_TRIPLETS; with every term's blocks, all triplets and one
+# unsummed CSR alive together it peaked at 18.3 MB, above its bound.
+# Mapping and tabulating the points of every uncut cell for the norms
+# peaked at 27.7 MB and 33.5 MB in this test, 23.8 MB and 29.6 MB with the
+# affine maps cached.
+INTEGRAL_PEAK_MB = {"assemble_volume": 21.6, "assemble_system": 14.4, "assemble_load": 2.6,
+                    "error_norms": 4.0}
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRAL_PEAK_MB))
@@ -203,11 +211,84 @@ def test_cell_integral_memory_peak(name):
     config = build_stack(standard_predomains("II"), [7, 7, 7], 1)
     topo = build_cut_topology(config)
     u = MultimeshFunction.from_global(topo, np.ones(topo.total_dim))
-    u_exact, _, grad_u = poisson_fields()
-    run = {"assemble_volume": lambda: assemble_volume(topo, FormParams.defaults(1)),
-           "assemble_system": lambda: assemble_system(topo, FormParams.defaults(1)),
+    u_exact, f, grad_u = poisson_fields()
+    params = FormParams.defaults(1)
+    run = {"assemble_volume": lambda: assemble_volume(topo, params),
+           "assemble_system": lambda: assemble_system(topo, params),
+           "assemble_load": lambda: assemble_load(topo, f, params),
            "error_norms": lambda: error_norms(u, topo, u_exact, grad_u)}[name]
     assert traced_peak_mb(run) <= INTEGRAL_PEAK_MB[name]
+
+
+# tracemalloc peak of one whole solve and its error report, as `stackfem
+# solve` makes them, on a config-II-shaped stack with the rectangles turned
+# by 22.9244 and 42.0755 degrees, all parts at k = 7, P1: measured at
+# 16.1 MB (in `apply_dirichlet`) with numpy 2.4 and scipy 1.17. With the
+# load on whole meshes, the norms in chunks of 8192 cells and the assembly
+# folds open across terms it peaked at 20.0 MB, in `error_norms`. The bound
+# leaves 10%.
+SOLVE_PEAK_MB = 17.7
+
+
+def test_solve_and_report_memory_peak():
+    pres = [standard_predomains("II")[0]] + [
+        rotate_rect(b, a) for b, a in zip(((0.2, 0.8, 0.3, 0.75), (0.3, 0.5, 0.05, 0.8)),
+                                          (22.9244, 42.0755))]
+    u_exact, f, grad_u = poisson_fields()
+
+    def solve_and_report():
+        res = solve_poisson(build_stack(pres, [7] * 3, 1), FormParams.defaults(1), f, u_exact)
+        _error_report("II", 1, res, u_exact, grad_u)
+
+    assert traced_peak_mb(solve_and_report) <= SOLVE_PEAK_MB
+
+
+def test_chunked_cell_integrals_equal_whole_meshes(monkeypatch):
+    """With CELL_CHUNK_POINTS set so that no mesh's uncut cells fill their
+    last chunk, at either rule order, and every mesh has two chunks or more,
+    the system is within ENTRY_RTOL of its largest entry, and the load, the
+    error norms and the energy terms are within 1e-13 relative, of the
+    default run, which takes each mesh's uncut cells in one chunk. A NaN of
+    f or of u_exact in a cell of a later chunk names that cell and part."""
+    topo = build_cut_topology(config_II((4, 5, 6)))
+    params = FormParams.defaults(1)
+    u = MultimeshFunction.from_global(topo, np.sin(np.arange(topo.total_dim)))
+    u_exact, f, grad_u = poisson_fields()
+
+    def run():
+        return (assemble_system(topo, params).matrix.csr, assemble_load(topo, f, params),
+                np.array(error_norms(u, topo, u_exact, grad_u)),
+                np.array(astuple(energy_norm(u, topo))))
+
+    for chunks, _ in topo.cell_quadrature(4):
+        assert len(chunks) == 1
+    A0, *default = run()
+    monkeypatch.setattr(multimesh, "CELL_CHUNK_POINTS", 582)
+    for order in (params.quad_order, 4):
+        for chunks, _ in topo.cell_quadrature(order):
+            sizes = [len(c.cells) for c in chunks]
+            assert len(sizes) >= 2 and sizes[-1] < sizes[0]
+    A, *chunked = run()
+    assert abs(A - A0).max() <= ENTRY_RTOL * abs(A0.data).max()
+    for got, want in zip(chunked, default):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    late = topo.cell_quadrature(params.quad_order)[2][0][2]
+    cell = late.cells[5]
+    tri = late.space.mesh.nodes[late.space.mesh.cells[cell]]
+
+    def nan_in_cell(g):
+        def at(x, y):
+            e = np.roll(tri, -1, axis=0) - tri
+            inside = np.all([e[k, 0] * (y - tri[k, 1]) - e[k, 1] * (x - tri[k, 0]) > 0
+                             for k in range(3)], axis=0)
+            return np.where(inside, np.nan, g(x, y))
+        return at
+
+    with pytest.raises(ValueError, match=rf"load f is nan .* in cell {cell} of part 2$"):
+        assemble_load(topo, nan_in_cell(f), params)
+    with pytest.raises(ValueError, match=rf"u_exact is nan .* in cell {cell} of part 2$"):
+        error_norms(u, topo, nan_in_cell(u_exact), grad_u)
 
 
 # tracemalloc peaks of `point_locate` on the k = 1 boundary-layer stack, on
